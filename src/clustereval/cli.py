@@ -2,7 +2,7 @@
 
 Subcommands:
   evaluate  score a predicted clustering file against a truth file
-  check     run both engines and compare their numbers (files or random trials)
+  check     run both engines and compare their reports (files or random trials)
   gen       write a seeded synthetic truth/predicted file pair
   bench     time the engines on synthetic workloads of given sizes
 
@@ -31,15 +31,14 @@ from .io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
     FORMAT_MEMBERSHIP_PAIRS,
-    SCHEMA_VERSION,
-    TABLE_LABELS,
+    MEASURE_ORDER,
     build_report_document,
     parse_clustering_file,
     render_report_document,
     write_clustering,
     write_report,
 )
-from .model import EvalPair, FullReport, validate
+from .model import EvalPair, validate
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -51,8 +50,6 @@ EXIT_PAIR_BUDGET = 6
 
 CHECK_TOLERANCE = 1e-12
 
-MEASURES = ("cluster_f", "k_metric", "b_cubed", "se_le", "pairwise")
-
 _FILE_FORMATS = {"auto": FORMAT_AUTO, "clusters": FORMAT_CLUSTER_LINES, "pairs": FORMAT_MEMBERSHIP_PAIRS}
 
 
@@ -63,106 +60,44 @@ def _load_pair(args) -> EvalPair:
     return validate(truth, predicted, args.coverage)
 
 
-def _full_report(pair: EvalPair, engine: str, pair_budget: int) -> FullReport:
-    if engine == "oracle":
-        return oracle.evaluate_all(pair, pair_budget=pair_budget)
-    return single_pass.evaluate_all(pair)
-
-
-def _single_measure(pair: EvalPair, engine: str, measure: str, pair_budget: int):
-    module = oracle if engine == "oracle" else single_pass
-    if measure == "pairwise":
-        if engine == "oracle":
-            return module.pairwise_f(pair, pair_budget=pair_budget)
-        return module.pairwise_f(pair)
-    if measure == "se_le":
-        return module.split_lump(pair)
-    return getattr(module, measure)(pair)
-
-
 def cmd_evaluate(args) -> int:
     pair = _load_pair(args)
     start = time.perf_counter()
-    if args.measure == "all":
-        report = _full_report(pair, args.engine, args.pair_budget)
-        elapsed = time.perf_counter() - start
-        sys.stdout.write(write_report(report, style=args.output, engine=args.engine, timing_seconds=elapsed))
-        return EXIT_OK
-
-    result = _single_measure(pair, args.engine, args.measure, args.pair_budget)
+    if args.engine == "oracle":
+        report = oracle.evaluate_all(pair, pair_budget=args.pair_budget)
+    else:
+        report = single_pass.evaluate_all(pair)
     elapsed = time.perf_counter() - start
-    if args.measure == "se_le":
-        triple = result.converted
-        extra = {"se": float(result.se), "le": float(result.le)}
-    else:
-        triple = result
-        extra = {}
-    if args.output == "table":
-        sys.stdout.write(f"{'Measure':<12}{'Recall':>9}{'Precision':>11}{'F':>9}\n")
-        sys.stdout.write(
-            f"{TABLE_LABELS[args.measure]:<12}{triple.recall:>9.4f}{triple.precision:>11.4f}{triple.combined:>9.4f}\n"
-        )
-        for key, value in extra.items():
-            sys.stdout.write(f"{key.upper()} = {value:.4f}\n")
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "engine": args.engine,
-            "package_version": __version__,
-            "measures": {
-                args.measure: {
-                    **extra,
-                    "recall": float(triple.recall),
-                    "precision": float(triple.precision),
-                    "combined": float(triple.combined),
-                }
-            },
-            "stats": {
-                "n_truth_clusters": len(pair.truth_dense),
-                "n_predicted_clusters": len(pair.predicted_dense),
-                "n_instances": pair.n_instances,
-            },
-            "flags": list(pair.flags),
-            "timing": {"seconds": elapsed},
-        }
-        sys.stdout.write(render_report_document(doc))
+    measures = MEASURE_ORDER if args.measure == "all" else (args.measure,)
+    sys.stdout.write(
+        write_report(report, style=args.output, engine=args.engine, timing_seconds=elapsed, measures=measures)
+    )
     return EXIT_OK
 
 
-def _report_numbers(report: FullReport) -> dict[str, float]:
-    out = {}
-    for name in MEASURES:
-        triple = report.se_le.converted if name == "se_le" else getattr(report, name)
-        out[f"{name}.recall"] = triple.recall
-        out[f"{name}.precision"] = triple.precision
-        out[f"{name}.combined"] = triple.combined
-    out["se_le.se"] = report.se_le.se
-    out["se_le.le"] = report.se_le.le
-    return out
-
-
-def _compare_reports(fast: FullReport, slow: FullReport) -> list[str]:
-    a = _report_numbers(fast)
-    b = _report_numbers(slow)
-    return [
-        f"{key}: single_pass={a[key]!r} oracle={b[key]!r}"
-        for key in a
-        if abs(a[key] - b[key]) > CHECK_TOLERANCE
+def _check_one(pair: EvalPair, pair_budget: int, label: str) -> int:
+    """Compare the two engines' report documents: measures within tolerance, the rest exactly."""
+    fast = build_report_document(single_pass.evaluate_all(pair), engine="single_pass")
+    slow = build_report_document(oracle.evaluate_all(pair, pair_budget=pair_budget), engine="oracle")
+    divergent = [
+        f"measures.{name}.{key}: single_pass={value!r} oracle={slow['measures'][name][key]!r}"
+        for name, fields in fast["measures"].items()
+        for key, value in fields.items()
+        if abs(value - slow["measures"][name][key]) > CHECK_TOLERANCE
     ]
-
-
-def _check_one(pair: EvalPair, pair_budget: int, label: str) -> tuple[int, list[str]]:
-    fast = single_pass.evaluate_all(pair)
-    slow = oracle.evaluate_all(pair, pair_budget=pair_budget)
-    divergent = _compare_reports(fast, slow)
-    if divergent:
-        sys.stderr.write(f"divergence on {label}:\n")
-        for line in divergent:
-            sys.stderr.write(f"  {line}\n")
-        sys.stdout.write(write_report(fast, style="machine", engine="single_pass"))
-        sys.stdout.write(write_report(slow, style="machine", engine="oracle"))
-        return EXIT_DIVERGENCE, divergent
-    return EXIT_OK, []
+    divergent += [
+        f"{section}: single_pass={fast[section]!r} oracle={slow[section]!r}"
+        for section in ("stats", "flags")
+        if fast[section] != slow[section]
+    ]
+    if not divergent:
+        return EXIT_OK
+    sys.stderr.write(f"divergence on {label}:\n")
+    for line in divergent:
+        sys.stderr.write(f"  {line}\n")
+    sys.stdout.write(render_report_document(fast))
+    sys.stdout.write(render_report_document(slow))
+    return EXIT_DIVERGENCE
 
 
 def cmd_check(args) -> int:
@@ -178,7 +113,7 @@ def cmd_check(args) -> int:
                 merge_rate=rng.random(),
                 seed=rng.getrandbits(63),
             )
-            status, _ = _check_one(generate(config), args.pair_budget, f"trial {trial} config {config}")
+            status = _check_one(generate(config), args.pair_budget, f"trial {trial} config {config}")
             if status != EXIT_OK:
                 return status
         sys.stdout.write(f"check: {args.trials} randomized trials agreed within {CHECK_TOLERANCE}\n")
@@ -187,7 +122,7 @@ def cmd_check(args) -> int:
     if not (args.truth and args.pred):
         raise ValidationError("check needs --truth and --pred, or --trials for randomized mode")
     pair = _load_pair(args)
-    status, _ = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
+    status = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
         sys.stdout.write(f"check: engines agree within {CHECK_TOLERANCE}\n")
     return status
@@ -242,11 +177,7 @@ def cmd_bench(args) -> int:
         pair = generate(config)  # generation and parsing stay outside the timers
         for engine in engines:
             if engine == "oracle":
-                demand = sum(
-                    len(c) * (len(c) - 1) // 2
-                    for side in (pair.truth_dense, pair.predicted_dense)
-                    for c in side
-                )
+                demand = oracle.pair_demand(pair)
                 if demand > args.pair_budget:
                     sys.stderr.write(
                         f"bench: N={n} needs {demand} enumerated pairs, over budget {args.pair_budget}\n"
@@ -297,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="evaluate a predicted clustering against truth")
     _add_input_options(p_eval, required=True)
-    p_eval.add_argument("--measure", choices=("all",) + MEASURES, default="all")
+    p_eval.add_argument("--measure", choices=("all",) + MEASURE_ORDER, default="all")
     p_eval.add_argument("--engine", choices=("single_pass", "oracle"), default="single_pass")
     p_eval.add_argument("--output", choices=("machine", "table"), default="machine")
     p_eval.add_argument("--pair-budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET)

@@ -141,8 +141,13 @@ def build_report_document(
     report: FullReport,
     engine: str = "single_pass",
     timing_seconds: float | None = None,
+    measures: tuple[str, ...] = MEASURE_ORDER,
 ) -> dict:
-    """Structured rendering of a report with stable field names and order."""
+    """Structured rendering of a report with stable field names and order.
+
+    ``measures`` names the measures the document keeps; ``stats`` and
+    ``flags`` always describe the whole report.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "engine": engine,
@@ -168,6 +173,7 @@ def build_report_document(
         },
         "flags": list(report.flags),
     }
+    doc["measures"] = {name: doc["measures"][name] for name in measures}
     if timing_seconds is not None:
         doc["timing"] = {"seconds": float(timing_seconds)}
     return doc
@@ -228,7 +234,7 @@ def parse_report_document(source: str | bytes) -> dict:
         raise ParseError(f"invalid report document: {exc.msg}", line=exc.lineno, column=exc.colno) from None
 
 
-def _render_table(report: FullReport) -> str:
+def _render_table(report: FullReport, measures: tuple[str, ...]) -> str:
     rows = {
         "cluster_f": report.cluster_f,
         "k_metric": report.k_metric,
@@ -237,14 +243,15 @@ def _render_table(report: FullReport) -> str:
         "b_cubed": report.b_cubed,
     }
     lines = [f"{'Measure':<12}{'Recall':>9}{'Precision':>11}{'F':>9}"]
-    for name in MEASURE_ORDER:
+    for name in measures:
         triple = rows[name]
         lines.append(
             f"{TABLE_LABELS[name]:<12}{triple.recall:>9.4f}{triple.precision:>11.4f}{triple.combined:>9.4f}"
         )
     stats = report.stats
     lines.append("")
-    lines.append(f"SE = {report.se_le.se:.4f}   LE = {report.se_le.le:.4f}")
+    if "se_le" in measures:
+        lines.append(f"SE = {report.se_le.se:.4f}   LE = {report.se_le.le:.4f}")
     lines.append(
         f"instances: {stats.n_instances}   truth clusters: {stats.n_truth_clusters}   "
         f"predicted clusters: {stats.n_predicted_clusters}"
@@ -262,10 +269,11 @@ def write_report(
     style: str = "machine",
     engine: str = "single_pass",
     timing_seconds: float | None = None,
+    measures: tuple[str, ...] = MEASURE_ORDER,
 ) -> str:
-    """Render a full report, machine (stable JSON) or human table style."""
+    """Render a report, machine (stable JSON) or human table style, keeping only ``measures``."""
     if style == "machine":
-        return render_report_document(build_report_document(report, engine, timing_seconds))
+        return render_report_document(build_report_document(report, engine, timing_seconds, measures))
     if style == "table":
-        return _render_table(report)
+        return _render_table(report, measures)
     raise ValueError(f"unknown report style {style!r}")

@@ -23,6 +23,11 @@ from .errors import (
 
 COVERAGE_MODES = ("strict", "lenient")
 
+FLAG_DEGENERATE_RECALL = "degenerate_pairwise_recall: no instance pairs in truth clusters; recall defined as 1.0"
+FLAG_DEGENERATE_PRECISION = (
+    "degenerate_pairwise_precision: no instance pairs in predicted clusters; precision defined as 1.0"
+)
+
 
 def harmonic_mean(recall: float, precision: float) -> float:
     """2rp/(r+p), defined as 0 when both inputs are 0."""

@@ -16,6 +16,8 @@ from typing import Iterable, Iterator
 
 from .errors import PairBudgetExceeded
 from .model import (
+    FLAG_DEGENERATE_PRECISION,
+    FLAG_DEGENERATE_RECALL,
     EvalPair,
     FullReport,
     MetricTriple,
@@ -24,11 +26,6 @@ from .model import (
 )
 
 DEFAULT_PAIR_BUDGET = 100_000_000
-
-FLAG_DEGENERATE_RECALL = "degenerate_pairwise_recall: no instance pairs in truth clusters; recall defined as 1.0"
-FLAG_DEGENERATE_PRECISION = (
-    "degenerate_pairwise_precision: no instance pairs in predicted clusters; precision defined as 1.0"
-)
 
 
 def iter_pairs(cluster: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -134,7 +131,8 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
     return SplitLumpResult(se, le, MetricTriple.harmonic(1.0 - se, 1.0 - le))
 
 
-def _pair_demand(pair: EvalPair) -> int:
+def pair_demand(pair: EvalPair) -> int:
+    """Pairs that enumerating both sides materializes, checked against the budget."""
     sides = list(pair.truth_dense) + list(pair.predicted_dense)
     return sum(len(c) * (len(c) - 1) // 2 for c in sides)
 
@@ -146,7 +144,7 @@ def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Metric
     pairs than ``pair_budget``; the zero-pair sides are defined as 1.0 like
     in the single-pass engine.
     """
-    needed = _pair_demand(pair)
+    needed = pair_demand(pair)
     if needed > pair_budget:
         raise PairBudgetExceeded(needed, pair_budget)
     truth_pairs = PairSet.from_clusters(pair.truth_dense).pairs
@@ -164,7 +162,7 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     closed form, keeping the report fully independent of the single-pass
     engine.
     """
-    needed = _pair_demand(pair)
+    needed = pair_demand(pair)
     if needed > pair_budget:
         raise PairBudgetExceeded(needed, pair_budget)
     truth_pairs = PairSet.from_clusters(pair.truth_dense).pairs

@@ -1,23 +1,21 @@
-"""Linear-time evaluators built on two hash tables.
+"""Linear-time evaluator built on two hash tables.
 
-All five measures share the same skeleton: index every predicted instance to
-its cluster (``build_index``), then walk the truth clusters once, counting
-how that cluster's instances distribute over predicted clusters
-(``tally_truth``). Each per-measure function runs the skeleton for itself;
-:func:`evaluate_all` fuses everything into one pass and is numerically
-identical to the separate functions, addition for addition.
-
-Counts and pair totals are exact Python integers; only the final ratios are
-floating point.
+:func:`build_index` maps every predicted instance to its cluster, and
+:func:`tally_truth` counts how one truth cluster spreads over predicted
+clusters. :func:`evaluate_all` tallies each truth cluster once and feeds all
+five measures from it; the per-measure functions are projections of its
+report. Counts and pair totals are exact Python integers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnindexedInstance
 from .model import (
+    FLAG_DEGENERATE_PRECISION,
+    FLAG_DEGENERATE_RECALL,
     EvalPair,
     FullReport,
     MetricTriple,
@@ -32,24 +30,18 @@ __all__ = [
     "TruthTally",
     "build_index",
     "tally_truth",
+    "evaluate_all",
     "cluster_f",
     "k_metric",
     "b_cubed",
     "split_lump",
     "pairwise_f",
-    "evaluate_all",
     "harmonic_mean",
     "geometric_mean",
 ]
 
-FLAG_DEGENERATE_RECALL = "degenerate_pairwise_recall: no instance pairs in truth clusters; recall defined as 1.0"
-FLAG_DEGENERATE_PRECISION = (
-    "degenerate_pairwise_precision: no instance pairs in predicted clusters; precision defined as 1.0"
-)
 
-
-@dataclass(frozen=True)
-class PredictedIndex:
+class PredictedIndex(NamedTuple):
     """Dense instance -> predicted-cluster index, plus per-cluster sizes.
 
     ``assignments[d]`` is the cluster index of dense instance ``d``;
@@ -62,8 +54,7 @@ class PredictedIndex:
     pair_total: int
 
 
-@dataclass(frozen=True)
-class TruthTally:
+class TruthTally(NamedTuple):
     """How one truth cluster's instances spread over predicted clusters.
 
     ``counts[i]`` is the number of the truth cluster's instances that landed
@@ -112,167 +103,46 @@ def tally_truth(cluster: tuple[int, ...], index: PredictedIndex) -> TruthTally:
     return TruthTally(counts, max_key, max_val)
 
 
-def cluster_f(pair: EvalPair) -> MetricTriple:
-    """Exact-cluster-match recall/precision with harmonic combination.
-
-    A predicted cluster matches when it contains all of a truth cluster's
-    instances and nothing else; given disjointness, that is equivalent to
-    one tally entry covering the whole truth cluster with an equal-sized
-    predicted cluster.
-    """
-    index = build_index(pair)
-    sizes = index.cluster_sizes
-    matches = 0
-    for cluster in pair.truth_dense:
-        size = len(cluster)
-        for key, value in tally_truth(cluster, index).counts.items():
-            if value == size and sizes[key] == size:
-                matches += 1
-    recall = matches / len(pair.truth_dense)
-    precision = matches / len(pair.predicted_dense)
-    return MetricTriple.harmonic(recall, precision)
-
-
-def _purity_sums(pair: EvalPair) -> tuple[float, float]:
-    """Average author purity (recall-like) and average cluster purity.
-
-    Both divide squared tally counts by a cluster size: the truth cluster's
-    for the recall side, the predicted cluster's for the precision side,
-    normalized by the total instance count.
-    """
-    index = build_index(pair)
-    sizes = index.cluster_sizes
-    instance_total = 0
-    aap_total = 0.0
-    acp_total = 0.0
-    for cluster in pair.truth_dense:
-        size = len(cluster)
-        instance_total += size
-        for key, value in tally_truth(cluster, index).counts.items():
-            aap_total += value * value / size
-            acp_total += value * value / sizes[key]
-    return aap_total / instance_total, acp_total / instance_total
-
-
-def k_metric(pair: EvalPair) -> MetricTriple:
-    """Geometric mean of average author purity and average cluster purity."""
-    aap, acp = _purity_sums(pair)
-    return MetricTriple.geometric(aap, acp)
-
-
-def b_cubed(pair: EvalPair) -> MetricTriple:
-    """Per-instance recall/precision, harmonically combined.
-
-    The per-instance sums reduce to exactly the purity sums of
-    :func:`k_metric`, so both measures share one computation; only the
-    combining mean differs.
-    """
-    aap, acp = _purity_sums(pair)
-    return MetricTriple.harmonic(aap, acp)
-
-
-def split_lump(pair: EvalPair) -> SplitLumpResult:
-    """Splitting and lumping error rates against best-matching clusters.
-
-    For each truth cluster, the best-matching predicted cluster is the
-    tally maximum (ties broken as documented on :class:`TruthTally`).
-    Split instances are those outside it; lumped instances are the
-    foreign ones inside it.
-    """
-    index = build_index(pair)
-    sizes = index.cluster_sizes
-    split_total = 0
-    lump_total = 0
-    truth_instance_total = 0
-    matched_size_total = 0
-    for cluster in pair.truth_dense:
-        tally = tally_truth(cluster, index)
-        size = len(cluster)
-        matched_size = sizes[tally.max_key]
-        split_total += size - tally.max_val
-        lump_total += matched_size - tally.max_val
-        truth_instance_total += size
-        matched_size_total += matched_size
-    se = split_total / truth_instance_total
-    le = lump_total / matched_size_total
-    return SplitLumpResult(se, le, MetricTriple.harmonic(1.0 - se, 1.0 - le))
-
-
-def pairwise_f(pair: EvalPair) -> MetricTriple:
-    """Recall/precision over unordered same-cluster instance pairs.
-
-    Pair counts come from the closed form k*(k-1)/2, never from
-    enumeration; intersection pairs likewise from the tally counts. When a
-    side has no pairs at all (all singletons) its ratio is defined as 1.0.
-    """
-    index = build_index(pair)
-    truth_pair_total = 0
-    shared_pair_total = 0
-    for cluster in pair.truth_dense:
-        k = len(cluster)
-        truth_pair_total += k * (k - 1) // 2
-        for value in tally_truth(cluster, index).counts.values():
-            shared_pair_total += value * (value - 1) // 2
-    recall = shared_pair_total / truth_pair_total if truth_pair_total else 1.0
-    precision = shared_pair_total / index.pair_total if index.pair_total else 1.0
-    return MetricTriple.harmonic(recall, precision)
-
-
 def evaluate_all(pair: EvalPair) -> FullReport:
-    """All five measures from one fused pass over the pair.
+    """All five measures from one pass over the truth clusters.
 
-    Performs the same additions as the individual evaluators in the same
-    per-cluster order, so every reported number is bit-for-bit equal to the
-    separate functions' output.
+    A Cluster-F match is a tally entry covering a whole truth cluster with an
+    equal-sized predicted cluster. K-metric and B-cubed share the purity
+    sums. SE&LE measures against the tally maximum. A side with no pairs at
+    all has its pairwise ratio defined as 1.0 and is flagged.
     """
     index = build_index(pair)
     sizes = index.cluster_sizes
-    lookup = index.assignments.__getitem__
 
     matches = 0
-    instance_total = 0
     aap_total = 0.0
     acp_total = 0.0
     split_total = 0
     lump_total = 0
-    truth_instance_total = 0
     matched_size_total = 0
     truth_pair_total = 0
     shared_pair_total = 0
 
     for cluster in pair.truth_dense:
         size = len(cluster)
-        instance_total += size
-        truth_pair_total += size * (size - 1) // 2
-        try:
-            counts = Counter(map(lookup, cluster))
-        except IndexError:
-            raise UnindexedInstance("truth instance outside the indexed dense range") from None
-        if -1 in counts:
-            raise UnindexedInstance("truth instance missing from the predicted index")
-        max_key = -1
-        max_val = 0
-        max_size = 0
+        counts, max_key, max_val = tally_truth(cluster, index)
         for key, value in counts.items():
             key_size = sizes[key]
             if value == size and key_size == size:
                 matches += 1
             aap_total += value * value / size
             acp_total += value * value / key_size
-            if value > max_val or (
-                value == max_val and (key_size < max_size or (key_size == max_size and key < max_key))
-            ):
-                max_key, max_val, max_size = key, value, key_size
             shared_pair_total += value * (value - 1) // 2
+        max_size = sizes[max_key]
+        truth_pair_total += size * (size - 1) // 2
         split_total += size - max_val
         lump_total += max_size - max_val
-        truth_instance_total += size
         matched_size_total += max_size
 
-    cf = MetricTriple.harmonic(matches / len(pair.truth_dense), matches / len(pair.predicted_dense))
+    instance_total = pair.n_instances
     aap = aap_total / instance_total
     acp = acp_total / instance_total
-    se = split_total / truth_instance_total
+    se = split_total / instance_total
     le = lump_total / matched_size_total
 
     flags = list(pair.flags)
@@ -288,7 +158,7 @@ def evaluate_all(pair: EvalPair) -> FullReport:
         flags.append(FLAG_DEGENERATE_PRECISION)
 
     return FullReport(
-        cluster_f=cf,
+        cluster_f=MetricTriple.harmonic(matches / len(pair.truth_dense), matches / len(pair.predicted_dense)),
         k_metric=MetricTriple.geometric(aap, acp),
         b_cubed=MetricTriple.harmonic(aap, acp),
         se_le=SplitLumpResult(se, le, MetricTriple.harmonic(1.0 - se, 1.0 - le)),
@@ -303,3 +173,28 @@ def evaluate_all(pair: EvalPair) -> FullReport:
         ),
         flags=tuple(flags),
     )
+
+
+def cluster_f(pair: EvalPair) -> MetricTriple:
+    """Exact-cluster-match recall/precision with harmonic combination."""
+    return evaluate_all(pair).cluster_f
+
+
+def k_metric(pair: EvalPair) -> MetricTriple:
+    """Geometric mean of average author purity and average cluster purity."""
+    return evaluate_all(pair).k_metric
+
+
+def b_cubed(pair: EvalPair) -> MetricTriple:
+    """Per-instance recall/precision (equal to the purity sums), harmonically combined."""
+    return evaluate_all(pair).b_cubed
+
+
+def split_lump(pair: EvalPair) -> SplitLumpResult:
+    """Splitting and lumping error rates against best-matching clusters."""
+    return evaluate_all(pair).se_le
+
+
+def pairwise_f(pair: EvalPair) -> MetricTriple:
+    """Recall/precision over unordered same-cluster instance pairs."""
+    return evaluate_all(pair).pairwise

@@ -1,12 +1,14 @@
 """CLI subcommands, exit codes, and output schema stability."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
+from clustereval import oracle
 from clustereval.cli import main
-from clustereval.io_formats import parse_report_document
+from clustereval.io_formats import MEASURE_ORDER, parse_report_document
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT
 
@@ -17,6 +19,25 @@ def golden_files(tmp_path):
     pred = tmp_path / "pred.txt"
     truth.write_text(GOLDEN_TRUTH_TEXT)
     pred.write_text(GOLDEN_PRED_TEXT)
+    return str(truth), str(pred)
+
+
+PROJECTION_INPUTS = {
+    "golden": (GOLDEN_TRUTH_TEXT, GOLDEN_PRED_TEXT),
+    # every cluster on both sides a singleton: the full report has both degenerate pairwise flags
+    "singletons_one": ("1\n", "1\n"),
+    "singletons_reordered": ("a\nb\nc\n", "c\nb\na\n"),
+    "singletons_pairs_format": ("x\t1\ny\t2\n", "y\tq\nx\tr\n"),
+}
+
+
+@pytest.fixture(params=list(PROJECTION_INPUTS))
+def projection_files(request, tmp_path):
+    truth_text, pred_text = PROJECTION_INPUTS[request.param]
+    truth = tmp_path / "truth.txt"
+    pred = tmp_path / "pred.txt"
+    truth.write_text(truth_text)
+    pred.write_text(pred_text)
     return str(truth), str(pred)
 
 
@@ -60,6 +81,27 @@ class TestEvaluate:
         assert status == 0
         doc = parse_report_document(out)
         assert doc["measures"]["se_le"]["se"] == 0.0
+
+    @pytest.mark.parametrize("engine", ["single_pass", "oracle"])
+    def test_single_measure_is_projection_of_full_report(self, capsys, projection_files, engine):
+        truth, pred = projection_files
+        base = ("evaluate", "--truth", truth, "--pred", pred, "--engine", engine)
+        status, out, _ = run_cli(capsys, *base)
+        assert status == 0
+        full = parse_report_document(out)
+        full.pop("timing")
+        status, full_table, _ = run_cli(capsys, *base, "--output", "table")
+        assert status == 0
+        for measure in MEASURE_ORDER:
+            status, out, _ = run_cli(capsys, *base, "--measure", measure)
+            assert status == 0
+            doc = parse_report_document(out)
+            doc.pop("timing")
+            assert doc == {**full, "measures": {measure: full["measures"][measure]}}
+            status, table, _ = run_cli(capsys, *base, "--measure", measure, "--output", "table")
+            assert status == 0
+            assert set(table.splitlines()) <= set(full_table.splitlines())
+            assert all(f"flag: {flag}" in table for flag in full["flags"])
 
     def test_oracle_engine(self, capsys, golden_files):
         truth, pred = golden_files
@@ -153,6 +195,19 @@ class TestCheck:
         status, _, err = run_cli(capsys, "check", "--truth", truth, "--pred", pred, "--pair-budget", "3")
         assert status == 6
         assert "budget" in err
+
+    def test_flag_disagreement_exits_5_and_names_flags(self, capsys, monkeypatch, golden_files):
+        truth, pred = golden_files
+        real = oracle.evaluate_all
+
+        def with_extra_flag(pair, pair_budget=oracle.DEFAULT_PAIR_BUDGET):
+            report = real(pair, pair_budget=pair_budget)
+            return dataclasses.replace(report, flags=report.flags + ("spurious",))
+
+        monkeypatch.setattr(oracle, "evaluate_all", with_extra_flag)
+        status, _, err = run_cli(capsys, "check", "--truth", truth, "--pred", pred)
+        assert status == 5
+        assert "flags" in err and "measures." not in err
 
     def test_without_files_or_trials_exits_3(self, capsys):
         status, _, err = run_cli(capsys, "check")
