@@ -11,6 +11,9 @@ and ``#`` comment lines ignored:
 Auto-detection picks ``membership_pairs`` when the first data line contains
 a TAB, else ``cluster_lines``.
 
+The parser's line-numbered duplicate check is the only one a file gets: it
+builds the :class:`Clustering` directly, not through ``from_clusters``.
+
 Machine reports are JSON with a fixed key order and every float rendered as
 fixed-point with 12 decimals (never scientific notation), so
 serialize -> parse -> serialize is byte-identical and goldens diff cleanly.
@@ -98,7 +101,8 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
             first_seen[instance] = number
             groups.setdefault(label, []).append(instance)
         clusters = [tuple(members) for members in groups.values()]
-    return Clustering.from_clusters(clusters, role=role)
+    # Every id passed the first_seen check, and no line or label group is empty.
+    return Clustering(tuple(clusters), len(first_seen), role)
 
 
 def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:

@@ -2,15 +2,16 @@
 
 A :class:`Clustering` is a partition of opaque instance ids into disjoint,
 non-empty clusters. :func:`validate` pairs a truth clustering with a
-predicted one, interns every raw id to a dense integer index, and returns an
-immutable :class:`EvalPair` that all evaluators consume.
+predicted one, interns every raw id to a dense integer index in one pass
+(coverage follows from the counts), and returns an immutable
+:class:`EvalPair` that all evaluators consume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Hashable, Iterable
 
 from .errors import (
@@ -141,15 +142,16 @@ class EvalPair:
     """A validated (truth, predicted) pair with ids interned to dense ints.
 
     ``instances[d]`` is the raw id behind dense index ``d``; dense indices
-    are contiguous from 0, truth instances first, then (in lenient mode)
-    predicted-only extras.
+    are contiguous from 0: truth instances in cluster order, so each truth
+    dense cluster is a ``range``, then (in lenient mode) predicted-only
+    extras in order of first appearance.
     """
 
     truth: Clustering
     predicted: Clustering
     coverage_mode: str
     instances: tuple[Hashable, ...]
-    truth_dense: tuple[tuple[int, ...], ...]
+    truth_dense: tuple[range, ...]
     predicted_dense: tuple[tuple[int, ...], ...]
     flags: tuple[str, ...]
 
@@ -174,37 +176,27 @@ def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> 
     if not predicted.clusters:
         raise EmptyClustering("predicted clustering has no clusters")
 
-    truth_ids = truth.instance_set()
-    predicted_ids = predicted.instance_set()
-    missing = truth_ids - predicted_ids
-    if missing:
-        raise MissingFromPredicted(missing)
-    extra = predicted_ids - truth_ids
+    dense = {raw: d for d, raw in enumerate(chain.from_iterable(truth.clusters))}
+    n_truth = len(dense)
+    intern = dense.setdefault
+    predicted_dense = tuple(tuple([intern(raw, len(dense)) for raw in c]) for c in predicted.clusters)
+    # Each predicted id is either a truth id or one of the extras just appended.
+    n_extra = len(dense) - n_truth
+    if predicted.n_instances - n_extra < n_truth:
+        raise MissingFromPredicted(truth.instance_set() - predicted.instance_set())
     flags: tuple[str, ...] = ()
-    if extra:
+    if n_extra:
         if mode == "strict":
-            raise ExtraInPredicted(extra)
-        flags = (f"extra_in_predicted: {len(extra)} instance(s) appear only in the predicted clustering",)
+            raise ExtraInPredicted(predicted.instance_set() - truth.instance_set())
+        flags = (f"extra_in_predicted: {n_extra} instance(s) appear only in the predicted clustering",)
 
-    dense: dict[Hashable, int] = {}
-    for cluster in truth.clusters:
-        for raw in cluster:
-            dense[raw] = len(dense)
-    if extra:
-        for cluster in predicted.clusters:
-            for raw in cluster:
-                if raw not in dense:
-                    dense[raw] = len(dense)
-
-    lookup = dense.__getitem__
-    truth_dense = tuple(tuple(map(lookup, c)) for c in truth.clusters)
-    predicted_dense = tuple(tuple(map(lookup, c)) for c in predicted.clusters)
+    starts = (0, *accumulate(len(c) for c in truth.clusters))
     return EvalPair(
         truth=truth,
         predicted=predicted,
         coverage_mode=mode,
         instances=tuple(dense),
-        truth_dense=truth_dense,
+        truth_dense=tuple(map(range, starts, starts[1:])),
         predicted_dense=predicted_dense,
         flags=flags,
     )

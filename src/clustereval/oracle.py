@@ -94,10 +94,9 @@ def b_cubed(pair: EvalPair) -> MetricTriple:
     for truth_cluster in truth_sets:
         for t in sorted(truth_cluster):
             n += 1
-            own_truth = next(c for c in truth_sets if t in c)
             own_predicted = next(c for c in predicted_sets if t in c)
-            overlap = len(own_predicted & own_truth)
-            recall_sum += overlap / len(own_truth)
+            overlap = len(own_predicted & truth_cluster)
+            recall_sum += overlap / len(truth_cluster)
             precision_sum += overlap / len(own_predicted)
     return MetricTriple.harmonic(recall_sum / n, precision_sum / n)
 

@@ -1,8 +1,11 @@
 """CLI subcommands, exit codes, and output schema stability."""
 
 import dataclasses
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +291,29 @@ def test_module_entry_point(golden_files):
     )
     assert result.returncode == 0
     assert "Cluster-F" in result.stdout
+
+
+def test_benchmark_traces_every_layer(golden_files):
+    """The layer names the benchmark wraps still exist and are reached in order."""
+    truth, pred = golden_files
+    repo = Path(__file__).resolve().parents[1]
+    path = [str(repo / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run(
+        [sys.executable, str(repo / "perfbench" / "traced.py"), "evaluate", "--truth", truth, "--pred", pred],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    trace = json.loads(result.stdout)
+    assert trace["exit"] == 0
+    assert trace["unwrapped"] == []
+    assert [span["name"] for span in trace["spans"]] == [
+        "cli.main",
+        "io_formats.parse",
+        "io_formats.parse",
+        "model.validate",
+        "single_pass.evaluate",
+        "io_formats.render",
+    ]

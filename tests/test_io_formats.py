@@ -1,6 +1,8 @@
 """File formats and report serialization."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clustereval import single_pass
 from clustereval.errors import DuplicateInstance, ParseError
@@ -16,7 +18,7 @@ from clustereval.io_formats import (
 )
 from clustereval.model import Clustering
 
-from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, golden_pair, pair_from_labels
+from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, clusters_from_labels, golden_pair, pair_from_labels
 
 
 class TestParseClusterLines:
@@ -109,6 +111,17 @@ class TestClusteringRoundTrip:
         text = write_clustering(original, format=format)
         reparsed = parse_clustering(text, format=format)
         assert reparsed.partition() == original.partition()
+
+    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @given(data=st.data())
+    def test_parser_builds_what_the_checked_constructor_builds(self, format, data):
+        ids = data.draw(st.lists(st.text("abc019:/.-_", min_size=1, max_size=5), min_size=1, max_size=30, unique=True))
+        labels = data.draw(st.lists(st.integers(0, 6), min_size=len(ids), max_size=len(ids)))
+        original = Clustering.from_clusters(
+            [tuple(ids[i] for i in c) for c in clusters_from_labels(labels)], role="predicted"
+        )
+        parsed = parse_clustering(write_clustering(original, format=format), format=format, role="predicted")
+        assert parsed == original
 
     def test_unwritable_ids_rejected(self):
         clustering = Clustering.from_clusters([("a b",)])

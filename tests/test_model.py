@@ -2,9 +2,10 @@
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from clustereval.errors import (
@@ -135,6 +136,41 @@ class TestInterning:
         assert [len(c) for c in pair.predicted_dense] == [len(c) for c in predicted.clusters]
         flat = [i for c in pair.truth_dense for i in c]
         assert len(set(flat)) == len(flat)
+
+    @given(st.data())
+    def test_dense_clusters_map_back_to_raw(self, data):
+        n = data.draw(st.integers(1, 30))
+        truth_labels = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        truth = Clustering.from_clusters(clusters_from_labels(truth_labels), role="truth")
+        missing = set(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        extras = [f"x{i}" for i in range(data.draw(st.integers(0, 4)))]
+        predicted_ids = data.draw(st.permutations([i for i in range(n) if i not in missing] + extras))
+        assume(predicted_ids)
+        predicted_labels = data.draw(
+            st.lists(st.integers(0, 5), min_size=len(predicted_ids), max_size=len(predicted_ids))
+        )
+        predicted = Clustering.from_clusters(
+            [tuple(predicted_ids[i] for i in c) for c in clusters_from_labels(predicted_labels)], role="predicted"
+        )
+
+        for mode in ("strict", "lenient"):
+            if missing:
+                with pytest.raises(MissingFromPredicted) as err:
+                    validate(truth, predicted, mode)
+                assert err.value.missing == sorted(missing, key=str)
+                continue
+            if extras and mode == "strict":
+                with pytest.raises(ExtraInPredicted) as err:
+                    validate(truth, predicted, mode)
+                assert err.value.extra == sorted(extras, key=str)
+                continue
+            pair = validate(truth, predicted, mode)
+            for raw, dense in ((truth.clusters, pair.truth_dense), (predicted.clusters, pair.predicted_dense)):
+                assert [tuple(pair.instances[d] for d in c) for c in dense] == list(raw)
+            assert all(isinstance(c, range) for c in pair.truth_dense)
+            assert pair.instances[:n] == tuple(chain.from_iterable(truth.clusters))
+            assert pair.instances[n:] == tuple(x for x in chain.from_iterable(predicted.clusters) if x in extras)
+            assert len(pair.flags) == (1 if extras else 0)
 
 
 class TestMeans:
