@@ -11,8 +11,10 @@ and ``#`` comment lines ignored:
 Auto-detection picks ``membership_pairs`` when the first data line contains
 a TAB, else ``cluster_lines``.
 
-The parser's line-numbered duplicate check is the only one a file gets: it
-builds the :class:`Clustering` directly, not through ``from_clusters``.
+The parser builds its :class:`Clustering` with the checking constructor and
+rescans the lines only when that finds a repeated id, to name the first
+repeat in file order with both line numbers. A malformed membership-pairs
+row anywhere in the file is therefore reported before any repeat.
 
 Machine reports are JSON with a fixed key order and every float rendered as
 fixed-point with 12 decimals (never scientific notation), so
@@ -70,17 +72,8 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
     if format == FORMAT_AUTO:
         format = FORMAT_MEMBERSHIP_PAIRS if (lines and "\t" in lines[0][1]) else FORMAT_CLUSTER_LINES
 
-    first_seen: dict[str, int] = {}
     if format == FORMAT_CLUSTER_LINES:
-        clusters = []
-        for number, line in lines:
-            cluster = []
-            for token in line.split():
-                if token in first_seen:
-                    raise DuplicateInstance(token, first_seen[token], number)
-                first_seen[token] = number
-                cluster.append(token)
-            clusters.append(tuple(cluster))
+        clusters = [tuple(line.split()) for _, line in lines]
     else:
         groups: dict[str, list[str]] = {}
         for number, line in lines:
@@ -96,13 +89,19 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
                 raise ParseError("empty instance id", line=number, column=1)
             if not label:
                 raise ParseError("empty cluster label", line=number, column=len(fields[0]) + 2)
-            if instance in first_seen:
-                raise DuplicateInstance(instance, first_seen[instance], number)
-            first_seen[instance] = number
             groups.setdefault(label, []).append(instance)
         clusters = [tuple(members) for members in groups.values()]
-    # Every id passed the first_seen check, and no line or label group is empty.
-    return Clustering(tuple(clusters), len(first_seen), role)
+    try:
+        return Clustering(tuple(clusters), role)
+    except DuplicateInstance:
+        # Name the first repeat in file order, with the lines of both occurrences.
+        first_seen: dict[str, int] = {}
+        for number, line in lines:
+            for token in line.split() if format == FORMAT_CLUSTER_LINES else (line.split("\t")[0].strip(),):
+                if token in first_seen:
+                    raise DuplicateInstance(token, first_seen[token], number) from None
+                first_seen[token] = number
+        raise
 
 
 def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
@@ -111,7 +110,7 @@ def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") 
 
 
 def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES) -> str:
-    """Serialize a clustering; round-trips to the same partition."""
+    """Serialize a clustering; ``ValueError`` for an id that would not read back the same."""
     if format == FORMAT_CLUSTER_LINES:
         rows = []
         for cluster in clustering.clusters:
@@ -119,6 +118,8 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
             for text in ids:
                 if not text or any(ch.isspace() for ch in text):
                     raise ValueError(f"instance id {text!r} cannot be written in cluster_lines format")
+            if ids[0].startswith("#"):
+                raise ValueError(f"instance id {ids[0]!r} would start a comment line in cluster_lines format")
             rows.append(" ".join(ids))
         return "\n".join(rows) + "\n"
     if format == FORMAT_MEMBERSHIP_PAIRS:
@@ -126,7 +127,7 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
         for index, cluster in enumerate(clustering.clusters):
             for instance in cluster:
                 text = str(instance)
-                if not text or "\t" in text or "\n" in text or "\r" in text:
+                if not text or text[0] == "#" or text.strip() != text or any(ch in text for ch in "\t\n\r"):
                     raise ValueError(f"instance id {text!r} cannot be written in membership_pairs format")
                 rows.append(f"{text}\tc{index}")
         return "\n".join(rows) + "\n"

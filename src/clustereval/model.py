@@ -1,10 +1,10 @@
 """Clustering data model: partitions, identifier interning, pair validation.
 
 A :class:`Clustering` is a partition of opaque instance ids into disjoint,
-non-empty clusters. :func:`validate` pairs a truth clustering with a
-predicted one, interns every raw id to a dense integer index in one pass
-(coverage follows from the counts), and returns an immutable
-:class:`EvalPair` that all evaluators consume.
+non-empty clusters, checked at construction. :func:`validate` pairs a truth
+clustering with a predicted one, interns every raw id to a dense integer
+index in one pass (coverage follows from the counts), and returns an
+immutable :class:`EvalPair` that all evaluators consume.
 """
 
 from __future__ import annotations
@@ -99,35 +99,34 @@ class FullReport:
 class Clustering:
     """A partition of instance ids into disjoint, non-empty clusters.
 
-    ``clusters`` preserves construction order; instances inside a cluster
-    keep their given order (sets are canonicalized by sorting on ``str``),
-    which makes everything downstream deterministic.
+    The constructor checks both invariants and ``n_instances`` is derived,
+    so every ``Clustering`` is valid. Cluster and instance order are kept as
+    given, which makes everything downstream deterministic.
     """
 
     clusters: tuple[tuple[Hashable, ...], ...]
-    n_instances: int
-    role: str  # "truth" | "predicted"
+    role: str = "truth"  # "truth" | "predicted"
+
+    def __post_init__(self):
+        if not all(self.clusters):
+            pos = next(pos for pos, cluster in enumerate(self.clusters) if not cluster)
+            raise ValidationError(f"{self.role} cluster at position {pos} is empty")
+        if len(set(chain.from_iterable(self.clusters))) != self.n_instances:
+            seen = set()
+            for instance in chain.from_iterable(self.clusters):
+                if instance in seen:
+                    raise DuplicateInstance(instance)
+                seen.add(instance)
+
+    @property
+    def n_instances(self) -> int:
+        return sum(map(len, self.clusters))
 
     @classmethod
     def from_clusters(cls, clusters: Iterable[Iterable[Hashable]], role: str = "truth") -> "Clustering":
-        canon = []
-        for pos, cluster in enumerate(clusters):
-            if isinstance(cluster, (set, frozenset)):
-                members = tuple(sorted(cluster, key=str))
-            else:
-                members = tuple(cluster)
-            if not members:
-                raise ValidationError(f"{role} cluster at position {pos} is empty")
-            canon.append(members)
-        total = sum(len(c) for c in canon)
-        if len(set(chain.from_iterable(canon))) != total:
-            seen = set()
-            for cluster in canon:
-                for instance in cluster:
-                    if instance in seen:
-                        raise DuplicateInstance(instance)
-                    seen.add(instance)
-        return cls(tuple(canon), total, role)
+        """Build from any iterables; sets are canonicalized by sorting on ``str``."""
+        canon = (tuple(sorted(c, key=str)) if isinstance(c, (set, frozenset)) else tuple(c) for c in clusters)
+        return cls(tuple(canon), role)
 
     def instance_set(self) -> set:
         return set(chain.from_iterable(self.clusters))

@@ -154,6 +154,23 @@ class TestEvaluate:
         assert status == 2
         assert "line 1" in err
 
+    def test_duplicate_exits_3_naming_both_lines(self, capsys, tmp_path, golden_files):
+        truth, _ = golden_files
+        pred = tmp_path / "p.txt"
+        pred.write_text("1\tA\n# note\n2\tB\n1\tB\n")
+        status, _, err = run_cli(capsys, "evaluate", "--truth", truth, "--pred", str(pred))
+        assert status == 3
+        assert err == "error: instance '1' appears in more than one cluster (lines 1 and 4)\n"
+
+    def test_malformed_row_after_a_duplicate_exits_2(self, capsys, tmp_path, golden_files):
+        # the whole file is read before the duplicate check, so the malformed row wins
+        truth, _ = golden_files
+        pred = tmp_path / "p.txt"
+        pred.write_text("1\tA\n# note\n2\tB\n1\tB\n3\tC\tD\n")
+        status, _, err = run_cli(capsys, "evaluate", "--truth", truth, "--pred", str(pred))
+        assert status == 2
+        assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 5)\n"
+
     def test_unreadable_file_exits_2(self, capsys, tmp_path):
         status, _, err = run_cli(
             capsys, "evaluate", "--truth", str(tmp_path / "absent.txt"), "--pred", str(tmp_path / "absent.txt")

@@ -124,9 +124,72 @@ class TestClusteringRoundTrip:
         assert parsed == original
 
     def test_unwritable_ids_rejected(self):
-        clustering = Clustering.from_clusters([("a b",)])
-        with pytest.raises(ValueError):
-            write_clustering(clustering, format=FORMAT_CLUSTER_LINES)
+        for format, clusters in [
+            (FORMAT_CLUSTER_LINES, [("a b",)]),
+            (FORMAT_CLUSTER_LINES, [("#a", "b"), ("c",)]),  # would read back as a comment line
+            (FORMAT_MEMBERSHIP_PAIRS, [("a\tb",)]),
+            (FORMAT_MEMBERSHIP_PAIRS, [("#a",), ("b",)]),
+            (FORMAT_MEMBERSHIP_PAIRS, [(" a",)]),  # would read back as "a"
+            (FORMAT_MEMBERSHIP_PAIRS, [("a ",)]),
+        ]:
+            with pytest.raises(ValueError):
+                write_clustering(Clustering.from_clusters(clusters), format=format)
+
+    @pytest.mark.parametrize(
+        "format, clusters",
+        [
+            (FORMAT_CLUSTER_LINES, [("a", "#b"), ("c",)]),  # only a line's first token can open a comment
+            (FORMAT_MEMBERSHIP_PAIRS, [("a#",), ("b c",)]),
+        ],
+    )
+    def test_ids_that_read_back_are_written(self, format, clusters):
+        original = Clustering.from_clusters(clusters)
+        assert parse_clustering(write_clustering(original, format=format), format=format) == original
+
+
+class TestDuplicateError:
+    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @given(data=st.data())
+    def test_names_the_first_repeat_in_file_order(self, format, data):
+        pool = data.draw(st.lists(st.text("abc019", min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+        if format == FORMAT_CLUSTER_LINES:
+            row = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+            rows = data.draw(st.lists(row, min_size=1, max_size=10))
+        else:
+            rows = [[token] for token in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=15))]
+        if data.draw(st.booleans()):  # inject a repeat; in cluster lines possibly on the same line
+            token = data.draw(st.sampled_from([t for row in rows for t in row]))
+            if format == FORMAT_CLUSTER_LINES:
+                row = data.draw(st.sampled_from(rows))
+                row.insert(data.draw(st.integers(0, len(row))), token)
+            else:
+                rows.insert(data.draw(st.integers(0, len(rows))), [token])
+
+        lines, expected, first_seen = [], None, {}
+        for row in rows:
+            for filler in data.draw(st.lists(st.sampled_from(["", "  ", "# note", " # a b"]), max_size=2)):
+                lines.append(filler)
+            if format == FORMAT_CLUSTER_LINES:
+                lines.append(data.draw(st.sampled_from([" ", "  ", "\t"])).join(row))
+            else:
+                lines.append(f"{row[0]}\t{data.draw(st.sampled_from(['X', 'Y', ' Z ']))}")
+            for token in row:
+                if expected is None and token in first_seen:
+                    expected = (token, first_seen[token], len(lines))
+                first_seen.setdefault(token, len(lines))
+        text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+        if expected is None:
+            assert parse_clustering(text, format=format).n_instances == len(first_seen)
+        else:
+            with pytest.raises(DuplicateInstance) as err:
+                parse_clustering(text, format=format)
+            assert (err.value.instance, err.value.first_line, err.value.second_line) == expected
+
+    def test_repeat_on_the_same_line(self):
+        with pytest.raises(DuplicateInstance) as err:
+            parse_clustering("# ids\r\n1 2\r\n\r\n3 4 3 2\r\n", format=FORMAT_CLUSTER_LINES)
+        assert (err.value.instance, err.value.first_line, err.value.second_line) == ("3", 4, 4)
 
 
 class TestReportDocument:

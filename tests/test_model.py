@@ -45,6 +45,19 @@ class TestClustering:
         with pytest.raises(ValidationError):
             Clustering.from_clusters([("1",), ()])
 
+    def test_bare_constructor_rejects_duplicates(self):
+        # a predicted side with a repeat would otherwise pass validate on counts alone
+        with pytest.raises(DuplicateInstance) as err:
+            Clustering((("1", "1"),), "predicted")
+        assert err.value.instance == "1"
+
+    def test_bare_constructor_rejects_empty_member_cluster(self):
+        with pytest.raises(ValidationError, match="predicted cluster at position 1 is empty"):
+            Clustering((("1",), ()), "predicted")
+
+    def test_instance_count_is_derived(self):
+        assert Clustering((("1", "2"), ("3",))).n_instances == 3
+
     def test_sets_are_canonicalized(self):
         a = Clustering.from_clusters([{"b", "a"}, {"c"}])
         b = Clustering.from_clusters([{"a", "b"}, {"c"}])
