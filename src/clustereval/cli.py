@@ -35,6 +35,7 @@ from .io_formats import (
     build_report_document,
     parse_clustering_file,
     render_report_document,
+    sniff_format,
     write_clustering,
     write_report,
 )
@@ -55,6 +56,12 @@ _FILE_FORMATS = {"auto": FORMAT_AUTO, "clusters": FORMAT_CLUSTER_LINES, "pairs":
 
 def _load_pair(args) -> EvalPair:
     file_format = _FILE_FORMATS[args.format]
+    if file_format == FORMAT_AUTO:
+        # Detect once for both files; a file without data lines agrees with either format.
+        truth_format, pred_format = sniff_format(args.truth), sniff_format(args.pred)
+        if truth_format and pred_format and truth_format != pred_format:
+            raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
+        file_format = truth_format or pred_format or FORMAT_AUTO
     truth = parse_clustering_file(args.truth, format=file_format, role="truth")
     predicted = parse_clustering_file(args.pred, format=file_format, role="predicted")
     return validate(truth, predicted, args.coverage)
@@ -192,14 +199,8 @@ def cmd_bench(args) -> int:
                     "all_in_one": lambda p=pair: oracle.evaluate_all(p, pair_budget=args.pair_budget),
                 }
             else:
-                calls = {
-                    "cluster_f": lambda p=pair: single_pass.cluster_f(p),
-                    "k_metric": lambda p=pair: single_pass.k_metric(p),
-                    "b_cubed": lambda p=pair: single_pass.b_cubed(p),
-                    "se_le": lambda p=pair: single_pass.split_lump(p),
-                    "pairwise": lambda p=pair: single_pass.pairwise_f(p),
-                    "all_in_one": lambda p=pair: single_pass.evaluate_all(p),
-                }
+                # each single_pass per-measure function runs this same pass, so one row times them all
+                calls = {"all_in_one": lambda p=pair: single_pass.evaluate_all(p)}
             for name, fn in calls.items():
                 best, mean, std = _time_call(fn, args.repeats)
                 rows.append((n, engine, name, best, mean, std))

@@ -66,10 +66,10 @@ class ExtraInPredicted(ValidationError):
 
 
 class UnindexedInstance(ClusterEvalError):
-    """A truth instance was never indexed on the predicted side.
+    """A truth instance has no predicted cluster label.
 
     Validated pairs cannot trigger this; it signals an internal invariant
-    breach (e.g. hand-built dense clusters bypassing validation).
+    breach (e.g. a hand-built ``EvalPair`` with labels that bypass validation).
     """
 
 

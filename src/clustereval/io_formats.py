@@ -9,7 +9,8 @@ and ``#`` comment lines ignored:
   clusters are the groups of equal labels.
 
 Auto-detection picks ``membership_pairs`` when the first data line contains
-a TAB, else ``cluster_lines``.
+a TAB, else ``cluster_lines``; :func:`sniff_format` applies that rule to a
+file without reading past its first data line.
 
 The parser builds its :class:`Clustering` with the checking constructor and
 rescans the lines only when that finds a repeated id, to name the first
@@ -58,6 +59,20 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _detected_format(lines: list[tuple[int, str]]) -> str | None:
+    """Auto-detection's pick from the first data line; None when there is none."""
+    if not lines:
+        return None
+    return FORMAT_MEMBERSHIP_PAIRS if "\t" in lines[0][1] else FORMAT_CLUSTER_LINES
+
+
+def sniff_format(path) -> str | None:
+    """Auto-detection's pick for a file, read only up to its first data line; None without one."""
+    # Lines end at "\n" only, and a BOM is dropped, as in parse_clustering.
+    with open(path, encoding="utf-8-sig", errors="replace", newline="\n") as handle:
+        return _detected_format(next(filter(None, map(_data_lines, handle)), []))
+
+
 def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
     """Parse one clustering from text or bytes in either file format."""
     if isinstance(source, bytes):
@@ -70,7 +85,7 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
 
     lines = _data_lines(source)
     if format == FORMAT_AUTO:
-        format = FORMAT_MEMBERSHIP_PAIRS if (lines and "\t" in lines[0][1]) else FORMAT_CLUSTER_LINES
+        format = _detected_format(lines) or FORMAT_CLUSTER_LINES
 
     if format == FORMAT_CLUSTER_LINES:
         clusters = [tuple(line.split()) for _, line in lines]

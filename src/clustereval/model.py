@@ -2,16 +2,17 @@
 
 A :class:`Clustering` is a partition of opaque instance ids into disjoint,
 non-empty clusters, checked at construction. :func:`validate` pairs a truth
-clustering with a predicted one, interns every raw id to a dense integer
-index in one pass (coverage follows from the counts), and returns an
-immutable :class:`EvalPair` that all evaluators consume.
+clustering with a predicted one, records the predicted cluster of every
+truth instance in one pass (coverage follows from that list), and returns
+the :class:`EvalPair` that all evaluators consume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import cached_property
+from itertools import chain, count, repeat
 from typing import Hashable, Iterable
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     EmptyClustering,
     ExtraInPredicted,
     MissingFromPredicted,
+    UnindexedInstance,
     ValidationError,
 )
 
@@ -138,30 +140,51 @@ class Clustering:
 
 @dataclass(frozen=True)
 class EvalPair:
-    """A validated (truth, predicted) pair with ids interned to dense ints.
+    """A validated (truth, predicted) pair as one flat list of predicted labels.
 
-    ``instances[d]`` is the raw id behind dense index ``d``; dense indices
-    are contiguous from 0: truth instances in cluster order, so each truth
-    dense cluster is a ``range``, then (in lenient mode) predicted-only
-    extras in order of first appearance.
+    ``assignments[d]`` is the predicted cluster index of the ``d``-th truth
+    instance in cluster order, so each truth cluster is a slice of it. The
+    constructor raises :class:`UnindexedInstance` unless there is one label
+    per truth instance and each label indexes a predicted cluster.
     """
 
     truth: Clustering
     predicted: Clustering
     coverage_mode: str
-    instances: tuple[Hashable, ...]
-    truth_dense: tuple[range, ...]
-    predicted_dense: tuple[tuple[int, ...], ...]
+    assignments: list[int]
     flags: tuple[str, ...]
+
+    def __post_init__(self):
+        labels = self.assignments
+        if len(labels) != self.truth.n_instances or (
+            labels and (min(labels) < 0 or max(labels) >= len(self.predicted.clusters))
+        ):
+            raise UnindexedInstance("a truth instance has no predicted cluster label")
 
     @property
     def n_instances(self) -> int:
         """N: the number of truth-side instances."""
         return self.truth.n_instances
 
+    @cached_property
+    def _dense_views(self) -> tuple[tuple, tuple, tuple]:
+        """``(instances, truth_dense, predicted_dense)``, built on first read, for the oracle and tests.
+
+        ``instances[d]`` is the raw id behind dense index ``d``: truth ids in cluster order, then
+        predicted-only extras. Both sides go through one dict, so equal dense ids are the same ints.
+        """
+        dense = dict(zip(chain.from_iterable(self.truth.clusters), count()))
+        truth_dense = tuple(tuple(map(dense.__getitem__, c)) for c in self.truth.clusters)
+        predicted_dense = tuple(tuple([dense.setdefault(x, len(dense)) for x in c]) for c in self.predicted.clusters)
+        return tuple(dense), truth_dense, predicted_dense
+
+    instances = property(lambda self: self._dense_views[0])
+    truth_dense = property(lambda self: self._dense_views[1])
+    predicted_dense = property(lambda self: self._dense_views[2])
+
 
 def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> EvalPair:
-    """Check coverage between the two clusterings and intern instance ids.
+    """Check coverage between the two clusterings and label each truth instance.
 
     Strict mode requires identical instance sets. Lenient mode lets the
     predicted clustering carry extra instances (they stay in the predicted
@@ -175,27 +198,22 @@ def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> 
     if not predicted.clusters:
         raise EmptyClustering("predicted clustering has no clusters")
 
-    dense = {raw: d for d, raw in enumerate(chain.from_iterable(truth.clusters))}
+    dense = dict(zip(chain.from_iterable(truth.clusters), count()))
     n_truth = len(dense)
-    intern = dense.setdefault
-    predicted_dense = tuple(tuple([intern(raw, len(dense)) for raw in c]) for c in predicted.clusters)
-    # Each predicted id is either a truth id or one of the extras just appended.
-    n_extra = len(dense) - n_truth
-    if predicted.n_instances - n_extra < n_truth:
+    # Predicted-only ids all land in the extra last slot, which is dropped.
+    assignments = [-1] * (n_truth + 1)
+    for label, cluster in enumerate(predicted.clusters):
+        for d in map(dense.get, cluster, repeat(n_truth)):
+            assignments[d] = label
+    assignments.pop()
+    if -1 in assignments:
         raise MissingFromPredicted(truth.instance_set() - predicted.instance_set())
+    # Every truth id was hit once, so the remaining predicted ids are extras.
+    n_extra = predicted.n_instances - n_truth
     flags: tuple[str, ...] = ()
     if n_extra:
         if mode == "strict":
             raise ExtraInPredicted(predicted.instance_set() - truth.instance_set())
         flags = (f"extra_in_predicted: {n_extra} instance(s) appear only in the predicted clustering",)
 
-    starts = (0, *accumulate(len(c) for c in truth.clusters))
-    return EvalPair(
-        truth=truth,
-        predicted=predicted,
-        coverage_mode=mode,
-        instances=tuple(dense),
-        truth_dense=tuple(map(range, starts, starts[1:])),
-        predicted_dense=predicted_dense,
-        flags=flags,
-    )
+    return EvalPair(truth=truth, predicted=predicted, coverage_mode=mode, assignments=assignments, flags=flags)

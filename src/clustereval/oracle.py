@@ -132,8 +132,7 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
 
 def pair_demand(pair: EvalPair) -> int:
     """Pairs that enumerating both sides materializes, checked against the budget."""
-    sides = list(pair.truth_dense) + list(pair.predicted_dense)
-    return sum(len(c) * (len(c) - 1) // 2 for c in sides)
+    return sum(len(c) * (len(c) - 1) // 2 for c in pair.truth.clusters + pair.predicted.clusters)
 
 
 def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:

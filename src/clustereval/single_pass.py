@@ -1,10 +1,11 @@
 """Linear-time evaluator built on two hash tables.
 
-:func:`build_index` maps every predicted instance to its cluster, and
-:func:`tally_truth` counts how one truth cluster spreads over predicted
-clusters. :func:`evaluate_all` tallies each truth cluster once and feeds all
-five measures from it; the per-measure functions are projections of its
-report. Counts and pair totals are exact Python integers.
+:func:`~clustereval.model.validate` records the predicted cluster of every
+truth instance, and :func:`tally_truth` counts how one truth cluster, a
+slice of that list, spreads over predicted clusters. :func:`evaluate_all`
+tallies each truth cluster once and feeds all five measures from it; the
+per-measure functions are projections of its report. Counts and pair
+totals are exact Python integers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import UnindexedInstance
 from .model import (
     FLAG_DEGENERATE_PRECISION,
     FLAG_DEGENERATE_RECALL,
@@ -26,9 +26,7 @@ from .model import (
 )
 
 __all__ = [
-    "PredictedIndex",
     "TruthTally",
-    "build_index",
     "tally_truth",
     "evaluate_all",
     "cluster_f",
@@ -39,19 +37,6 @@ __all__ = [
     "harmonic_mean",
     "geometric_mean",
 ]
-
-
-class PredictedIndex(NamedTuple):
-    """Dense instance -> predicted-cluster index, plus per-cluster sizes.
-
-    ``assignments[d]`` is the cluster index of dense instance ``d``;
-    ``pair_total`` is the number of unordered same-cluster instance pairs on
-    the predicted side, sum of k*(k-1)/2 over cluster sizes k.
-    """
-
-    assignments: list[int]
-    cluster_sizes: list[int]
-    pair_total: int
 
 
 class TruthTally(NamedTuple):
@@ -68,29 +53,9 @@ class TruthTally(NamedTuple):
     max_val: int
 
 
-def build_index(pair: EvalPair) -> PredictedIndex:
-    """Index every predicted instance by its cluster, recording sizes and pairs."""
-    assignments = [-1] * len(pair.instances)
-    cluster_sizes = []
-    pair_total = 0
-    for i, cluster in enumerate(pair.predicted_dense):
-        for p in cluster:
-            assignments[p] = i
-        k = len(cluster)
-        cluster_sizes.append(k)
-        pair_total += k * (k - 1) // 2
-    return PredictedIndex(assignments, cluster_sizes, pair_total)
-
-
-def tally_truth(cluster: tuple[int, ...], index: PredictedIndex) -> TruthTally:
-    """Count the truth cluster's instances per predicted cluster index."""
-    try:
-        counts = Counter(map(index.assignments.__getitem__, cluster))
-    except IndexError:
-        raise UnindexedInstance("truth instance outside the indexed dense range") from None
-    if -1 in counts:
-        raise UnindexedInstance("truth instance missing from the predicted index")
-    sizes = index.cluster_sizes
+def tally_truth(labels: list[int], sizes: list[int]) -> TruthTally:
+    """Count one truth cluster's predicted labels; ``sizes[i]`` is predicted cluster ``i``'s size."""
+    counts = Counter(labels)
     max_key = -1
     max_val = 0
     max_size = 0
@@ -111,8 +76,7 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     sums. SE&LE measures against the tally maximum. A side with no pairs at
     all has its pairwise ratio defined as 1.0 and is flagged.
     """
-    index = build_index(pair)
-    sizes = index.cluster_sizes
+    sizes = list(map(len, pair.predicted.clusters))
 
     matches = 0
     aap_total = 0.0
@@ -123,9 +87,10 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     truth_pair_total = 0
     shared_pair_total = 0
 
-    for cluster in pair.truth_dense:
-        size = len(cluster)
-        counts, max_key, max_val = tally_truth(cluster, index)
+    stop = 0
+    for size in map(len, pair.truth.clusters):
+        start, stop = stop, stop + size
+        counts, max_key, max_val = tally_truth(pair.assignments[start:stop], sizes)
         for key, value in counts.items():
             key_size = sizes[key]
             if value == size and key_size == size:
@@ -151,24 +116,25 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     else:
         pairwise_recall = 1.0
         flags.append(FLAG_DEGENERATE_RECALL)
-    if index.pair_total:
-        pairwise_precision = shared_pair_total / index.pair_total
+    predicted_pair_total = sum(k * (k - 1) // 2 for k in sizes)
+    if predicted_pair_total:
+        pairwise_precision = shared_pair_total / predicted_pair_total
     else:
         pairwise_precision = 1.0
         flags.append(FLAG_DEGENERATE_PRECISION)
 
     return FullReport(
-        cluster_f=MetricTriple.harmonic(matches / len(pair.truth_dense), matches / len(pair.predicted_dense)),
+        cluster_f=MetricTriple.harmonic(matches / len(pair.truth.clusters), matches / len(sizes)),
         k_metric=MetricTriple.geometric(aap, acp),
         b_cubed=MetricTriple.harmonic(aap, acp),
         se_le=SplitLumpResult(se, le, MetricTriple.harmonic(1.0 - se, 1.0 - le)),
         pairwise=MetricTriple.harmonic(pairwise_recall, pairwise_precision),
         stats=ReportStats(
-            n_truth_clusters=len(pair.truth_dense),
-            n_predicted_clusters=len(pair.predicted_dense),
+            n_truth_clusters=len(pair.truth.clusters),
+            n_predicted_clusters=len(sizes),
             n_instances=instance_total,
             pair_tr_sum=truth_pair_total,
-            pair_pr_sum=index.pair_total,
+            pair_pr_sum=predicted_pair_total,
             pair_int_sum=shared_pair_total,
         ),
         flags=tuple(flags),

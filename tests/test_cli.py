@@ -154,20 +154,53 @@ class TestEvaluate:
         assert status == 2
         assert "line 1" in err
 
-    def test_duplicate_exits_3_naming_both_lines(self, capsys, tmp_path, golden_files):
-        truth, _ = golden_files
+    @pytest.mark.parametrize("truth_text, pred_text", [("a\n", "a\tx\n"), ("a\tx\n", "a\n")])
+    def test_mixed_formats_exit_2_naming_both(self, capsys, tmp_path, truth_text, pred_text):
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text(truth_text)
+        pred.write_text(pred_text)
+        for coverage in ("strict", "lenient"):
+            status, out, err = run_cli(
+                capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--coverage", coverage
+            )
+            assert (status, out) == (2, "")
+            assert "cluster_lines" in err and "membership_pairs" in err
+
+    @pytest.mark.parametrize(
+        "file_format, exit_code, message",
+        [
+            ("clusters", 3, "error: predicted instance(s) absent from truth clustering: 'x' "),
+            ("pairs", 2, "error: expected 'instance<TAB>label', found 1 tab-separated fields (line 1)\n"),
+        ],
+    )
+    def test_forced_format_reads_both_files_that_way(self, capsys, tmp_path, file_format, exit_code, message):
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text("a\n")
+        pred.write_text("a\tx\n")
+        status, _, err = run_cli(
+            capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--format", file_format
+        )
+        assert status == exit_code
+        assert err.startswith(message)
+
+    def test_duplicate_exits_3_naming_both_lines(self, capsys, tmp_path):
+        truth = tmp_path / "t.txt"
+        truth.write_text("1\tA\n2\tA\n3\tB\n")  # in the predicted file's format
         pred = tmp_path / "p.txt"
         pred.write_text("1\tA\n# note\n2\tB\n1\tB\n")
-        status, _, err = run_cli(capsys, "evaluate", "--truth", truth, "--pred", str(pred))
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
         assert status == 3
         assert err == "error: instance '1' appears in more than one cluster (lines 1 and 4)\n"
 
-    def test_malformed_row_after_a_duplicate_exits_2(self, capsys, tmp_path, golden_files):
+    def test_malformed_row_after_a_duplicate_exits_2(self, capsys, tmp_path):
         # the whole file is read before the duplicate check, so the malformed row wins
-        truth, _ = golden_files
+        truth = tmp_path / "t.txt"
+        truth.write_text("1\tA\n2\tA\n3\tB\n")  # in the predicted file's format
         pred = tmp_path / "p.txt"
         pred.write_text("1\tA\n# note\n2\tB\n1\tB\n3\tC\tD\n")
-        status, _, err = run_cli(capsys, "evaluate", "--truth", truth, "--pred", str(pred))
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
         assert status == 2
         assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 5)\n"
 
@@ -287,6 +320,9 @@ class TestBench:
         status, out, _ = run_cli(
             capsys, "bench", "--sizes", "2000", "--repeats", "2", "--engine", "single_pass"
         )
+        assert status == 0
+        assert "all_in_one" in out and "cluster_f" not in out
+        status, out, _ = run_cli(capsys, "bench", "--sizes", "300", "--repeats", "1", "--engine", "oracle")
         assert status == 0
         assert "all_in_one" in out and "cluster_f" in out
 

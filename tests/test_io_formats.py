@@ -1,18 +1,23 @@
 """File formats and report serialization."""
 
+import os
+import tempfile
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clustereval import single_pass
-from clustereval.errors import DuplicateInstance, ParseError
+from clustereval.errors import ClusterEvalError, DuplicateInstance, ParseError
 from clustereval.io_formats import (
+    FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
     FORMAT_MEMBERSHIP_PAIRS,
     build_report_document,
     parse_clustering,
     parse_report_document,
     render_report_document,
+    sniff_format,
     write_clustering,
     write_report,
 )
@@ -102,6 +107,28 @@ class TestFormatDetection:
     def test_utf8_bom_is_stripped(self):
         clustering = parse_clustering(b"\xef\xbb\xbf1 2\n")
         assert clustering.clusters == (("1", "2"),)
+
+    LINES = ["", " ", "\t", "\u3000", "# c", " # c\ta", "# c\ra\tX", "a", "b c", "a\tX", "\tx", "a\r"]
+
+    @given(st.booleans(), st.lists(st.sampled_from(LINES), max_size=5), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @example(True, ["", "a\tX"], "\n", False)  # a BOM before a blank line
+    @example(False, ["# c\ra\tX", "b c"], "\r\n", False)  # a lone CR ends no line
+    def test_sniffed_format_is_the_parsers_choice(self, bom, lines, newline, invalid):
+        # The sniff reads only up to the first data line; the parser decodes the whole text.
+        data = b"\xef\xbb\xbf" * bom + newline.join(lines).encode() + b"\xff" * invalid
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "clustering.txt")
+            with open(path, "wb") as handle:
+                handle.write(data)
+            sniffed = sniff_format(path)
+
+        def outcome(format):
+            try:
+                return parse_clustering(data, format=format)
+            except ClusterEvalError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(sniffed or FORMAT_AUTO) == outcome(FORMAT_AUTO)
 
 
 class TestClusteringRoundTrip:

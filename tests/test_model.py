@@ -1,5 +1,6 @@
 """Core model: construction, validation, interning, mean helpers."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import chain
@@ -13,6 +14,7 @@ from clustereval.errors import (
     EmptyClustering,
     ExtraInPredicted,
     MissingFromPredicted,
+    UnindexedInstance,
     ValidationError,
 )
 from clustereval.model import (
@@ -125,6 +127,29 @@ class TestValidate:
                 Clustering.from_clusters([("1", "2"), ("2",)], role=side)
 
 
+class TestEvalPairCheck:
+    """A hand-built pair whose labels do not cover the truth instances is refused."""
+
+    GOLDEN_LABELS = [0, 0, 0, 1, 1, 1, 1, 1]
+
+    def test_golden_labels_accepted(self):
+        assert golden_pair().assignments == self.GOLDEN_LABELS
+        dataclasses.replace(golden_pair(), assignments=list(self.GOLDEN_LABELS))
+
+    def test_unassigned_instance_is_invariant_breach(self):
+        with pytest.raises(UnindexedInstance):
+            dataclasses.replace(golden_pair(), assignments=self.GOLDEN_LABELS[:-1] + [-1])
+
+    def test_out_of_range_label_is_invariant_breach(self):
+        with pytest.raises(UnindexedInstance):
+            dataclasses.replace(golden_pair(), assignments=self.GOLDEN_LABELS[:-1] + [2])
+
+    def test_wrong_length_is_invariant_breach(self):
+        for labels in (self.GOLDEN_LABELS[:-1], self.GOLDEN_LABELS + [0]):
+            with pytest.raises(UnindexedInstance):
+                dataclasses.replace(golden_pair(), assignments=labels)
+
+
 class TestInterning:
     def test_dense_ids_contiguous_from_zero(self):
         pair = golden_pair()
@@ -180,7 +205,8 @@ class TestInterning:
             pair = validate(truth, predicted, mode)
             for raw, dense in ((truth.clusters, pair.truth_dense), (predicted.clusters, pair.predicted_dense)):
                 assert [tuple(pair.instances[d] for d in c) for c in dense] == list(raw)
-            assert all(isinstance(c, range) for c in pair.truth_dense)
+            assert all(c == tuple(range(c[0], c[0] + len(c))) for c in pair.truth_dense)
+            assert pair.assignments == [i for d in range(n) for i, c in enumerate(pair.predicted_dense) if d in c]
             assert pair.instances[:n] == tuple(chain.from_iterable(truth.clusters))
             assert pair.instances[n:] == tuple(x for x in chain.from_iterable(predicted.clusters) if x in extras)
             assert len(pair.flags) == (1 if extras else 0)

@@ -3,20 +3,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustereval import single_pass
-from clustereval.errors import UnindexedInstance
 from clustereval.model import Clustering, validate
-from clustereval.single_pass import (
-    PredictedIndex,
-    build_index,
-    evaluate_all,
-    tally_truth,
-)
+from clustereval.single_pass import evaluate_all, tally_truth
 
 from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair
 
@@ -25,81 +20,72 @@ def approx_fraction(value, fraction, tol=1e-12):
     return abs(value - float(fraction)) <= tol
 
 
+def sizes_and_slices(pair):
+    """Predicted cluster sizes, and each truth cluster's slice of the label list."""
+    stops = list(accumulate(len(c) for c in pair.truth.clusters))
+    slices = [pair.assignments[stop - len(c) : stop] for c, stop in zip(pair.truth.clusters, stops)]
+    return [len(c) for c in pair.predicted.clusters], slices
+
+
 class TestBuildIndex:
+    """The predicted side of the index: cluster count and pair total, from ``evaluate_all`` stats."""
+
     def test_golden_sizes_and_pairs(self):
-        index = build_index(golden_pair())
-        assert index.cluster_sizes == [3, 5]
-        assert index.pair_total == 13  # 3 + 10
+        stats = evaluate_all(golden_pair()).stats
+        assert (stats.n_predicted_clusters, stats.pair_pr_sum) == (2, 13)  # 3 + 10
 
     def test_singleton_has_no_pairs(self):
-        pair = pair_from_labels([0], [0])
-        index = build_index(pair)
-        assert index.cluster_sizes == [1]
-        assert index.pair_total == 0
+        stats = evaluate_all(pair_from_labels([0], [0])).stats
+        assert (stats.n_predicted_clusters, stats.pair_pr_sum) == (1, 0)
 
     def test_hundred_singletons(self):
         labels = list(range(100))
-        index = build_index(pair_from_labels(labels, labels))
-        assert len(index.cluster_sizes) == 100
-        assert index.pair_total == 0
+        stats = evaluate_all(pair_from_labels(labels, labels)).stats
+        assert (stats.n_predicted_clusters, stats.pair_pr_sum) == (100, 0)
 
-    def test_sizes_sum_to_instance_count(self):
+    def test_random_pair_sizes_and_pairs(self):
         pair = random_pair(random.Random(5), max_n=120)
-        index = build_index(pair)
-        assert sum(index.cluster_sizes) == pair.predicted.n_instances
+        stats = evaluate_all(pair).stats
+        assert stats.n_predicted_clusters == len(pair.predicted.clusters)
+        assert stats.pair_pr_sum == sum(math.comb(len(c), 2) for c in pair.predicted.clusters)
 
 
 class TestTallyTruth:
     def test_lumped_cluster(self):
-        pair = golden_pair()
-        index = build_index(pair)
-        tally = tally_truth(pair.truth_dense[1], index)  # the (4,5) cluster
+        sizes, slices = sizes_and_slices(golden_pair())
+        tally = tally_truth(slices[1], sizes)  # the (4,5) cluster
         assert dict(tally.counts) == {1: 2}
         assert tally.max_val == 2 and tally.max_key == 1
 
     def test_intact_cluster(self):
-        pair = golden_pair()
-        index = build_index(pair)
-        tally = tally_truth(pair.truth_dense[0], index)
+        sizes, slices = sizes_and_slices(golden_pair())
+        tally = tally_truth(slices[0], sizes)
         assert dict(tally.counts) == {0: 3}
         assert tally.max_val == 3 and tally.max_key == 0
 
     def test_symmetric_tie_breaks_to_smallest_index(self):
         # truth (a,b) splits evenly over two equal-size predicted clusters
-        pair = pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
-        index = build_index(pair)
-        tally = tally_truth(pair.truth_dense[0], index)
+        sizes, slices = sizes_and_slices(pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1]))
+        tally = tally_truth(slices[0], sizes)
         assert dict(tally.counts) == {0: 1, 1: 1}
         assert tally.max_key == 0 and tally.max_val == 1
 
     def test_tie_prefers_smaller_predicted_cluster(self):
         # overlap 1 with both, but predicted cluster 1 is smaller
-        pair = pair_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1])
-        index = build_index(pair)
-        assert index.cluster_sizes == [3, 2]
-        tally = tally_truth(pair.truth_dense[0], index)
+        sizes, slices = sizes_and_slices(pair_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1]))
+        assert sizes == [3, 2]
+        tally = tally_truth(slices[0], sizes)
         assert dict(tally.counts) == {0: 1, 1: 1}
         assert tally.max_key == 1
 
-    def test_out_of_range_instance_is_invariant_breach(self):
-        pair = golden_pair()
-        index = build_index(pair)
-        with pytest.raises(UnindexedInstance):
-            tally_truth((len(pair.instances),), index)
-
-    def test_unassigned_instance_is_invariant_breach(self):
-        index = PredictedIndex(assignments=[-1], cluster_sizes=[1], pair_total=0)
-        with pytest.raises(UnindexedInstance):
-            tally_truth((0,), index)
-
     @given(eval_pairs())
     def test_counts_sum_and_bounds(self, pair):
-        index = build_index(pair)
-        for cluster in pair.truth_dense:
-            tally = tally_truth(cluster, index)
-            assert sum(tally.counts.values()) == len(cluster)
+        sizes, slices = sizes_and_slices(pair)
+        for labels in slices:
+            tally = tally_truth(labels, sizes)
+            assert sum(tally.counts.values()) == len(labels)
             for key, value in tally.counts.items():
-                assert 1 <= value <= min(len(cluster), index.cluster_sizes[key])
+                assert 1 <= value <= min(len(labels), sizes[key])
             assert tally.max_val == max(tally.counts.values())
 
 
