@@ -6,7 +6,7 @@ Subcommands:
   gen       write a seeded synthetic truth/predicted file pair
   bench     time the engines on synthetic workloads of given sizes
 
-Exit codes: 0 success, 2 parse error, 3 validation/config error,
+Exit codes: 0 success, 2 parse or usage error, 3 validation/config error,
 4 internal invariant breach, 5 engine divergence (check), 6 pair budget
 exceeded.
 """
@@ -212,6 +212,29 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``int`` type that rejects values below ``minimum`` with a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--truth", required=required, help="truth clustering file")
     parser.add_argument("--pred", required=required, help="predicted clustering file")
@@ -237,8 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="compare single_pass against the brute-force oracle")
     _add_input_options(p_check, required=False)
-    p_check.add_argument("--trials", type=int, default=0, help="randomized trials instead of files")
-    p_check.add_argument("--max-n", type=int, default=200, help="max instances per randomized trial")
+    p_check.add_argument(
+        "--trials", type=_int_at_least(0), default=0, help="randomized trials instead of files"
+    )
+    p_check.add_argument(
+        "--max-n", type=_int_at_least(1), default=200, help="max instances per randomized trial"
+    )
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--pair-budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET)
     p_check.set_defaults(func=cmd_check)
@@ -258,8 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time the engines on synthetic workloads")
     p_bench.add_argument("--sizes", required=True, help="comma-separated instance counts")
     p_bench.add_argument("--engine", choices=("single_pass", "oracle", "both"), default="single_pass")
-    p_bench.add_argument("--repeats", type=int, default=10, help="trials per measurement; best is reported")
-    p_bench.add_argument("--cluster-ratio", type=float, default=78.0, help="instances per truth cluster")
+    p_bench.add_argument(
+        "--repeats", type=_int_at_least(1), default=10, help="trials per measurement; best is reported"
+    )
+    p_bench.add_argument(
+        "--cluster-ratio", type=_positive_float, default=78.0, help="instances per truth cluster"
+    )
     p_bench.add_argument("--skew", type=float, default=1.0)
     p_bench.add_argument("--split", type=float, default=0.2)
     p_bench.add_argument("--merge", type=float, default=0.2)

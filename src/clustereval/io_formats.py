@@ -254,32 +254,25 @@ def parse_report_document(source: str | bytes) -> dict:
         raise ParseError(f"invalid report document: {exc.msg}", line=exc.lineno, column=exc.colno) from None
 
 
-def _render_table(report: FullReport, measures: tuple[str, ...]) -> str:
-    rows = {
-        "cluster_f": report.cluster_f,
-        "k_metric": report.k_metric,
-        "se_le": report.se_le.converted,
-        "pairwise": report.pairwise,
-        "b_cubed": report.b_cubed,
-    }
+def _render_table(doc: dict) -> str:
+    measures = doc["measures"]
     lines = [f"{'Measure':<12}{'Recall':>9}{'Precision':>11}{'F':>9}"]
-    for name in measures:
-        triple = rows[name]
+    for name, fields in measures.items():
         lines.append(
-            f"{TABLE_LABELS[name]:<12}{triple.recall:>9.4f}{triple.precision:>11.4f}{triple.combined:>9.4f}"
+            f"{TABLE_LABELS[name]:<12}{fields['recall']:>9.4f}{fields['precision']:>11.4f}{fields['combined']:>9.4f}"
         )
-    stats = report.stats
+    stats = doc["stats"]
     lines.append("")
     if "se_le" in measures:
-        lines.append(f"SE = {report.se_le.se:.4f}   LE = {report.se_le.le:.4f}")
+        lines.append(f"SE = {measures['se_le']['se']:.4f}   LE = {measures['se_le']['le']:.4f}")
     lines.append(
-        f"instances: {stats.n_instances}   truth clusters: {stats.n_truth_clusters}   "
-        f"predicted clusters: {stats.n_predicted_clusters}"
+        f"instances: {stats['n_instances']}   truth clusters: {stats['n_truth_clusters']}   "
+        f"predicted clusters: {stats['n_predicted_clusters']}"
     )
     lines.append(
-        f"pairs: truth {stats.pair_tr_sum}, predicted {stats.pair_pr_sum}, shared {stats.pair_int_sum}"
+        f"pairs: truth {stats['pair_tr_sum']}, predicted {stats['pair_pr_sum']}, shared {stats['pair_int_sum']}"
     )
-    for flag in report.flags:
+    for flag in doc["flags"]:
         lines.append(f"flag: {flag}")
     return "\n".join(lines) + "\n"
 
@@ -291,9 +284,11 @@ def write_report(
     timing_seconds: float | None = None,
     measures: tuple[str, ...] = MEASURE_ORDER,
 ) -> str:
-    """Render a report, machine (stable JSON) or human table style, keeping only ``measures``."""
-    if style == "machine":
-        return render_report_document(build_report_document(report, engine, timing_seconds, measures))
-    if style == "table":
-        return _render_table(report, measures)
-    raise ValueError(f"unknown report style {style!r}")
+    """Render a report, machine (stable JSON) or human table style, keeping only ``measures``.
+
+    Both styles render the one document :func:`build_report_document` builds.
+    """
+    if style not in ("machine", "table"):
+        raise ValueError(f"unknown report style {style!r}")
+    doc = build_report_document(report, engine, timing_seconds, measures)
+    return render_report_document(doc) if style == "machine" else _render_table(doc)

@@ -10,8 +10,7 @@ enumeration is capped by a budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import PairBudgetExceeded
@@ -33,21 +32,9 @@ def iter_pairs(cluster: Iterable[int]) -> Iterator[tuple[int, int]]:
     return combinations(sorted(cluster), 2)
 
 
-@dataclass(frozen=True)
-class PairSet:
+def pair_set(clusters: Iterable[Iterable[int]]) -> frozenset:
     """The set of unordered same-cluster instance pairs of a clustering."""
-
-    pairs: frozenset
-
-    @classmethod
-    def from_clusters(cls, clusters: Iterable[Iterable[int]]) -> "PairSet":
-        pairs = set()
-        for cluster in clusters:
-            pairs.update(iter_pairs(cluster))
-        return cls(frozenset(pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
+    return frozenset(chain.from_iterable(map(iter_pairs, clusters)))
 
 
 def cluster_f(pair: EvalPair) -> MetricTriple:
@@ -106,7 +93,7 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
 
     The best-matching predicted cluster for a truth cluster is the one with
     the largest overlap; ties prefer the smaller cluster, then the smaller
-    index — the same rule the single-pass engine documents.
+    index, which changes no number but makes the choice definite.
     """
     truth_sets = [frozenset(c) for c in pair.truth_dense]
     predicted_sets = [frozenset(c) for c in pair.predicted_dense]
@@ -135,6 +122,14 @@ def pair_demand(pair: EvalPair) -> int:
     return sum(len(c) * (len(c) - 1) // 2 for c in pair.truth.clusters + pair.predicted.clusters)
 
 
+def _pair_sets(pair: EvalPair, pair_budget: int) -> tuple[frozenset, frozenset]:
+    """Both sides' pair sets; :class:`PairBudgetExceeded` when they would exceed ``pair_budget``."""
+    needed = pair_demand(pair)
+    if needed > pair_budget:
+        raise PairBudgetExceeded(needed, pair_budget)
+    return pair_set(pair.truth_dense), pair_set(pair.predicted_dense)
+
+
 def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
     """Materialize both pair sets and intersect them.
 
@@ -142,11 +137,7 @@ def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Metric
     pairs than ``pair_budget``; the zero-pair sides are defined as 1.0 like
     in the single-pass engine.
     """
-    needed = pair_demand(pair)
-    if needed > pair_budget:
-        raise PairBudgetExceeded(needed, pair_budget)
-    truth_pairs = PairSet.from_clusters(pair.truth_dense).pairs
-    predicted_pairs = PairSet.from_clusters(pair.predicted_dense).pairs
+    truth_pairs, predicted_pairs = _pair_sets(pair, pair_budget)
     shared = len(truth_pairs & predicted_pairs)
     recall = shared / len(truth_pairs) if truth_pairs else 1.0
     precision = shared / len(predicted_pairs) if predicted_pairs else 1.0
@@ -160,11 +151,7 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     closed form, keeping the report fully independent of the single-pass
     engine.
     """
-    needed = pair_demand(pair)
-    if needed > pair_budget:
-        raise PairBudgetExceeded(needed, pair_budget)
-    truth_pairs = PairSet.from_clusters(pair.truth_dense).pairs
-    predicted_pairs = PairSet.from_clusters(pair.predicted_dense).pairs
+    truth_pairs, predicted_pairs = _pair_sets(pair, pair_budget)
     shared = len(truth_pairs & predicted_pairs)
 
     flags = list(pair.flags)

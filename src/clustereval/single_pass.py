@@ -1,17 +1,15 @@
 """Linear-time evaluator built on two hash tables.
 
 :func:`~clustereval.model.validate` records the predicted cluster of every
-truth instance, and :func:`tally_truth` counts how one truth cluster, a
-slice of that list, spreads over predicted clusters. :func:`evaluate_all`
-tallies each truth cluster once and feeds all five measures from it; the
-per-measure functions are projections of its report. Counts and pair
-totals are exact Python integers.
+truth instance. :func:`evaluate_all` counts how each truth cluster, a slice
+of that list, spreads over predicted clusters, and feeds all five measures
+from one loop over those counts; the per-measure functions are projections
+of its report. Counts and pair totals are exact Python integers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
 
 from .model import (
     FLAG_DEGENERATE_PRECISION,
@@ -26,8 +24,6 @@ from .model import (
 )
 
 __all__ = [
-    "TruthTally",
-    "tally_truth",
     "evaluate_all",
     "cluster_f",
     "k_metric",
@@ -39,42 +35,15 @@ __all__ = [
 ]
 
 
-class TruthTally(NamedTuple):
-    """How one truth cluster's instances spread over predicted clusters.
-
-    ``counts[i]`` is the number of the truth cluster's instances that landed
-    in predicted cluster ``i``. ``max_key`` is the predicted cluster with the
-    largest count; ties prefer the smaller predicted cluster, then the
-    smaller index, so results never depend on hash iteration order.
-    """
-
-    counts: Counter
-    max_key: int
-    max_val: int
-
-
-def tally_truth(labels: list[int], sizes: list[int]) -> TruthTally:
-    """Count one truth cluster's predicted labels; ``sizes[i]`` is predicted cluster ``i``'s size."""
-    counts = Counter(labels)
-    max_key = -1
-    max_val = 0
-    max_size = 0
-    for key, value in counts.items():
-        key_size = sizes[key]
-        if value > max_val or (
-            value == max_val and (key_size < max_size or (key_size == max_size and key < max_key))
-        ):
-            max_key, max_val, max_size = key, value, key_size
-    return TruthTally(counts, max_key, max_val)
-
-
 def evaluate_all(pair: EvalPair) -> FullReport:
     """All five measures from one pass over the truth clusters.
 
     A Cluster-F match is a tally entry covering a whole truth cluster with an
     equal-sized predicted cluster. K-metric and B-cubed share the purity
-    sums. SE&LE measures against the tally maximum. A side with no pairs at
-    all has its pairwise ratio defined as 1.0 and is flagged.
+    sums. SE&LE measures against the best match: the largest overlap, ties
+    going to the smaller predicted cluster (which of several equal-sized
+    ones wins changes no number). A side with no pairs at all has its
+    pairwise ratio defined as 1.0 and is flagged.
     """
     sizes = list(map(len, pair.predicted.clusters))
 
@@ -90,15 +59,16 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     stop = 0
     for size in map(len, pair.truth.clusters):
         start, stop = stop, stop + size
-        counts, max_key, max_val = tally_truth(pair.assignments[start:stop], sizes)
-        for key, value in counts.items():
+        max_val = max_size = 0
+        for key, value in Counter(pair.assignments[start:stop]).items():
             key_size = sizes[key]
             if value == size and key_size == size:
                 matches += 1
             aap_total += value * value / size
             acp_total += value * value / key_size
             shared_pair_total += value * (value - 1) // 2
-        max_size = sizes[max_key]
+            if value > max_val or (value == max_val and key_size < max_size):
+                max_val, max_size = value, key_size
         truth_pair_total += size * (size - 1) // 2
         split_total += size - max_val
         lump_total += max_size - max_val

@@ -12,6 +12,7 @@ uniform random cut, then merging randomly paired clusters.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ def _check(config: SynthConfig) -> None:
         )
     if config.size_skew < 0:
         raise InfeasibleConfig("size_skew must be >= 0")
+    if not math.isfinite(config.size_skew):
+        raise InfeasibleConfig("size_skew must be finite")
     for name in ("split_rate", "merge_rate"):
         rate = getattr(config, name)
         if not 0.0 <= rate <= 1.0:

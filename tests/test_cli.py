@@ -68,7 +68,30 @@ class TestEvaluate:
         truth, pred = golden_files
         status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--output", "table")
         assert status == 0
-        assert "0.3333" in out and "0.5385" in out
+        assert out == (
+            "Measure        Recall  Precision        F\n"
+            "Cluster-F      0.3333     0.5000   0.4000\n"
+            "K-metric       1.0000     0.7000   0.8367\n"
+            "SE&LE          1.0000     0.6154   0.7619\n"
+            "Pairwise-F     1.0000     0.5385   0.7000\n"
+            "B-cubed        1.0000     0.7000   0.8235\n"
+            "\n"
+            "SE = 0.0000   LE = 0.3846\n"
+            "instances: 8   truth clusters: 3   predicted clusters: 2\n"
+            "pairs: truth 7, predicted 13, shared 7\n"
+        )
+        status, out, _ = run_cli(
+            capsys, "evaluate", "--truth", truth, "--pred", pred, "--output", "table", "--measure", "se_le"
+        )
+        assert status == 0
+        assert out == (
+            "Measure        Recall  Precision        F\n"
+            "SE&LE          1.0000     0.6154   0.7619\n"
+            "\n"
+            "SE = 0.0000   LE = 0.3846\n"
+            "instances: 8   truth clusters: 3   predicted clusters: 2\n"
+            "pairs: truth 7, predicted 13, shared 7\n"
+        )
 
     def test_single_measure(self, capsys, golden_files):
         truth, pred = golden_files
@@ -313,6 +336,32 @@ class TestGen:
             "--out-truth", str(tmp_path / "t"), "--out-pred", str(tmp_path / "p"),
         )
         assert status == 3
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("check", "--trials", "3", "--max-n", "0"), "--max-n"),
+            (("check", "--trials", "-2"), "--trials"),
+            (("bench", "--sizes", "100", "--repeats", "0"), "--repeats"),
+            (("bench", "--sizes", "100", "--cluster-ratio", "0"), "--cluster-ratio"),
+        ],
+    )
+    def test_out_of_range_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {option}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("skew", ["nan", "inf"])
+    def test_non_finite_skew_exits_3(self, capsys, tmp_path, skew):
+        status, _, err = run_cli(
+            capsys, "gen", "--n", "10", "--clusters", "2", "--skew", skew,
+            "--out-truth", str(tmp_path / "t"), "--out-pred", str(tmp_path / "p"),
+        )
+        assert status == 3
+        assert "size_skew must be finite" in err
 
 
 class TestBench:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustereval import single_pass
+from clustereval import oracle, single_pass
 from clustereval.model import Clustering, validate
-from clustereval.single_pass import evaluate_all, tally_truth
+from clustereval.single_pass import evaluate_all, split_lump
 
 from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair
 
@@ -50,43 +51,57 @@ class TestBuildIndex:
         assert stats.pair_pr_sum == sum(math.comb(len(c), 2) for c in pair.predicted.clusters)
 
 
+def reference_split_lump(pair):
+    """SE and LE from a reference tally: a ``Counter`` per truth slice, whose
+    best match is the ``(-count, size, index)`` minimum."""
+    sizes, slices = sizes_and_slices(pair)
+    split_total = lump_total = matched_total = 0
+    for labels in slices:
+        counts = Counter(labels)
+        best = min(counts, key=lambda key: (-counts[key], sizes[key], key))
+        split_total += len(labels) - counts[best]
+        lump_total += sizes[best] - counts[best]
+        matched_total += sizes[best]
+    return split_total / len(pair.assignments), lump_total / matched_total
+
+
 class TestTallyTruth:
+    """The best-match tally inside ``evaluate_all``, seen through its SE, LE and matches."""
+
     def test_lumped_cluster(self):
-        sizes, slices = sizes_and_slices(golden_pair())
-        tally = tally_truth(slices[1], sizes)  # the (4,5) cluster
-        assert dict(tally.counts) == {1: 2}
-        assert tally.max_val == 2 and tally.max_key == 1
+        # the (4,5) cluster's best match is the 5-cluster, overlap 2: it lumps 3 of 5;
+        # with (6,7,8) lumping 2 and (1,2,3) intact, LE = (0 + 3 + 2) / (3 + 5 + 5)
+        result = split_lump(golden_pair())
+        assert result.se == 0.0
+        assert result.le == 5 / 13
 
     def test_intact_cluster(self):
-        sizes, slices = sizes_and_slices(golden_pair())
-        tally = tally_truth(slices[0], sizes)
-        assert dict(tally.counts) == {0: 3}
-        assert tally.max_val == 3 and tally.max_key == 0
+        # (1,2,3) is its own predicted cluster: the one exact match, no split, no lump
+        pair = golden_pair()
+        report = evaluate_all(pair)
+        assert (report.cluster_f.recall, report.cluster_f.precision) == (1 / 3, 1 / 2)
+        result = split_lump(pair_from_labels([0, 0, 0, 1, 1], [0, 0, 0, 1, 1]))
+        assert (result.se, result.le) == (0.0, 0.0)
 
     def test_symmetric_tie_breaks_to_smallest_index(self):
-        # truth (a,b) splits evenly over two equal-size predicted clusters
-        sizes, slices = sizes_and_slices(pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1]))
-        tally = tally_truth(slices[0], sizes)
-        assert dict(tally.counts) == {0: 1, 1: 1}
-        assert tally.max_key == 0 and tally.max_val == 1
+        # truth (a,b) splits evenly over two equal-size predicted clusters; either
+        # choice gives the rates the oracle's lowest-index choice gives
+        pair = pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
+        result = split_lump(pair)
+        assert (result.se, result.le) == (0.5, 0.5)
+        assert result == oracle.split_lump(pair)
 
     def test_tie_prefers_smaller_predicted_cluster(self):
-        # overlap 1 with both, but predicted cluster 1 is smaller
-        sizes, slices = sizes_and_slices(pair_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1]))
-        assert sizes == [3, 2]
-        tally = tally_truth(slices[0], sizes)
-        assert dict(tally.counts) == {0: 1, 1: 1}
-        assert tally.max_key == 1
+        # truth (0,1) overlaps both predicted clusters by 1; the size-2 one wins,
+        # so LE = (1 + 1) / (2 + 3); were the size-3 one chosen it would be 3/6
+        pair = pair_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1])
+        assert [len(c) for c in pair.predicted.clusters] == [3, 2]
+        assert split_lump(pair).le == 2 / 5
 
     @given(eval_pairs())
-    def test_counts_sum_and_bounds(self, pair):
-        sizes, slices = sizes_and_slices(pair)
-        for labels in slices:
-            tally = tally_truth(labels, sizes)
-            assert sum(tally.counts.values()) == len(labels)
-            for key, value in tally.counts.items():
-                assert 1 <= value <= min(len(labels), sizes[key])
-            assert tally.max_val == max(tally.counts.values())
+    def test_se_le_match_reference_tally(self, pair):
+        result = split_lump(pair)
+        assert (result.se, result.le) == reference_split_lump(pair)
 
 
 class TestClusterF:

@@ -1,5 +1,6 @@
 """Synthetic pair generator: determinism, soundness, perturbation trends."""
 
+import math
 import statistics
 
 import pytest
@@ -70,6 +71,8 @@ class TestInfeasibleConfigs:
             SynthConfig(n_instances=5, n_truth_clusters=2, split_rate=1.5),
             SynthConfig(n_instances=5, n_truth_clusters=2, merge_rate=-0.1),
             SynthConfig(n_instances=5, n_truth_clusters=2, size_skew=-1.0),
+            SynthConfig(n_instances=5, n_truth_clusters=2, size_skew=math.nan),
+            SynthConfig(n_instances=5, n_truth_clusters=2, size_skew=math.inf),
         ],
     )
     def test_rejected(self, config):
