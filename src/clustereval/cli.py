@@ -169,10 +169,9 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
     rows = []
-    for n in sizes:
+    for n in args.sizes:
         config = SynthConfig(
             n_instances=n,
             n_truth_clusters=max(1, round(n / args.cluster_ratio)),
@@ -235,6 +234,13 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"
 
 
+def _sizes(text: str) -> list[int]:
+    try:
+        return [_int_at_least(1)(item) for item in text.split(",") if item]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}") from None
+
+
 def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--truth", required=required, help="truth clustering file")
     parser.add_argument("--pred", required=required, help="predicted clustering file")
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="time the engines on synthetic workloads")
-    p_bench.add_argument("--sizes", required=True, help="comma-separated instance counts")
+    p_bench.add_argument("--sizes", type=_sizes, required=True, help="comma-separated instance counts")
     p_bench.add_argument("--engine", choices=("single_pass", "oracle", "both"), default="single_pass")
     p_bench.add_argument(
         "--repeats", type=_int_at_least(1), default=10, help="trials per measurement; best is reported"

@@ -49,14 +49,8 @@ TABLE_LABELS = {
 
 
 def _data_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((number, line))
-    return out
+    # A CRLF line keeps its CR: every later step strips or splits on whitespace, which includes it.
+    return [(n, line) for n, line in enumerate(text.split("\n"), 1) if (head := line.lstrip()) and head[0] != "#"]
 
 
 def _detected_format(lines: list[tuple[int, str]]) -> str | None:

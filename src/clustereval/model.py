@@ -2,8 +2,8 @@
 
 A :class:`Clustering` is a partition of opaque instance ids into disjoint,
 non-empty clusters, checked at construction. :func:`validate` pairs a truth
-clustering with a predicted one, records the predicted cluster of every
-truth instance in one pass (coverage follows from that list), and returns
+clustering with a predicted one, looks the predicted cluster of every
+truth instance up once (coverage follows from that list), and returns
 the :class:`EvalPair` that all evaluators consume.
 """
 
@@ -198,18 +198,13 @@ def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> 
     if not predicted.clusters:
         raise EmptyClustering("predicted clustering has no clusters")
 
-    dense = dict(zip(chain.from_iterable(truth.clusters), count()))
-    n_truth = len(dense)
-    # Predicted-only ids all land in the extra last slot, which is dropped.
-    assignments = [-1] * (n_truth + 1)
-    for label, cluster in enumerate(predicted.clusters):
-        for d in map(dense.get, cluster, repeat(n_truth)):
-            assignments[d] = label
-    assignments.pop()
-    if -1 in assignments:
+    labels = chain.from_iterable(map(repeat, count(), map(len, predicted.clusters)))
+    label_of = dict(zip(chain.from_iterable(predicted.clusters), labels))
+    assignments = list(map(label_of.get, chain.from_iterable(truth.clusters)))
+    if None in assignments:
         raise MissingFromPredicted(truth.instance_set() - predicted.instance_set())
     # Every truth id was hit once, so the remaining predicted ids are extras.
-    n_extra = predicted.n_instances - n_truth
+    n_extra = predicted.n_instances - len(assignments)
     flags: tuple[str, ...] = ()
     if n_extra:
         if mode == "strict":

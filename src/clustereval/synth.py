@@ -58,9 +58,13 @@ def _cluster_sizes(rng: random.Random, config: SynthConfig) -> list[int]:
         weights = [1.0] * k
     else:
         # 1 - random() lies in (0, 1]; raising it to -skew gives a heavy tail.
-        weights = [(1.0 - rng.random()) ** -config.size_skew for _ in range(k)]
+        try:
+            weights = [(1.0 - rng.random()) ** -config.size_skew for _ in range(k)]
+        except OverflowError:
+            weights = [math.inf]  # a weight past the float range, rejected with the total below
     spare = n - k
-    total_weight = sum(weights)
+    if not math.isfinite(total_weight := sum(weights)):
+        raise InfeasibleConfig(f"size_skew {config.size_skew} overflows the cluster size weights")
     quotas = [w / total_weight * spare for w in weights]
     base = [int(q) for q in quotas]
     order = sorted(range(k), key=lambda i: (base[i] - quotas[i], i))

@@ -346,6 +346,7 @@ class TestNumericOptions:
             (("check", "--trials", "-2"), "--trials"),
             (("bench", "--sizes", "100", "--repeats", "0"), "--repeats"),
             (("bench", "--sizes", "100", "--cluster-ratio", "0"), "--cluster-ratio"),
+            (("bench", "--sizes", "100,abc"), "--sizes"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv, option):
@@ -354,14 +355,22 @@ class TestNumericOptions:
         assert exc.value.code == 2
         assert f"argument {option}: must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("skew", ["nan", "inf"])
-    def test_non_finite_skew_exits_3(self, capsys, tmp_path, skew):
+    @pytest.mark.parametrize(
+        "skew, message",
+        [
+            pytest.param("nan", "size_skew must be finite", id="nan"),
+            pytest.param("inf", "size_skew must be finite", id="inf"),
+            # finite, but the cluster size weights it raises to overflow
+            pytest.param("2000", "size_skew 2000.0 overflows the cluster size weights", id="2000"),
+        ],
+    )
+    def test_non_finite_skew_exits_3(self, capsys, tmp_path, skew, message):
         status, _, err = run_cli(
             capsys, "gen", "--n", "10", "--clusters", "2", "--skew", skew,
             "--out-truth", str(tmp_path / "t"), "--out-pred", str(tmp_path / "p"),
         )
         assert status == 3
-        assert "size_skew must be finite" in err
+        assert message in err
 
 
 class TestBench:

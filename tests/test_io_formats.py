@@ -75,12 +75,20 @@ class TestParseMembershipPairs:
         with pytest.raises(ParseError) as err:
             parse_clustering("a\tX\tY\n", format=FORMAT_MEMBERSHIP_PAIRS)
         assert err.value.line == 1
+        with pytest.raises(ParseError, match="found 3 tab-separated fields") as err:
+            parse_clustering("a\tX\tY\r\n", format=FORMAT_MEMBERSHIP_PAIRS)
+        assert err.value.line == 1
 
     def test_empty_fields(self):
         with pytest.raises(ParseError):
             parse_clustering("\tX\n", format=FORMAT_MEMBERSHIP_PAIRS)
         with pytest.raises(ParseError):
             parse_clustering("a\t \n", format=FORMAT_MEMBERSHIP_PAIRS)
+        # A CRLF line's CR is neither a field nor part of one.
+        for text, column in (("\tX\r\n", 1), ("a\t \r\n", 3)):
+            with pytest.raises(ParseError) as err:
+                parse_clustering(text, format=FORMAT_MEMBERSHIP_PAIRS)
+            assert (err.value.line, err.value.column) == (1, column)
 
 
 class TestFormatDetection:

@@ -73,6 +73,8 @@ class TestInfeasibleConfigs:
             SynthConfig(n_instances=5, n_truth_clusters=2, size_skew=-1.0),
             SynthConfig(n_instances=5, n_truth_clusters=2, size_skew=math.nan),
             SynthConfig(n_instances=5, n_truth_clusters=2, size_skew=math.inf),
+            SynthConfig(n_instances=10, n_truth_clusters=3, size_skew=2000.0),  # the weights overflow
+            SynthConfig(n_instances=10, n_truth_clusters=2, size_skew=440.0, seed=5062),  # only their sum does
         ],
     )
     def test_rejected(self, config):
