@@ -17,7 +17,6 @@ from .errors import (
     MissingFromPredicted,
     PairBudgetExceeded,
     ParseError,
-    UnindexedInstance,
     ValidationError,
 )
 from .model import (
@@ -48,7 +47,6 @@ __all__ = [
     "ParseError",
     "ReportStats",
     "SplitLumpResult",
-    "UnindexedInstance",
     "ValidationError",
     "geometric_mean",
     "harmonic_mean",

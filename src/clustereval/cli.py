@@ -7,8 +7,7 @@ Subcommands:
   bench     time the engines on synthetic workloads of given sizes
 
 Exit codes: 0 success, 2 parse or usage error, 3 validation/config error,
-4 internal invariant breach, 5 engine divergence (check), 6 pair budget
-exceeded.
+5 engine divergence (check), 6 pair budget exceeded.
 """
 
 from __future__ import annotations
@@ -20,13 +19,7 @@ import sys
 import time
 
 from . import __version__, oracle, single_pass
-from .errors import (
-    InfeasibleConfig,
-    PairBudgetExceeded,
-    ParseError,
-    UnindexedInstance,
-    ValidationError,
-)
+from .errors import InfeasibleConfig, PairBudgetExceeded, ParseError, ValidationError
 from .io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
@@ -45,7 +38,6 @@ from .synth import SynthConfig, generate
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_INTERNAL = 4
 EXIT_DIVERGENCE = 5
 EXIT_PAIR_BUDGET = 6
 
@@ -185,10 +177,7 @@ def cmd_bench(args) -> int:
             if engine == "oracle":
                 demand = oracle.pair_demand(pair)
                 if demand > args.pair_budget:
-                    sys.stderr.write(
-                        f"bench: N={n} needs {demand} enumerated pairs, over budget {args.pair_budget}\n"
-                    )
-                    return EXIT_PAIR_BUDGET
+                    raise PairBudgetExceeded(demand, args.pair_budget)
                 calls = {
                     "cluster_f": lambda p=pair: oracle.cluster_f(p),
                     "k_metric": lambda p=pair: oracle.k_metric(p),
@@ -236,9 +225,12 @@ _positive_float.__name__ = "float"
 
 def _sizes(text: str) -> list[int]:
     try:
-        return [_int_at_least(1)(item) for item in text.split(",") if item]
+        sizes = [_int_at_least(1)(item) for item in text.split(",") if item]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}") from None
+        sizes = []
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}")
+    return sizes
 
 
 def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -320,9 +312,6 @@ def main(argv=None) -> int:
     except PairBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PAIR_BUDGET
-    except UnindexedInstance as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_INTERNAL
 
 
 def console_entry() -> None:

@@ -65,14 +65,6 @@ class ExtraInPredicted(ValidationError):
         )
 
 
-class UnindexedInstance(ClusterEvalError):
-    """A truth instance has no predicted cluster label.
-
-    Validated pairs cannot trigger this; it signals an internal invariant
-    breach (e.g. a hand-built ``EvalPair`` with labels that bypass validation).
-    """
-
-
 class PairBudgetExceeded(ClusterEvalError):
     """The brute-force pair enumeration would exceed the configured budget."""
 

@@ -1,16 +1,16 @@
 """Clustering data model: partitions, identifier interning, pair validation.
 
 A :class:`Clustering` is a partition of opaque instance ids into disjoint,
-non-empty clusters, checked at construction. :func:`validate` pairs a truth
-clustering with a predicted one, looks the predicted cluster of every
-truth instance up once (coverage follows from that list), and returns
-the :class:`EvalPair` that all evaluators consume.
+non-empty clusters, checked at construction. An :class:`EvalPair` pairs a
+truth clustering with a predicted one and, when built, looks the predicted
+cluster of every truth instance up once (coverage follows from that list);
+:func:`validate` builds the pair that all evaluators consume.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from typing import Hashable, Iterable
@@ -20,7 +20,6 @@ from .errors import (
     EmptyClustering,
     ExtraInPredicted,
     MissingFromPredicted,
-    UnindexedInstance,
     ValidationError,
 )
 
@@ -142,24 +141,48 @@ class Clustering:
 class EvalPair:
     """A validated (truth, predicted) pair as one flat list of predicted labels.
 
-    ``assignments[d]`` is the predicted cluster index of the ``d``-th truth
-    instance in cluster order, so each truth cluster is a slice of it. The
-    constructor raises :class:`UnindexedInstance` unless there is one label
-    per truth instance and each label indexes a predicted cluster.
+    The constructor checks coverage between the two clusterings and labels
+    each truth instance itself, so ``assignments`` and ``flags`` are not
+    arguments and always match the clusterings. ``assignments[d]`` is the
+    predicted cluster index of the ``d``-th truth instance in cluster order,
+    so each truth cluster is a slice of it.
+
+    Strict mode requires identical instance sets. Lenient mode lets the
+    predicted clustering carry extra instances (they stay in the predicted
+    cluster sizes and pair totals, and are reported in ``flags``); truth
+    instances missing from predicted are fatal in both modes.
     """
 
     truth: Clustering
     predicted: Clustering
     coverage_mode: str
-    assignments: list[int]
-    flags: tuple[str, ...]
+    assignments: list[int] = field(init=False)
+    flags: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        labels = self.assignments
-        if len(labels) != self.truth.n_instances or (
-            labels and (min(labels) < 0 or max(labels) >= len(self.predicted.clusters))
-        ):
-            raise UnindexedInstance("a truth instance has no predicted cluster label")
+        truth, predicted, mode = self.truth, self.predicted, self.coverage_mode
+        if mode not in COVERAGE_MODES:
+            raise ValueError(f"unknown coverage mode {mode!r}")
+        if not truth.clusters:
+            raise EmptyClustering("truth clustering has no clusters")
+        if not predicted.clusters:
+            raise EmptyClustering("predicted clustering has no clusters")
+
+        labels = chain.from_iterable(map(repeat, count(), map(len, predicted.clusters)))
+        label_of = dict(zip(chain.from_iterable(predicted.clusters), labels))
+        try:
+            assignments = list(map(label_of.__getitem__, chain.from_iterable(truth.clusters)))
+        except KeyError:
+            raise MissingFromPredicted(truth.instance_set() - predicted.instance_set()) from None
+        # Every truth id was hit once, so the remaining predicted ids are extras.
+        n_extra = predicted.n_instances - len(assignments)
+        flags: tuple[str, ...] = ()
+        if n_extra:
+            if mode == "strict":
+                raise ExtraInPredicted(predicted.instance_set() - truth.instance_set())
+            flags = (f"extra_in_predicted: {n_extra} instance(s) appear only in the predicted clustering",)
+        object.__setattr__(self, "assignments", assignments)
+        object.__setattr__(self, "flags", flags)
 
     @property
     def n_instances(self) -> int:
@@ -184,31 +207,5 @@ class EvalPair:
 
 
 def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> EvalPair:
-    """Check coverage between the two clusterings and label each truth instance.
-
-    Strict mode requires identical instance sets. Lenient mode lets the
-    predicted clustering carry extra instances (they stay in the predicted
-    cluster sizes and pair totals, and are reported in ``flags``); truth
-    instances missing from predicted are fatal in both modes.
-    """
-    if mode not in COVERAGE_MODES:
-        raise ValueError(f"unknown coverage mode {mode!r}")
-    if not truth.clusters:
-        raise EmptyClustering("truth clustering has no clusters")
-    if not predicted.clusters:
-        raise EmptyClustering("predicted clustering has no clusters")
-
-    labels = chain.from_iterable(map(repeat, count(), map(len, predicted.clusters)))
-    label_of = dict(zip(chain.from_iterable(predicted.clusters), labels))
-    assignments = list(map(label_of.get, chain.from_iterable(truth.clusters)))
-    if None in assignments:
-        raise MissingFromPredicted(truth.instance_set() - predicted.instance_set())
-    # Every truth id was hit once, so the remaining predicted ids are extras.
-    n_extra = predicted.n_instances - len(assignments)
-    flags: tuple[str, ...] = ()
-    if n_extra:
-        if mode == "strict":
-            raise ExtraInPredicted(predicted.instance_set() - truth.instance_set())
-        flags = (f"extra_in_predicted: {n_extra} instance(s) appear only in the predicted clustering",)
-
-    return EvalPair(truth=truth, predicted=predicted, coverage_mode=mode, assignments=assignments, flags=flags)
+    """The :class:`EvalPair` of the two clusterings under coverage ``mode``."""
+    return EvalPair(truth, predicted, mode)

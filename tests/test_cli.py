@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and output schema stability."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustereval import oracle
 from clustereval.cli import main
@@ -347,6 +351,7 @@ class TestNumericOptions:
             (("bench", "--sizes", "100", "--repeats", "0"), "--repeats"),
             (("bench", "--sizes", "100", "--cluster-ratio", "0"), "--cluster-ratio"),
             (("bench", "--sizes", "100,abc"), "--sizes"),
+            (("bench", "--sizes", ","), "--sizes"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv, option):
@@ -390,6 +395,31 @@ class TestBench:
             "--pair-budget", "10",
         )
         assert status == 6
+        assert err.startswith("error: pair enumeration needs ")
+
+
+# ids and every byte the readers treat specially: field and line separators, comments,
+# a BOM, invalid UTF-8, and the characters str.splitlines() breaks on (NEL, \x1c)
+FUZZ_TOKENS = [b"a", b"b", b"1", b"\t", b"\n", b"\r", b" ", b"#", b"\xef\xbb\xbf", b"\xff", b"\xc2\x85", b"\x1c", b"\x00"]
+fuzz_files = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(truth_bytes=fuzz_files, pred_bytes=fuzz_files)
+def test_arbitrary_bytes_give_documented_exit_codes(tmp_path_factory, truth_bytes, pred_bytes):
+    """Any input pair ends in success, a parse error or a validation error, never an exception."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    truth, pred = folder / "t.txt", folder / "p.txt"
+    truth.write_bytes(truth_bytes)
+    pred.write_bytes(pred_bytes)
+    for command in ("evaluate", "check"):
+        for file_format in ("auto", "clusters", "pairs"):
+            for coverage in ("strict", "lenient"):
+                argv = [command, "--truth", str(truth), "--pred", str(pred), "--format", file_format,
+                        "--coverage", coverage]
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    status = main(argv)
+                assert status in (0, 2, 3), (argv, truth_bytes, pred_bytes)
 
 
 def test_module_entry_point(golden_files):

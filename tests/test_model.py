@@ -14,11 +14,11 @@ from clustereval.errors import (
     EmptyClustering,
     ExtraInPredicted,
     MissingFromPredicted,
-    UnindexedInstance,
     ValidationError,
 )
 from clustereval.model import (
     Clustering,
+    EvalPair,
     MetricTriple,
     geometric_mean,
     harmonic_mean,
@@ -127,27 +127,33 @@ class TestValidate:
                 Clustering.from_clusters([("1", "2"), ("2",)], role=side)
 
 
-class TestEvalPairCheck:
-    """A hand-built pair whose labels do not cover the truth instances is refused."""
+class TestEvalPairLabelsItself:
+    """An ``EvalPair`` computes its labels and flags, so they always match its clusterings."""
 
-    GOLDEN_LABELS = [0, 0, 0, 1, 1, 1, 1, 1]
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_constructor_equals_validate(self, mode):
+        truth = Clustering.from_clusters(GOLDEN_TRUTH, role="truth")
+        predicted = Clustering.from_clusters(GOLDEN_PRED, role="predicted")
+        pair = EvalPair(truth, predicted, mode)
+        assert pair == validate(truth, predicted, mode)
+        assert pair.assignments == [0, 0, 0, 1, 1, 1, 1, 1]
 
-    def test_golden_labels_accepted(self):
-        assert golden_pair().assignments == self.GOLDEN_LABELS
-        dataclasses.replace(golden_pair(), assignments=list(self.GOLDEN_LABELS))
+    def test_labels_are_not_a_constructor_argument(self):
+        pair = golden_pair()
+        with pytest.raises(TypeError):
+            EvalPair(pair.truth, pair.predicted, "strict", assignments=list(pair.assignments))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(pair, assignments=list(pair.assignments))
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(pair, flags=())
 
-    def test_unassigned_instance_is_invariant_breach(self):
-        with pytest.raises(UnindexedInstance):
-            dataclasses.replace(golden_pair(), assignments=self.GOLDEN_LABELS[:-1] + [-1])
-
-    def test_out_of_range_label_is_invariant_breach(self):
-        with pytest.raises(UnindexedInstance):
-            dataclasses.replace(golden_pair(), assignments=self.GOLDEN_LABELS[:-1] + [2])
-
-    def test_wrong_length_is_invariant_breach(self):
-        for labels in (self.GOLDEN_LABELS[:-1], self.GOLDEN_LABELS + [0]):
-            with pytest.raises(UnindexedInstance):
-                dataclasses.replace(golden_pair(), assignments=labels)
+    def test_replace_checks_coverage_again(self):
+        truth = Clustering.from_clusters([("1", "2")], role="truth")
+        predicted = Clustering.from_clusters([("1", "2"), ("3",)], role="predicted")
+        lenient = EvalPair(truth, predicted, "lenient")
+        assert len(lenient.flags) == 1
+        with pytest.raises(ExtraInPredicted):
+            dataclasses.replace(lenient, coverage_mode="strict")
 
 
 class TestInterning:
