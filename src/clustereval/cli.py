@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 parse or usage error, 3 validation/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import statistics
 import sys
@@ -43,10 +44,16 @@ EXIT_PAIR_BUDGET = 6
 
 CHECK_TOLERANCE = 1e-12
 
+FLAG_AUTO_PAIRS_SINGLETONS = (
+    "auto_pairs_all_singletons: --format auto read both files as membership pairs with one id per cluster; "
+    "if they are tab-separated cluster lines, use --format clusters"
+)
+
 _FILE_FORMATS = {"auto": FORMAT_AUTO, "clusters": FORMAT_CLUSTER_LINES, "pairs": FORMAT_MEMBERSHIP_PAIRS}
 
 
-def _load_pair(args) -> EvalPair:
+def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
+    """The validated pair of input files, and the flags on how they were read."""
     file_format = _FILE_FORMATS[args.format]
     if file_format == FORMAT_AUTO:
         # Detect once for both files; a file without data lines agrees with either format.
@@ -56,17 +63,23 @@ def _load_pair(args) -> EvalPair:
         file_format = truth_format or pred_format or FORMAT_AUTO
     truth = parse_clustering_file(args.truth, format=file_format, role="truth")
     predicted = parse_clustering_file(args.pred, format=file_format, role="predicted")
-    return validate(truth, predicted, args.coverage)
+    pair = validate(truth, predicted, args.coverage)
+    # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
+    singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
+    if args.format == "auto" and file_format == FORMAT_MEMBERSHIP_PAIRS and singletons:
+        return pair, (FLAG_AUTO_PAIRS_SINGLETONS,)
+    return pair, ()
 
 
 def cmd_evaluate(args) -> int:
-    pair = _load_pair(args)
+    pair, read_flags = _load_pair(args)
     start = time.perf_counter()
     if args.engine == "oracle":
         report = oracle.evaluate_all(pair, pair_budget=args.pair_budget)
     else:
         report = single_pass.evaluate_all(pair)
     elapsed = time.perf_counter() - start
+    report = dataclasses.replace(report, flags=report.flags + read_flags)
     measures = MEASURE_ORDER if args.measure == "all" else (args.measure,)
     sys.stdout.write(
         write_report(report, style=args.output, engine=args.engine, timing_seconds=elapsed, measures=measures)
@@ -120,7 +133,7 @@ def cmd_check(args) -> int:
 
     if not (args.truth and args.pred):
         raise ValidationError("check needs --truth and --pred, or --trials for randomized mode")
-    pair = _load_pair(args)
+    pair, _ = _load_pair(args)
     status = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
         sys.stdout.write(f"check: engines agree within {CHECK_TOLERANCE}\n")
@@ -143,8 +156,8 @@ def cmd_gen(args) -> int:
     with open(args.out_pred, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(write_clustering(pair.predicted, format=file_format))
     sys.stderr.write(
-        f"gen: wrote {pair.n_instances} instances, {len(pair.truth.clusters)} truth / "
-        f"{len(pair.predicted.clusters)} predicted clusters\n"
+        f"gen: wrote {pair.n_instances} instances, {len(pair.truth.sizes)} truth / "
+        f"{len(pair.predicted.sizes)} predicted clusters\n"
     )
     return EXIT_OK
 

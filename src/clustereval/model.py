@@ -1,10 +1,11 @@
 """Clustering data model: partitions, identifier interning, pair validation.
 
 A :class:`Clustering` is a partition of opaque instance ids into disjoint,
-non-empty clusters, checked at construction. An :class:`EvalPair` pairs a
-truth clustering with a predicted one and, when built, looks the predicted
-cluster of every truth instance up once (coverage follows from that list);
-:func:`validate` builds the pair that all evaluators consume.
+non-empty clusters, stored as a flat id column and a cluster size column
+and checked at construction. An :class:`EvalPair` pairs a truth clustering
+with a predicted one and, when built, looks the predicted cluster of every
+truth instance up once (coverage follows from that list); :func:`validate`
+builds the pair that all evaluators consume.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, pairwise, repeat
 from typing import Hashable, Iterable
 
 from .errors import (
@@ -96,41 +97,58 @@ class FullReport:
     flags: tuple[str, ...]
 
 
+def _cut(flat: tuple, sizes: Iterable[int]) -> tuple[tuple, ...]:
+    """``flat`` cut into consecutive slices of the given sizes."""
+    return tuple(flat[start:stop] for start, stop in pairwise(accumulate(sizes, initial=0)))
+
+
 @dataclass(frozen=True)
 class Clustering:
-    """A partition of instance ids into disjoint, non-empty clusters.
+    """A partition of instance ids into disjoint, non-empty clusters, stored as two columns.
 
-    The constructor checks both invariants and ``n_instances`` is derived,
-    so every ``Clustering`` is valid. Cluster and instance order are kept as
-    given, which makes everything downstream deterministic.
+    ``ids`` lists every instance in cluster order and ``sizes`` the cluster
+    lengths, so cluster ``k`` is the ``sizes[k]`` ids after the first
+    ``sum(sizes[:k])``. The constructor stores both as tuples, checks that
+    they agree and checks both invariants, so every ``Clustering`` is valid. Cluster and instance
+    order are kept as given, which makes everything downstream deterministic.
     """
 
-    clusters: tuple[tuple[Hashable, ...], ...]
+    ids: tuple[Hashable, ...]
+    sizes: tuple[int, ...]
     role: str = "truth"  # "truth" | "predicted"
 
     def __post_init__(self):
-        if not all(self.clusters):
-            pos = next(pos for pos, cluster in enumerate(self.clusters) if not cluster)
-            raise ValidationError(f"{self.role} cluster at position {pos} is empty")
-        if len(set(chain.from_iterable(self.clusters))) != self.n_instances:
+        # Stored as tuples whatever sequences were passed, so equal partitions compare equal.
+        object.__setattr__(self, "ids", ids := tuple(self.ids))
+        object.__setattr__(self, "sizes", sizes := tuple(self.sizes))
+        if 0 in sizes:
+            raise ValidationError(f"{self.role} cluster at position {sizes.index(0)} is empty")
+        if sum(sizes) != len(ids) or min(sizes, default=1) < 0:
+            raise ValidationError(f"{self.role} cluster sizes do not partition its {len(ids)} ids")
+        if len(set(ids)) != len(ids):
             seen = set()
-            for instance in chain.from_iterable(self.clusters):
+            for instance in ids:
                 if instance in seen:
                     raise DuplicateInstance(instance)
                 seen.add(instance)
 
     @property
     def n_instances(self) -> int:
-        return sum(map(len, self.clusters))
+        return len(self.ids)
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[Hashable, ...], ...]:
+        """The clusters as tuples of ids, cut from ``ids`` on first read."""
+        return _cut(self.ids, self.sizes)
 
     @classmethod
     def from_clusters(cls, clusters: Iterable[Iterable[Hashable]], role: str = "truth") -> "Clustering":
         """Build from any iterables; sets are canonicalized by sorting on ``str``."""
-        canon = (tuple(sorted(c, key=str)) if isinstance(c, (set, frozenset)) else tuple(c) for c in clusters)
-        return cls(tuple(canon), role)
+        canon = [tuple(sorted(c, key=str)) if isinstance(c, (set, frozenset)) else tuple(c) for c in clusters]
+        return cls(tuple(chain.from_iterable(canon)), tuple(map(len, canon)), role)
 
     def instance_set(self) -> set:
-        return set(chain.from_iterable(self.clusters))
+        return set(self.ids)
 
     def partition(self) -> frozenset:
         """Order-insensitive view, for partition-equality comparisons."""
@@ -163,15 +181,14 @@ class EvalPair:
         truth, predicted, mode = self.truth, self.predicted, self.coverage_mode
         if mode not in COVERAGE_MODES:
             raise ValueError(f"unknown coverage mode {mode!r}")
-        if not truth.clusters:
+        if not truth.sizes:
             raise EmptyClustering("truth clustering has no clusters")
-        if not predicted.clusters:
+        if not predicted.sizes:
             raise EmptyClustering("predicted clustering has no clusters")
 
-        labels = chain.from_iterable(map(repeat, count(), map(len, predicted.clusters)))
-        label_of = dict(zip(chain.from_iterable(predicted.clusters), labels))
+        label_of = dict(zip(predicted.ids, chain.from_iterable(map(repeat, count(), predicted.sizes))))
         try:
-            assignments = list(map(label_of.__getitem__, chain.from_iterable(truth.clusters)))
+            assignments = list(map(label_of.__getitem__, truth.ids))
         except KeyError:
             raise MissingFromPredicted(truth.instance_set() - predicted.instance_set()) from None
         # Every truth id was hit once, so the remaining predicted ids are extras.
@@ -196,10 +213,10 @@ class EvalPair:
         ``instances[d]`` is the raw id behind dense index ``d``: truth ids in cluster order, then
         predicted-only extras. Both sides go through one dict, so equal dense ids are the same ints.
         """
-        dense = dict(zip(chain.from_iterable(self.truth.clusters), count()))
-        truth_dense = tuple(tuple(map(dense.__getitem__, c)) for c in self.truth.clusters)
-        predicted_dense = tuple(tuple([dense.setdefault(x, len(dense)) for x in c]) for c in self.predicted.clusters)
-        return tuple(dense), truth_dense, predicted_dense
+        dense = dict(zip(self.truth.ids, count()))
+        truth_flat = tuple(dense.values())
+        predicted_flat = tuple([dense.setdefault(x, len(dense)) for x in self.predicted.ids])
+        return tuple(dense), _cut(truth_flat, self.truth.sizes), _cut(predicted_flat, self.predicted.sizes)
 
     instances = property(lambda self: self._dense_views[0])
     truth_dense = property(lambda self: self._dense_views[1])

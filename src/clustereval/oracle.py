@@ -119,7 +119,7 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
 
 def pair_demand(pair: EvalPair) -> int:
     """Pairs that enumerating both sides materializes, checked against the budget."""
-    return sum(len(c) * (len(c) - 1) // 2 for c in pair.truth.clusters + pair.predicted.clusters)
+    return sum(k * (k - 1) // 2 for k in pair.truth.sizes + pair.predicted.sizes)
 
 
 def _pair_sets(pair: EvalPair, pair_budget: int) -> tuple[frozenset, frozenset]:

@@ -45,7 +45,7 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     ones wins changes no number). A side with no pairs at all has its
     pairwise ratio defined as 1.0 and is flagged.
     """
-    sizes = list(map(len, pair.predicted.clusters))
+    sizes = pair.predicted.sizes
 
     matches = 0
     aap_total = 0.0
@@ -57,7 +57,7 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     shared_pair_total = 0
 
     stop = 0
-    for size in map(len, pair.truth.clusters):
+    for size in pair.truth.sizes:
         start, stop = stop, stop + size
         max_val = max_size = 0
         for key, value in Counter(pair.assignments[start:stop]).items():
@@ -94,13 +94,13 @@ def evaluate_all(pair: EvalPair) -> FullReport:
         flags.append(FLAG_DEGENERATE_PRECISION)
 
     return FullReport(
-        cluster_f=MetricTriple.harmonic(matches / len(pair.truth.clusters), matches / len(sizes)),
+        cluster_f=MetricTriple.harmonic(matches / len(pair.truth.sizes), matches / len(sizes)),
         k_metric=MetricTriple.geometric(aap, acp),
         b_cubed=MetricTriple.harmonic(aap, acp),
         se_le=SplitLumpResult(se, le, MetricTriple.harmonic(1.0 - se, 1.0 - le)),
         pairwise=MetricTriple.harmonic(pairwise_recall, pairwise_precision),
         stats=ReportStats(
-            n_truth_clusters=len(pair.truth.clusters),
+            n_truth_clusters=len(pair.truth.sizes),
             n_predicted_clusters=len(sizes),
             n_instances=instance_total,
             pair_tr_sum=truth_pair_total,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustereval import oracle
-from clustereval.cli import main
+from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
 from clustereval.io_formats import MEASURE_ORDER, parse_report_document
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT
@@ -211,6 +211,24 @@ class TestEvaluate:
         )
         assert status == exit_code
         assert err.startswith(message)
+
+    def test_tab_separated_cluster_lines_read_as_singletons_are_flagged(self, capsys, tmp_path):
+        # Two-id cluster lines separated by a TAB look like membership pairs, each id its own cluster.
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text("a\tb\nc\td\n")
+        pred.write_text("a\td\nc\tb\n")
+        base = ("evaluate", "--truth", str(truth), "--pred", str(pred))
+        flags = {}
+        for file_format in ("auto", "pairs", "clusters"):
+            status, out, _ = run_cli(capsys, *base, "--format", file_format)
+            assert status == 0
+            flags[file_format] = parse_report_document(out)["flags"]
+        assert flags["auto"] == [*flags["pairs"], FLAG_AUTO_PAIRS_SINGLETONS]
+        assert "--format clusters" in FLAG_AUTO_PAIRS_SINGLETONS
+        assert FLAG_AUTO_PAIRS_SINGLETONS not in flags["pairs"] + flags["clusters"]
+        status, table, _ = run_cli(capsys, *base, "--output", "table")
+        assert status == 0 and f"flag: {FLAG_AUTO_PAIRS_SINGLETONS}\n" in table
 
     def test_duplicate_exits_3_naming_both_lines(self, capsys, tmp_path):
         truth = tmp_path / "t.txt"

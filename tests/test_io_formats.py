@@ -21,7 +21,7 @@ from clustereval.io_formats import (
     write_clustering,
     write_report,
 )
-from clustereval.model import Clustering
+from clustereval.model import Clustering, validate
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, clusters_from_labels, golden_pair, pair_from_labels
 
@@ -137,6 +137,87 @@ class TestFormatDetection:
                 return type(exc), str(exc)
 
         assert outcome(sniffed or FORMAT_AUTO) == outcome(FORMAT_AUTO)
+
+
+def reference_parse(data: bytes, format: str) -> tuple[tuple, tuple]:
+    """The line-by-line reading the one-pass parser replaced, as ``(ids, sizes)``.
+
+    It keeps a list of numbered data lines, reads each with its format's
+    rule, checks every membership-pairs row before looking for repeats, and
+    then names the first repeat in file order.
+    """
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if (head := line.lstrip()) and head[0] != "#"]
+    if format == FORMAT_AUTO:
+        format = FORMAT_MEMBERSHIP_PAIRS if lines and "\t" in lines[0][1] else FORMAT_CLUSTER_LINES
+    rows = []  # (line number, instance ids on it)
+    if format == FORMAT_CLUSTER_LINES:
+        rows = [(n, line.split()) for n, line in lines]
+        clusters = [ids for _, ids in rows]
+    else:
+        groups: dict[str, list[str]] = {}
+        for n, line in lines:
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"expected 'instance<TAB>label', found {len(fields)} tab-separated fields", line=n)
+            instance, label = fields[0].strip(), fields[1].strip()
+            if not instance:
+                raise ParseError("empty instance id", line=n, column=1)
+            if not label:
+                raise ParseError("empty cluster label", line=n, column=len(fields[0]) + 2)
+            groups.setdefault(label, []).append(instance)
+            rows.append((n, [instance]))
+        clusters = list(groups.values())
+    first_seen: dict[str, int] = {}
+    for n, ids in rows:
+        for instance in ids:
+            if instance in first_seen:
+                raise DuplicateInstance(instance, first_seen[instance], n)
+            first_seen[instance] = n
+    return tuple(x for c in clusters for x in c), tuple(map(len, clusters))
+
+
+class TestOnePassParser:
+    # Ids, both field separators, both line ends, comments, Unicode whitespace that
+    # splits words but not lines (NEL, U+001C), a BOM anywhere and blank lines.
+    PIECES = ["a", "b", "c1", "\t", " ", "\r", "\n", "#", "\x85", "\x1c", "\ufeff", "\n\n"]
+
+    @given(
+        st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+        st.sampled_from([FORMAT_AUTO, FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS]),
+    )
+    @example("\ufeff# ids\r\n\r\na\tX\r\nb \t X\r\n\n", FORMAT_AUTO)
+    @example("a\x85b\tc1\n\x1c#\n  # b\nc1\r\n", FORMAT_AUTO)
+    @example("a\tX\nb\tX\na\tY\nc1\t\t\n", FORMAT_MEMBERSHIP_PAIRS)
+    @example("a b\n\nb\n", FORMAT_CLUSTER_LINES)
+    @example(" a \t \r\n", FORMAT_MEMBERSHIP_PAIRS)  # the column counts the padding around the id
+    def test_matches_the_line_by_line_reference(self, text, format):
+        data = text.encode()
+
+        def outcome(parse):
+            try:
+                return parse()
+            except ClusterEvalError as exc:
+                return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+        parsed = outcome(lambda: parse_clustering(data, format=format))
+        if isinstance(parsed, Clustering):
+            parsed = parsed.ids, parsed.sizes
+        assert parsed == outcome(lambda: reference_parse(data, format))
+
+    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    def test_evaluating_a_parsed_pair_builds_no_cluster_tuples(self, format):
+        original = golden_pair()
+        truth, predicted = (
+            parse_clustering(write_clustering(c, format=format), format=format, role=c.role)
+            for c in (original.truth, original.predicted)
+        )
+        single_pass.evaluate_all(validate(truth, predicted))
+        assert "clusters" not in truth.__dict__
+        assert "clusters" not in predicted.__dict__
 
 
 class TestClusteringRoundTrip:

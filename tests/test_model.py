@@ -50,15 +50,37 @@ class TestClustering:
     def test_bare_constructor_rejects_duplicates(self):
         # a predicted side with a repeat would otherwise pass validate on counts alone
         with pytest.raises(DuplicateInstance) as err:
-            Clustering((("1", "1"),), "predicted")
+            Clustering(("1", "1"), (2,), "predicted")
         assert err.value.instance == "1"
 
     def test_bare_constructor_rejects_empty_member_cluster(self):
         with pytest.raises(ValidationError, match="predicted cluster at position 1 is empty"):
-            Clustering((("1",), ()), "predicted")
+            Clustering(("1",), (1, 0), "predicted")
+
+    def test_zero_size_names_its_position(self):
+        with pytest.raises(ValidationError, match="truth cluster at position 2 is empty"):
+            Clustering(("1", "2", "3"), (2, 1, 0, 0))
+
+    @pytest.mark.parametrize("ids, sizes", [(("1", "2", "3"), (2,)), (("1",), (1, 1)), (("1", "2"), (3, -1))])
+    def test_sizes_must_partition_the_ids(self, ids, sizes):
+        with pytest.raises(ValidationError, match="predicted cluster sizes do not partition"):
+            Clustering(ids, sizes, "predicted")
 
     def test_instance_count_is_derived(self):
-        assert Clustering((("1", "2"), ("3",))).n_instances == 3
+        assert Clustering(("1", "2", "3"), (2, 1)).n_instances == 3
+
+    def test_columns_are_stored_as_tuples(self):
+        listed = Clustering(["1", "2", "3"], [2, 1])
+        assert listed == Clustering(("1", "2", "3"), (2, 1)) == Clustering.from_clusters([["1", "2"], ["3"]])
+        assert listed.clusters == (("1", "2"), ("3",))
+        assert hash(listed) == hash(Clustering(("1", "2", "3"), (2, 1)))
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True), max_size=6))
+    def test_clusters_are_cut_from_the_columns(self, clusters):
+        clusters = [[f"{i}.{x}" for x in c] for i, c in enumerate(clusters)]  # distinct ids
+        clustering = Clustering.from_clusters(clusters)
+        assert clustering.sizes == tuple(map(len, clusters))
+        assert clustering.clusters == tuple(map(tuple, clusters))
 
     def test_sets_are_canonicalized(self):
         a = Clustering.from_clusters([{"b", "a"}, {"c"}])
