@@ -42,8 +42,6 @@ EXIT_VALIDATION = 3
 EXIT_DIVERGENCE = 5
 EXIT_PAIR_BUDGET = 6
 
-CHECK_TOLERANCE = 1e-12
-
 FLAG_AUTO_PAIRS_SINGLETONS = (
     "auto_pairs_all_singletons: --format auto read both files as membership pairs with one id per cluster; "
     "if they are tab-separated cluster lines, use --format clusters"
@@ -88,14 +86,14 @@ def cmd_evaluate(args) -> int:
 
 
 def _check_one(pair: EvalPair, pair_budget: int, label: str) -> int:
-    """Compare the two engines' report documents: measures within tolerance, the rest exactly."""
+    """Compare the two engines' report documents field by field, for exact equality."""
     fast = build_report_document(single_pass.evaluate_all(pair), engine="single_pass")
     slow = build_report_document(oracle.evaluate_all(pair, pair_budget=pair_budget), engine="oracle")
     divergent = [
         f"measures.{name}.{key}: single_pass={value!r} oracle={slow['measures'][name][key]!r}"
         for name, fields in fast["measures"].items()
         for key, value in fields.items()
-        if abs(value - slow["measures"][name][key]) > CHECK_TOLERANCE
+        if value != slow["measures"][name][key]
     ]
     divergent += [
         f"{section}: single_pass={fast[section]!r} oracle={slow[section]!r}"
@@ -114,6 +112,9 @@ def _check_one(pair: EvalPair, pair_budget: int, label: str) -> int:
 
 def cmd_check(args) -> int:
     if args.trials:
+        for name in ("truth", "pred", "coverage", "format"):
+            if getattr(args, name) is not None:
+                raise ParseError(f"check --trials draws random pairs and cannot be combined with --{name}")
         rng = random.Random(args.seed)
         for trial in range(args.trials):
             n = rng.randint(1, args.max_n)
@@ -128,15 +129,18 @@ def cmd_check(args) -> int:
             status = _check_one(generate(config), args.pair_budget, f"trial {trial} config {config}")
             if status != EXIT_OK:
                 return status
-        sys.stdout.write(f"check: {args.trials} randomized trials agreed within {CHECK_TOLERANCE}\n")
+        sys.stdout.write(f"check: {args.trials} randomized trials agreed exactly\n")
         return EXIT_OK
 
     if not (args.truth and args.pred):
         raise ValidationError("check needs --truth and --pred, or --trials for randomized mode")
-    pair, _ = _load_pair(args)
+    # Left unset so that --trials can reject them; a file check takes evaluate's defaults.
+    vars(args).update(coverage=args.coverage or "strict", format=args.format or "auto")
+    pair, read_flags = _load_pair(args)
     status = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
-        sys.stdout.write(f"check: engines agree within {CHECK_TOLERANCE}\n")
+        sys.stdout.write("check: engines agree exactly\n")
+    sys.stdout.writelines(f"flag: {flag}\n" for flag in read_flags)
     return status
 
 
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--measure", choices=("all",) + MEASURE_ORDER, default="all")
     p_eval.add_argument("--engine", choices=("single_pass", "oracle"), default="single_pass")
     p_eval.add_argument("--output", choices=("machine", "table"), default="machine")
-    p_eval.add_argument("--pair-budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET)
+    p_eval.add_argument("--pair-budget", type=_int_at_least(0), default=oracle.DEFAULT_PAIR_BUDGET)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_check = sub.add_parser("check", help="compare single_pass against the brute-force oracle")
@@ -278,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n", type=_int_at_least(1), default=200, help="max instances per randomized trial"
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--pair-budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET)
-    p_check.set_defaults(func=cmd_check)
+    p_check.add_argument("--pair-budget", type=_int_at_least(0), default=oracle.DEFAULT_PAIR_BUDGET)
+    p_check.set_defaults(func=cmd_check, coverage=None, format=None)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic truth/predicted pair")
     p_gen.add_argument("--n", type=int, required=True, help="number of instances")
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--split", type=float, default=0.2)
     p_bench.add_argument("--merge", type=float, default=0.2)
     p_bench.add_argument("--seed", type=int, default=20240501)
-    p_bench.add_argument("--pair-budget", type=int, default=oracle.DEFAULT_PAIR_BUDGET)
+    p_bench.add_argument("--pair-budget", type=_int_at_least(0), default=oracle.DEFAULT_PAIR_BUDGET)
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -27,6 +27,7 @@ serialize -> parse -> serialize is byte-identical and goldens diff cleanly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from itertools import chain
 from typing import Iterable
 
@@ -161,14 +162,6 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
     raise ValueError(f"unknown clustering format {format!r}")
 
 
-def _triple_fields(triple) -> dict:
-    return {
-        "recall": float(triple.recall),
-        "precision": float(triple.precision),
-        "combined": float(triple.combined),
-    }
-
-
 def build_report_document(
     report: FullReport,
     engine: str = "single_pass",
@@ -185,15 +178,11 @@ def build_report_document(
         "engine": engine,
         "package_version": __version__,
         "measures": {
-            "cluster_f": _triple_fields(report.cluster_f),
-            "k_metric": _triple_fields(report.k_metric),
-            "se_le": {
-                "se": float(report.se_le.se),
-                "le": float(report.se_le.le),
-                **_triple_fields(report.se_le.converted),
-            },
-            "pairwise": _triple_fields(report.pairwise),
-            "b_cubed": _triple_fields(report.b_cubed),
+            "cluster_f": asdict(report.cluster_f),
+            "k_metric": asdict(report.k_metric),
+            "se_le": {"se": report.se_le.se, "le": report.se_le.le, **asdict(report.se_le.converted)},
+            "pairwise": asdict(report.pairwise),
+            "b_cubed": asdict(report.b_cubed),
         },
         "stats": {
             "n_truth_clusters": report.stats.n_truth_clusters,

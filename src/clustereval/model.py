@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, count, pairwise, repeat
+from numbers import Real
 from typing import Hashable, Iterable
 
 from .errors import (
@@ -32,34 +33,33 @@ FLAG_DEGENERATE_PRECISION = (
 )
 
 
-def harmonic_mean(recall: float, precision: float) -> float:
-    """2rp/(r+p), defined as 0 when both inputs are 0."""
+def harmonic_mean(recall: Real, precision: Real) -> Real:
+    """2rp/(r+p), defined as 0 when both inputs are 0; exact on ``Fraction`` inputs."""
     total = recall + precision
     if total == 0:
         return 0.0
-    return 2.0 * recall * precision / total
+    return 2 * recall * precision / total
 
 
-def geometric_mean(recall: float, precision: float) -> float:
+def geometric_mean(recall: Real, precision: Real) -> float:
     return math.sqrt(recall * precision)
 
 
 @dataclass(frozen=True)
 class MetricTriple:
-    """Recall, precision and their combined score for one measure."""
+    """Recall, precision and their combined score; the constructors round each exact value once."""
 
     recall: float
     precision: float
     combined: float
-    mean_kind: str  # "harmonic" | "geometric"
 
     @classmethod
-    def harmonic(cls, recall: float, precision: float) -> "MetricTriple":
-        return cls(recall, precision, harmonic_mean(recall, precision), "harmonic")
+    def harmonic(cls, recall: Real, precision: Real) -> "MetricTriple":
+        return cls(float(recall), float(precision), float(harmonic_mean(recall, precision)))
 
     @classmethod
-    def geometric(cls, recall: float, precision: float) -> "MetricTriple":
-        return cls(recall, precision, geometric_mean(recall, precision), "geometric")
+    def geometric(cls, recall: Real, precision: Real) -> "MetricTriple":
+        return cls(float(recall), float(precision), geometric_mean(recall, precision))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ These follow each measure's definition literally: nested cluster-by-cluster
 set intersections, per-instance cluster lookups, and materialized pair sets.
 They are intentionally slow and share nothing with the single-pass engine
 beyond the core data model, so agreement between the two engines is a
-meaningful correctness check. Use them on small inputs only; pair
-enumeration is capped by a budget.
+meaningful correctness check: each ratio is a ``Fraction`` rounded once, so
+the reports must be equal. Use them on small inputs only; pair enumeration
+is capped by a budget.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
@@ -46,45 +48,44 @@ def cluster_f(pair: EvalPair) -> MetricTriple:
         for t in truth_sets:
             if p == t:
                 matches += 1
-    return MetricTriple.harmonic(matches / len(truth_sets), matches / len(predicted_sets))
+    return MetricTriple.harmonic(Fraction(matches, len(truth_sets)), Fraction(matches, len(predicted_sets)))
 
 
 def k_metric(pair: EvalPair) -> MetricTriple:
     """Purity sums via explicit intersections, in the definitional orders.
 
     The recall sum walks truth clusters against predicted ones; the
-    precision sum walks predicted clusters against truth ones.
+    precision sum walks predicted clusters against truth ones, one exact
+    ratio per cluster.
     """
     truth_sets = [frozenset(c) for c in pair.truth_dense]
     predicted_sets = [frozenset(c) for c in pair.predicted_dense]
     n = sum(len(t) for t in truth_sets)
-    aap = 0.0
-    for t in truth_sets:
-        for p in predicted_sets:
-            overlap = len(t & p)
-            aap += overlap * overlap / len(t)
-    acp = 0.0
-    for p in predicted_sets:
-        for t in truth_sets:
-            overlap = len(p & t)
-            acp += overlap * overlap / len(p)
+    aap = sum(Fraction(sum(len(t & p) ** 2 for p in predicted_sets), len(t)) for t in truth_sets)
+    acp = sum(Fraction(sum(len(p & t) ** 2 for t in truth_sets), len(p)) for p in predicted_sets)
     return MetricTriple.geometric(aap / n, acp / n)
 
 
 def b_cubed(pair: EvalPair) -> MetricTriple:
-    """Instance-level recall/precision, one lookup and intersection per instance."""
+    """Instance-level recall/precision, one lookup and intersection per instance.
+
+    Overlaps are summed per truth (recall) and predicted (precision) cluster, then divided by its size.
+    """
     truth_sets = [frozenset(c) for c in pair.truth_dense]
     predicted_sets = [frozenset(c) for c in pair.predicted_dense]
     n = 0
-    recall_sum = 0.0
-    precision_sum = 0.0
+    recall_sum = 0
+    precision_numerators = dict.fromkeys(predicted_sets, 0)
     for truth_cluster in truth_sets:
+        recall_numerator = 0
         for t in sorted(truth_cluster):
             n += 1
             own_predicted = next(c for c in predicted_sets if t in c)
             overlap = len(own_predicted & truth_cluster)
-            recall_sum += overlap / len(truth_cluster)
-            precision_sum += overlap / len(own_predicted)
+            recall_numerator += overlap
+            precision_numerators[own_predicted] += overlap
+        recall_sum += Fraction(recall_numerator, len(truth_cluster))
+    precision_sum = sum(Fraction(numerator, len(p)) for p, numerator in precision_numerators.items())
     return MetricTriple.harmonic(recall_sum / n, precision_sum / n)
 
 
@@ -112,9 +113,9 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
         lumped_instances += len(matched - t)
         truth_instances += len(t)
         matched_instances += len(matched)
-    se = split_instances / truth_instances
-    le = lumped_instances / matched_instances
-    return SplitLumpResult(se, le, MetricTriple.harmonic(1.0 - se, 1.0 - le))
+    se = Fraction(split_instances, truth_instances)
+    le = Fraction(lumped_instances, matched_instances)
+    return SplitLumpResult(float(se), float(le), MetricTriple.harmonic(1 - se, 1 - le))
 
 
 def pair_demand(pair: EvalPair) -> int:
@@ -130,6 +131,12 @@ def _pair_sets(pair: EvalPair, pair_budget: int) -> tuple[frozenset, frozenset]:
     return pair_set(pair.truth_dense), pair_set(pair.predicted_dense)
 
 
+def _pairwise(shared: int, truth_total: int, predicted_total: int) -> MetricTriple:
+    """Shared pairs over each side's pairs; a side with no pairs has its ratio defined as 1."""
+    recall = Fraction(shared, truth_total) if truth_total else 1
+    return MetricTriple.harmonic(recall, Fraction(shared, predicted_total) if predicted_total else 1)
+
+
 def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
     """Materialize both pair sets and intersect them.
 
@@ -138,10 +145,7 @@ def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Metric
     in the single-pass engine.
     """
     truth_pairs, predicted_pairs = _pair_sets(pair, pair_budget)
-    shared = len(truth_pairs & predicted_pairs)
-    recall = shared / len(truth_pairs) if truth_pairs else 1.0
-    precision = shared / len(predicted_pairs) if predicted_pairs else 1.0
-    return MetricTriple.harmonic(recall, precision)
+    return _pairwise(len(truth_pairs & predicted_pairs), len(truth_pairs), len(predicted_pairs))
 
 
 def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FullReport:
@@ -155,15 +159,9 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     shared = len(truth_pairs & predicted_pairs)
 
     flags = list(pair.flags)
-    if truth_pairs:
-        recall = shared / len(truth_pairs)
-    else:
-        recall = 1.0
+    if not truth_pairs:
         flags.append(FLAG_DEGENERATE_RECALL)
-    if predicted_pairs:
-        precision = shared / len(predicted_pairs)
-    else:
-        precision = 1.0
+    if not predicted_pairs:
         flags.append(FLAG_DEGENERATE_PRECISION)
 
     return FullReport(
@@ -171,7 +169,7 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
         k_metric=k_metric(pair),
         b_cubed=b_cubed(pair),
         se_le=split_lump(pair),
-        pairwise=MetricTriple.harmonic(recall, precision),
+        pairwise=_pairwise(shared, len(truth_pairs), len(predicted_pairs)),
         stats=ReportStats(
             n_truth_clusters=len(pair.truth_dense),
             n_predicted_clusters=len(pair.predicted_dense),

@@ -69,11 +69,3 @@ def eval_pairs(draw, max_n: int = 50, max_labels: int = 10):
         st.integers(min_value=0, max_value=max_labels - 1), min_size=n, max_size=n
     )
     return pair_from_labels(draw(labels), draw(labels))
-
-
-def triples_close(a, b, tol: float = 1e-12) -> bool:
-    return (
-        abs(a.recall - b.recall) <= tol
-        and abs(a.precision - b.precision) <= tol
-        and abs(a.combined - b.combined) <= tol
-    )

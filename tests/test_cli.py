@@ -281,12 +281,41 @@ class TestCheck:
         truth, pred = golden_files
         status, out, _ = run_cli(capsys, "check", "--truth", truth, "--pred", pred)
         assert status == 0
-        assert "agree" in out
+        assert out == "check: engines agree exactly\n"
 
     def test_randomized_trials(self, capsys):
         status, out, _ = run_cli(capsys, "check", "--trials", "25", "--max-n", "60", "--seed", "4")
         assert status == 0
-        assert "25 randomized trials" in out
+        assert out == "check: 25 randomized trials agreed exactly\n"
+
+    def test_read_flags_follow_the_verdict(self, capsys, tmp_path):
+        # Tab-separated cluster lines that --format auto reads as all-singleton membership pairs.
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text("a\tb\nc\td\n")
+        pred.write_text("a\td\nc\tb\n")
+        status, out, _ = run_cli(capsys, "check", "--truth", str(truth), "--pred", str(pred))
+        assert status == 0
+        assert out == f"check: engines agree exactly\nflag: {FLAG_AUTO_PAIRS_SINGLETONS}\n"
+        status, out, _ = run_cli(capsys, "check", "--truth", str(truth), "--pred", str(pred), "--format", "clusters")
+        assert status == 0
+        assert out == "check: engines agree exactly\n"
+
+    @pytest.mark.parametrize(
+        "extra, option",
+        [
+            (("--truth", "nonexistent"), "--truth"),
+            (("--pred", "nonexistent"), "--pred"),
+            (("--coverage", "lenient"), "--coverage"),
+            (("--coverage", "strict"), "--coverage"),
+            (("--format", "pairs"), "--format"),
+        ],
+    )
+    def test_trials_reject_file_options(self, capsys, extra, option):
+        status, out, err = run_cli(capsys, "check", "--trials", "5", *extra)
+        assert status == 2
+        assert out == ""
+        assert err == f"error: check --trials draws random pairs and cannot be combined with {option}\n"
 
     def test_budget_exceeded_exits_6(self, capsys, golden_files):
         truth, pred = golden_files
@@ -370,6 +399,9 @@ class TestNumericOptions:
             (("bench", "--sizes", "100", "--cluster-ratio", "0"), "--cluster-ratio"),
             (("bench", "--sizes", "100,abc"), "--sizes"),
             (("bench", "--sizes", ","), "--sizes"),
+            (("evaluate", "--truth", "t", "--pred", "p", "--pair-budget", "-5"), "--pair-budget"),
+            (("check", "--trials", "1", "--pair-budget", "-1"), "--pair-budget"),
+            (("bench", "--sizes", "100", "--pair-budget", "-1"), "--pair-budget"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv, option):

@@ -243,7 +243,7 @@ class TestInterning:
 class TestMeans:
     def test_harmonic_worked_values(self):
         assert harmonic_mean(1.0, 0.7) == pytest.approx(0.8235, abs=1e-4)
-        assert harmonic_mean(1.0, 0.7) == pytest.approx(float(Fraction(14, 17)), abs=1e-12)
+        assert harmonic_mean(Fraction(1), Fraction(7, 10)) == Fraction(14, 17)
 
     def test_geometric_worked_values(self):
         assert geometric_mean(1.0, 0.7) == pytest.approx(0.8367, abs=1e-4)

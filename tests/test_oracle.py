@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from clustereval import oracle, single_pass
 from clustereval.errors import PairBudgetExceeded
+from clustereval.io_formats import build_report_document
+from clustereval.model import COVERAGE_MODES, Clustering, validate
 from clustereval.oracle import iter_pairs, pair_set
 
-from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair, triples_close
+from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair, random_synth_pair
 
 
 class TestPairSet:
@@ -37,9 +39,9 @@ class TestPairSet:
 class TestOracleValues:
     def test_cluster_f_golden(self):
         triple = oracle.cluster_f(golden_pair())
-        assert triple.recall == pytest.approx(float(Fraction(1, 3)), abs=1e-12)
+        assert triple.recall == float(Fraction(1, 3))
         assert triple.precision == 0.5
-        assert triple.combined == pytest.approx(0.4, abs=1e-12)
+        assert triple.combined == float(Fraction(2, 5))
 
     def test_cluster_f_perfect_five_clusters(self):
         labels = [0, 0, 1, 2, 2, 3, 4, 4]
@@ -48,15 +50,15 @@ class TestOracleValues:
 
     def test_k_metric_golden(self):
         triple = oracle.k_metric(golden_pair())
-        assert triple.recall == pytest.approx(1.0, abs=1e-12)
-        assert triple.precision == pytest.approx(0.7, abs=1e-12)
+        assert triple.recall == 1.0
+        assert triple.precision == float(Fraction(7, 10))
+        assert triple.combined == math.sqrt(float(Fraction(7, 10)))
         assert triple.combined == pytest.approx(0.8367, abs=1e-4)
 
     def test_k_metric_halved_cluster(self):
         triple = oracle.k_metric(pair_from_labels([0, 0, 0, 0], [0, 0, 1, 1]))
-        assert triple.recall == pytest.approx(0.5, abs=1e-12)
-        assert triple.precision == pytest.approx(1.0, abs=1e-12)
-        assert triple.combined == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert (triple.recall, triple.precision) == (0.5, 1.0)
+        assert triple.combined == math.sqrt(0.5)
 
     def test_k_metric_all_singletons_identity(self):
         labels = list(range(7))
@@ -65,25 +67,24 @@ class TestOracleValues:
 
     def test_b_cubed_golden(self):
         triple = oracle.b_cubed(golden_pair())
-        assert triple.recall == pytest.approx(1.0, abs=1e-12)
-        assert triple.precision == pytest.approx(0.7, abs=1e-12)
+        assert triple.recall == 1.0
+        assert triple.precision == float(Fraction(7, 10))
+        assert triple.combined == float(Fraction(14, 17))
         assert triple.combined == pytest.approx(0.8235, abs=1e-4)
 
     def test_b_cubed_matches_k_metric_sides_on_golden(self):
         b = oracle.b_cubed(golden_pair())
         k = oracle.k_metric(golden_pair())
-        assert b.recall == pytest.approx(k.recall, abs=1e-12)
-        assert b.precision == pytest.approx(k.precision, abs=1e-12)
+        assert (b.recall, b.precision) == (k.recall, k.precision)
 
     def test_split_lump_golden(self):
         result = oracle.split_lump(golden_pair())
         assert result.se == 0.0
-        assert result.le == pytest.approx(float(Fraction(5, 13)), abs=1e-12)
+        assert result.le == float(Fraction(5, 13))
 
     def test_split_lump_crossing(self):
         result = oracle.split_lump(pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1]))
-        assert result.se == pytest.approx(0.5, abs=1e-12)
-        assert result.le == pytest.approx(0.5, abs=1e-12)
+        assert (result.se, result.le) == (0.5, 0.5)
 
     def test_split_lump_perfect(self):
         result = oracle.split_lump(pair_from_labels([0, 0, 1], [0, 0, 1]))
@@ -96,9 +97,9 @@ class TestOracleValues:
         predicted_pairs = pair_set(pair.predicted_dense)
         assert len(truth_pairs & predicted_pairs) == 7
         triple = oracle.pairwise_f(pair)
-        assert triple.recall == pytest.approx(1.0, abs=1e-12)
-        assert triple.precision == pytest.approx(float(Fraction(7, 13)), abs=1e-12)
-        assert triple.combined == pytest.approx(0.7, abs=1e-4)
+        assert triple.recall == 1.0
+        assert triple.precision == float(Fraction(7, 13))
+        assert triple.combined == float(Fraction(7, 10))
 
     def test_pairwise_perfect(self):
         triple = oracle.pairwise_f(pair_from_labels([0, 0, 1], [0, 0, 1]))
@@ -126,19 +127,17 @@ class TestEngineAgreement:
     def test_b_cubed_equals_k_metric(self, pair):
         b = oracle.b_cubed(pair)
         k = oracle.k_metric(pair)
-        assert abs(b.recall - k.recall) <= 1e-12
-        assert abs(b.precision - k.precision) <= 1e-12
+        assert (b.recall, b.precision) == (k.recall, k.precision)
 
     @given(eval_pairs())
     @settings(deadline=None)
     def test_oracles_match_single_pass(self, pair):
-        # both engines divide the same integers here, so they agree exactly
+        # both engines round the same exact rationals once, so they agree exactly
         assert oracle.cluster_f(pair) == single_pass.cluster_f(pair)
         assert oracle.pairwise_f(pair) == single_pass.pairwise_f(pair)
         assert oracle.split_lump(pair) == single_pass.split_lump(pair)
-        # the purity sums add the same terms in different orders
-        assert triples_close(oracle.k_metric(pair), single_pass.k_metric(pair))
-        assert triples_close(oracle.b_cubed(pair), single_pass.b_cubed(pair))
+        assert oracle.k_metric(pair) == single_pass.k_metric(pair)
+        assert oracle.b_cubed(pair) == single_pass.b_cubed(pair)
 
     def test_tie_break_agreement_on_adversarial_ties(self):
         rng = random.Random(99)
@@ -154,19 +153,28 @@ class TestEngineAgreement:
         rng = random.Random(20240202)
         for _ in range(60):
             pair = random_pair(rng, max_n=80)
-            slow = oracle.evaluate_all(pair)
-            fast = single_pass.evaluate_all(pair)
-            assert slow.cluster_f == fast.cluster_f
-            assert slow.pairwise == fast.pairwise
-            assert slow.se_le == fast.se_le
-            assert triples_close(slow.k_metric, fast.k_metric)
-            assert triples_close(slow.b_cubed, fast.b_cubed)
-            assert slow.stats == fast.stats
-            assert slow.flags == fast.flags
+            assert oracle.evaluate_all(pair) == single_pass.evaluate_all(pair)
+
+    @pytest.mark.parametrize("mode", COVERAGE_MODES)
+    def test_report_documents_are_equal_on_synth_pairs(self, mode):
+        rng = random.Random(20241018)
+        for _ in range(300):
+            pair = random_synth_pair(rng)
+            predicted = [list(c) for c in pair.predicted.clusters]
+            if mode == "lenient":
+                # predicted-only extras, each joining a random cluster or a new one of its own
+                first = max(pair.truth.ids) + 1
+                for extra in range(first, first + rng.randint(1, 5)):
+                    k = rng.randrange(len(predicted) + 1)
+                    if k == len(predicted):
+                        predicted.append([])
+                    predicted[k].append(extra)
+            pair = validate(pair.truth, Clustering.from_clusters(predicted, role="predicted"), mode)
+            fast = build_report_document(single_pass.evaluate_all(pair))
+            slow = build_report_document(oracle.evaluate_all(pair))
+            assert fast == slow
 
     def test_engines_agree_on_lenient_pairs(self):
-        from clustereval.model import Clustering, validate
-
         rng = random.Random(20240303)
         for _ in range(40):
             n = rng.randint(1, 60)
@@ -184,12 +192,4 @@ class TestEngineAgreement:
                 Clustering.from_clusters([tuple(c) for c in predicted_clusters.values()], role="predicted"),
                 "lenient",
             )
-            slow = oracle.evaluate_all(pair)
-            fast = single_pass.evaluate_all(pair)
-            assert slow.cluster_f == fast.cluster_f
-            assert slow.pairwise == fast.pairwise
-            assert slow.se_le == fast.se_le
-            assert triples_close(slow.k_metric, fast.k_metric)
-            assert triples_close(slow.b_cubed, fast.b_cubed)
-            assert slow.stats == fast.stats
-            assert slow.flags == fast.flags
+            assert oracle.evaluate_all(pair) == single_pass.evaluate_all(pair)

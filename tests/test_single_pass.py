@@ -17,10 +17,6 @@ from clustereval.single_pass import evaluate_all, split_lump
 from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair
 
 
-def approx_fraction(value, fraction, tol=1e-12):
-    return abs(value - float(fraction)) <= tol
-
-
 def sizes_and_slices(pair):
     """Predicted cluster sizes, and each truth cluster's slice of the label list."""
     stops = list(accumulate(len(c) for c in pair.truth.clusters))
@@ -107,9 +103,9 @@ class TestTallyTruth:
 class TestClusterF:
     def test_golden(self):
         triple = single_pass.cluster_f(golden_pair())
-        assert approx_fraction(triple.recall, Fraction(1, 3))
-        assert approx_fraction(triple.precision, Fraction(1, 2))
-        assert approx_fraction(triple.combined, Fraction(2, 5))
+        assert triple.recall == float(Fraction(1, 3))
+        assert triple.precision == float(Fraction(1, 2))
+        assert triple.combined == float(Fraction(2, 5))
         assert triple.recall == pytest.approx(0.3333, abs=1e-4)
 
     def test_perfect(self):
@@ -126,10 +122,10 @@ class TestClusterF:
 class TestKMetric:
     def test_golden(self):
         triple = single_pass.k_metric(golden_pair())
-        assert triple.recall == pytest.approx(1.0, abs=1e-12)
-        assert triple.precision == pytest.approx(0.7, abs=1e-12)
+        assert triple.recall == 1.0
+        assert triple.precision == float(Fraction(7, 10))
         assert triple.combined == pytest.approx(0.8367, abs=1e-4)
-        assert triple.combined == pytest.approx(math.sqrt(0.7), abs=1e-12)
+        assert triple.combined == math.sqrt(float(Fraction(7, 10)))
 
     def test_perfect(self):
         pair = pair_from_labels([0, 1, 1, 2], [0, 1, 1, 2])
@@ -139,24 +135,24 @@ class TestKMetric:
     def test_halved_cluster(self):
         pair = pair_from_labels([0, 0, 0, 0], [0, 0, 1, 1])
         triple = single_pass.k_metric(pair)
-        assert triple.recall == pytest.approx(0.5, abs=1e-12)
-        assert triple.precision == pytest.approx(1.0, abs=1e-12)
+        assert (triple.recall, triple.precision) == (0.5, 1.0)
+        assert triple.combined == math.sqrt(0.5)
         assert triple.combined == pytest.approx(0.7071, abs=1e-4)
 
 
 class TestBCubed:
     def test_golden(self):
         triple = single_pass.b_cubed(golden_pair())
-        assert triple.recall == pytest.approx(1.0, abs=1e-12)
-        assert triple.precision == pytest.approx(0.7, abs=1e-12)
+        assert triple.recall == 1.0
+        assert triple.precision == float(Fraction(7, 10))
+        assert triple.combined == float(Fraction(14, 17))
         assert triple.combined == pytest.approx(0.8235, abs=1e-4)
 
     def test_halved_cluster(self):
         pair = pair_from_labels([0, 0, 0, 0], [0, 0, 1, 1])
         triple = single_pass.b_cubed(pair)
-        assert triple.recall == pytest.approx(0.5, abs=1e-12)
-        assert triple.precision == pytest.approx(1.0, abs=1e-12)
-        assert triple.combined == pytest.approx(2 / 3, abs=1e-12)
+        assert (triple.recall, triple.precision) == (0.5, 1.0)
+        assert triple.combined == float(Fraction(2, 3))
 
     @given(eval_pairs())
     def test_equals_k_metric_sides_exactly(self, pair):
@@ -169,11 +165,11 @@ class TestSplitLump:
     def test_golden(self):
         result = single_pass.split_lump(golden_pair())
         assert result.se == 0.0
-        assert approx_fraction(result.le, Fraction(5, 13))
+        assert result.le == float(Fraction(5, 13))
         assert result.le == pytest.approx(0.3846, abs=1e-4)
         assert result.converted.recall == 1.0
-        assert approx_fraction(result.converted.precision, Fraction(8, 13))
-        assert approx_fraction(result.converted.combined, Fraction(16, 21))
+        assert result.converted.precision == float(Fraction(8, 13))
+        assert result.converted.combined == float(Fraction(16, 21))
         assert result.converted.combined == pytest.approx(0.7619, abs=1e-4)
 
     def test_perfect(self):
@@ -186,9 +182,8 @@ class TestSplitLump:
         # T = {(1,2),(3,4)}, P = {(1,3),(2,4)}: every max overlap is 1
         pair = pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
         result = single_pass.split_lump(pair)
-        assert result.se == pytest.approx(0.5, abs=1e-12)
-        assert result.le == pytest.approx(0.5, abs=1e-12)
-        assert result.converted.combined == pytest.approx(0.5, abs=1e-12)
+        assert (result.se, result.le) == (0.5, 0.5)
+        assert result.converted.combined == 0.5
 
     @given(eval_pairs())
     def test_rates_in_unit_interval(self, pair):
@@ -200,10 +195,10 @@ class TestSplitLump:
 class TestPairwise:
     def test_golden(self):
         triple = single_pass.pairwise_f(golden_pair())
-        assert triple.recall == pytest.approx(1.0, abs=1e-12)
-        assert approx_fraction(triple.precision, Fraction(7, 13))
+        assert triple.recall == 1.0
+        assert triple.precision == float(Fraction(7, 13))
         assert triple.precision == pytest.approx(0.5385, abs=1e-4)
-        assert approx_fraction(triple.combined, Fraction(7, 10))
+        assert triple.combined == float(Fraction(7, 10))
 
     def test_perfect(self):
         pair = pair_from_labels([0, 0, 1], [0, 0, 1])
@@ -277,7 +272,7 @@ class TestEvaluateAll:
         # predicted pairs include the extra instance: C(3,2) = 3
         assert report.stats.pair_pr_sum == 3
         assert report.stats.pair_int_sum == 1
-        assert report.pairwise.precision == pytest.approx(1 / 3, abs=1e-12)
+        assert report.pairwise.precision == float(Fraction(1, 3))
         # N stays truth-sided
         assert report.stats.n_instances == 2
         assert any("extra_in_predicted" in f for f in report.flags)
@@ -287,9 +282,18 @@ class TestConversionIdentity:
     @given(eval_pairs())
     @settings(deadline=None)
     def test_converted_sides_are_one_minus_errors(self, pair):
+        # the converted sides are 1 - SE and 1 - LE taken exactly, then rounded once
+        sizes, slices = sizes_and_slices(pair)
+        split = lump = matched = 0
+        for labels in slices:
+            counts = Counter(labels)
+            best = min(counts, key=lambda key: (-counts[key], sizes[key]))
+            split += len(labels) - counts[best]
+            lump += sizes[best] - counts[best]
+            matched += sizes[best]
         result = single_pass.split_lump(pair)
-        assert result.converted.recall == 1.0 - result.se
-        assert result.converted.precision == 1.0 - result.le
+        assert result.converted.recall == float(1 - Fraction(split, pair.n_instances))
+        assert result.converted.precision == float(1 - Fraction(lump, matched))
 
 
 class TestMeansExportedHere:
@@ -346,9 +350,11 @@ class TestSwapDuality:
         assert fwd.cluster_f.precision == rev.cluster_f.recall
         assert fwd.pairwise.recall == rev.pairwise.precision
         assert fwd.pairwise.precision == rev.pairwise.recall
-        # purity sums swap within float tolerance (summation order differs)
-        assert fwd.k_metric.recall == pytest.approx(rev.k_metric.precision, abs=1e-12)
-        assert fwd.k_metric.precision == pytest.approx(rev.k_metric.recall, abs=1e-12)
+        # so do the purity sums, which are exact rationals rounded once
+        assert fwd.k_metric.recall == rev.k_metric.precision
+        assert fwd.k_metric.precision == rev.k_metric.recall
+        assert fwd.k_metric.combined == rev.k_metric.combined
+        assert fwd.b_cubed.combined == rev.b_cubed.combined
 
 
 class TestMonotonicDegradation:
@@ -372,6 +378,6 @@ class TestMonotonicDegradation:
             Clustering.from_clusters(new_predicted, role="predicted"),
         )
         before, after = evaluate_all(perfect), evaluate_all(degraded)
-        assert after.pairwise.recall <= before.pairwise.recall + 1e-12
-        assert after.k_metric.recall <= before.k_metric.recall + 1e-12
-        assert after.b_cubed.recall <= before.b_cubed.recall + 1e-12
+        assert after.pairwise.recall <= before.pairwise.recall
+        assert after.k_metric.recall <= before.k_metric.recall
+        assert after.b_cubed.recall <= before.b_cubed.recall
