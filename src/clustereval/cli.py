@@ -133,7 +133,7 @@ def cmd_check(args) -> int:
         return EXIT_OK
 
     if not (args.truth and args.pred):
-        raise ValidationError("check needs --truth and --pred, or --trials for randomized mode")
+        raise ParseError("check needs --truth and --pred, or --trials for randomized mode")
     # Left unset so that --trials can reject them; a file check takes evaluate's defaults.
     vars(args).update(coverage=args.coverage or "strict", format=args.format or "auto")
     pair, read_flags = _load_pair(args)
@@ -204,7 +204,7 @@ def cmd_bench(args) -> int:
                     "all_in_one": lambda p=pair: oracle.evaluate_all(p, pair_budget=args.pair_budget),
                 }
             else:
-                # each single_pass per-measure function runs this same pass, so one row times them all
+                # the single-pass engine computes all five measures in one pass, so it gets one row
                 calls = {"all_in_one": lambda p=pair: single_pass.evaluate_all(p)}
             for name, fn in calls.items():
                 best, mean, std = _time_call(fn, args.repeats)

@@ -19,9 +19,10 @@ id, to name the first repeat in file order with both line numbers. A
 malformed membership-pairs row anywhere in the file is therefore reported
 before any repeat.
 
-Machine reports are JSON with a fixed key order and every float rendered as
-fixed-point with 12 decimals (never scientific notation), so
-serialize -> parse -> serialize is byte-identical and goldens diff cleanly.
+Machine reports are JSON whose keys follow the report dataclasses' fields,
+with every float rendered as fixed-point with 12 decimals (never scientific
+notation), so rendering what ``json.loads`` reads back is byte-identical and
+goldens diff cleanly.
 """
 
 from __future__ import annotations
@@ -168,33 +169,19 @@ def build_report_document(
     timing_seconds: float | None = None,
     measures: tuple[str, ...] = MEASURE_ORDER,
 ) -> dict:
-    """Structured rendering of a report with stable field names and order.
+    """The report's dataclasses as one document, keeping only ``measures``.
 
-    ``measures`` names the measures the document keeps; ``stats`` and
-    ``flags`` always describe the whole report.
+    Field names and order come from the dataclasses; ``stats`` and ``flags``
+    always describe the whole report.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "engine": engine,
         "package_version": __version__,
-        "measures": {
-            "cluster_f": asdict(report.cluster_f),
-            "k_metric": asdict(report.k_metric),
-            "se_le": {"se": report.se_le.se, "le": report.se_le.le, **asdict(report.se_le.converted)},
-            "pairwise": asdict(report.pairwise),
-            "b_cubed": asdict(report.b_cubed),
-        },
-        "stats": {
-            "n_truth_clusters": report.stats.n_truth_clusters,
-            "n_predicted_clusters": report.stats.n_predicted_clusters,
-            "n_instances": report.stats.n_instances,
-            "pair_tr_sum": report.stats.pair_tr_sum,
-            "pair_pr_sum": report.stats.pair_pr_sum,
-            "pair_int_sum": report.stats.pair_int_sum,
-        },
+        "measures": {name: asdict(getattr(report, name)) for name in measures},
+        "stats": asdict(report.stats),
         "flags": list(report.flags),
     }
-    doc["measures"] = {name: doc["measures"][name] for name in measures}
     if timing_seconds is not None:
         doc["timing"] = {"seconds": float(timing_seconds)}
     return doc
@@ -244,15 +231,6 @@ def render_report_document(doc: dict) -> str:
     _render_value(doc, 0, out)
     out.append("\n")
     return "".join(out)
-
-
-def parse_report_document(source: str | bytes) -> dict:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    try:
-        return json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid report document: {exc.msg}", line=exc.lineno, column=exc.colno) from None
 
 
 def _render_table(doc: dict) -> str:

@@ -64,14 +64,22 @@ class MetricTriple:
 
 @dataclass(frozen=True)
 class SplitLumpResult:
-    """Raw splitting/lumping error rates plus their recall/precision conversion.
+    """Splitting/lumping error rates and their conversion, in report order.
 
     The conversion is recall = 1 - se, precision = 1 - le, combined harmonic.
     """
 
     se: float
     le: float
-    converted: MetricTriple
+    recall: float
+    precision: float
+    combined: float
+
+    @classmethod
+    def from_rates(cls, se: Real, le: Real) -> "SplitLumpResult":
+        """The result for exact rates ``se`` and ``le``, each field rounded once."""
+        recall, precision = 1 - se, 1 - le
+        return cls(float(se), float(le), float(recall), float(precision), float(harmonic_mean(recall, precision)))
 
 
 @dataclass(frozen=True)
@@ -86,13 +94,17 @@ class ReportStats:
 
 @dataclass(frozen=True)
 class FullReport:
-    """All five measures plus input statistics from one evaluation run."""
+    """All five measures plus input statistics from one evaluation run.
+
+    These dataclasses are the report document's schema: it renders every
+    field under its own name, in field order.
+    """
 
     cluster_f: MetricTriple
     k_metric: MetricTriple
-    b_cubed: MetricTriple
     se_le: SplitLumpResult
     pairwise: MetricTriple
+    b_cubed: MetricTriple
     stats: ReportStats
     flags: tuple[str, ...]
 

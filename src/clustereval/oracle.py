@@ -115,7 +115,7 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
         matched_instances += len(matched)
     se = Fraction(split_instances, truth_instances)
     le = Fraction(lumped_instances, matched_instances)
-    return SplitLumpResult(float(se), float(le), MetricTriple.harmonic(1 - se, 1 - le))
+    return SplitLumpResult.from_rates(se, le)
 
 
 def pair_demand(pair: EvalPair) -> int:
@@ -167,9 +167,9 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     return FullReport(
         cluster_f=cluster_f(pair),
         k_metric=k_metric(pair),
-        b_cubed=b_cubed(pair),
         se_le=split_lump(pair),
         pairwise=_pairwise(shared, len(truth_pairs), len(predicted_pairs)),
+        b_cubed=b_cubed(pair),
         stats=ReportStats(
             n_truth_clusters=len(pair.truth_dense),
             n_predicted_clusters=len(pair.predicted_dense),

@@ -1,11 +1,11 @@
 """Linear-time evaluator built on two hash tables.
 
 :func:`~clustereval.model.validate` records the predicted cluster of every
-truth instance. :func:`evaluate_all` counts how each truth cluster, a slice
-of that list, spreads over predicted clusters, and feeds all five measures
-from one loop over those counts; the per-measure functions are projections
-of its report. Tallies are exact integers, and each ratio one ``Fraction``
-rounded to a float once.
+truth instance. :func:`evaluate_all`, this module's one entry point, counts
+how each truth cluster, a slice of that list, spreads over predicted
+clusters, and feeds all five measures from one loop over those counts.
+Tallies are exact integers, and each ratio one ``Fraction`` rounded to a
+float once.
 """
 
 from __future__ import annotations
@@ -21,20 +21,9 @@ from .model import (
     MetricTriple,
     ReportStats,
     SplitLumpResult,
-    geometric_mean,
-    harmonic_mean,
 )
 
-__all__ = [
-    "evaluate_all",
-    "cluster_f",
-    "k_metric",
-    "b_cubed",
-    "split_lump",
-    "pairwise_f",
-    "harmonic_mean",
-    "geometric_mean",
-]
+__all__ = ["evaluate_all"]
 
 
 def _purity(squares_by_size: list[int], sizes, instance_total: int) -> Fraction:
@@ -100,12 +89,12 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     return FullReport(
         cluster_f=MetricTriple.harmonic(Fraction(matches, n_truth), Fraction(matches, n_predicted)),
         k_metric=MetricTriple.geometric(aap, acp),
-        b_cubed=MetricTriple.harmonic(aap, acp),
-        se_le=SplitLumpResult(float(se), float(le), MetricTriple.harmonic(1 - se, 1 - le)),
+        se_le=SplitLumpResult.from_rates(se, le),
         pairwise=MetricTriple.harmonic(
             Fraction(shared_pair_total, truth_pair_total) if truth_pair_total else 1,
             Fraction(shared_pair_total, predicted_pair_total) if predicted_pair_total else 1,
         ),
+        b_cubed=MetricTriple.harmonic(aap, acp),
         stats=ReportStats(
             n_truth_clusters=n_truth,
             n_predicted_clusters=n_predicted,
@@ -117,27 +106,3 @@ def evaluate_all(pair: EvalPair) -> FullReport:
         flags=tuple(flags),
     )
 
-
-def cluster_f(pair: EvalPair) -> MetricTriple:
-    """Exact-cluster-match recall/precision with harmonic combination."""
-    return evaluate_all(pair).cluster_f
-
-
-def k_metric(pair: EvalPair) -> MetricTriple:
-    """Geometric mean of average author purity and average cluster purity."""
-    return evaluate_all(pair).k_metric
-
-
-def b_cubed(pair: EvalPair) -> MetricTriple:
-    """Per-instance recall/precision (equal to the purity sums), harmonically combined."""
-    return evaluate_all(pair).b_cubed
-
-
-def split_lump(pair: EvalPair) -> SplitLumpResult:
-    """Splitting and lumping error rates against best-matching clusters."""
-    return evaluate_all(pair).se_le
-
-
-def pairwise_f(pair: EvalPair) -> MetricTriple:
-    """Recall/precision over unordered same-cluster instance pairs."""
-    return evaluate_all(pair).pairwise

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from clustereval import oracle
 from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
-from clustereval.io_formats import MEASURE_ORDER, parse_report_document
+from clustereval.io_formats import MEASURE_ORDER
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT
 
@@ -48,6 +49,85 @@ def projection_files(request, tmp_path):
     return str(truth), str(pred)
 
 
+# The golden pair's machine report without its `timing` key, byte for byte.
+GOLDEN_MACHINE = """{
+  "schema_version": 1,
+  "engine": "single_pass",
+  "package_version": "0.1.0",
+  "measures": {
+    "cluster_f": {
+      "recall": 0.333333333333,
+      "precision": 0.500000000000,
+      "combined": 0.400000000000
+    },
+    "k_metric": {
+      "recall": 1.000000000000,
+      "precision": 0.700000000000,
+      "combined": 0.836660026534
+    },
+    "se_le": {
+      "se": 0.000000000000,
+      "le": 0.384615384615,
+      "recall": 1.000000000000,
+      "precision": 0.615384615385,
+      "combined": 0.761904761905
+    },
+    "pairwise": {
+      "recall": 1.000000000000,
+      "precision": 0.538461538462,
+      "combined": 0.700000000000
+    },
+    "b_cubed": {
+      "recall": 1.000000000000,
+      "precision": 0.700000000000,
+      "combined": 0.823529411765
+    }
+  },
+  "stats": {
+    "n_truth_clusters": 3,
+    "n_predicted_clusters": 2,
+    "n_instances": 8,
+    "pair_tr_sum": 7,
+    "pair_pr_sum": 13,
+    "pair_int_sum": 7
+  },
+  "flags": []
+}
+"""
+
+GOLDEN_MACHINE_SE_LE = """{
+  "schema_version": 1,
+  "engine": "single_pass",
+  "package_version": "0.1.0",
+  "measures": {
+    "se_le": {
+      "se": 0.000000000000,
+      "le": 0.384615384615,
+      "recall": 1.000000000000,
+      "precision": 0.615384615385,
+      "combined": 0.761904761905
+    }
+  },
+  "stats": {
+    "n_truth_clusters": 3,
+    "n_predicted_clusters": 2,
+    "n_instances": 8,
+    "pair_tr_sum": 7,
+    "pair_pr_sum": 13,
+    "pair_int_sum": 7
+  },
+  "flags": []
+}
+"""
+
+
+def without_timing(out: str) -> str:
+    """A machine report with its last key, `timing`, cut off; the cut part must be just that key."""
+    body, timing = out.split(',\n  "timing": ', 1)
+    assert re.fullmatch(r'\{\n    "seconds": \d+\.\d{12}\n  \}\n\}\n', timing), timing
+    return body + "\n}\n"
+
+
 def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -59,7 +139,7 @@ class TestEvaluate:
         truth, pred = golden_files
         status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred)
         assert status == 0
-        doc = parse_report_document(out)
+        doc = json.loads(out)
         measures = doc["measures"]
         assert measures["cluster_f"]["combined"] == pytest.approx(0.4, abs=1e-12)
         assert measures["k_metric"]["combined"] == pytest.approx(0.8367, abs=1e-4)
@@ -67,6 +147,21 @@ class TestEvaluate:
         assert measures["pairwise"]["precision"] == pytest.approx(7 / 13, abs=1e-12)
         assert measures["b_cubed"]["combined"] == pytest.approx(0.8235, abs=1e-4)
         assert doc["stats"]["n_instances"] == 8
+
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            ((), GOLDEN_MACHINE),
+            (("--measure", "se_le"), GOLDEN_MACHINE_SE_LE),
+            (("--engine", "oracle"), GOLDEN_MACHINE.replace('"engine": "single_pass"', '"engine": "oracle"')),
+        ],
+        ids=["full", "se_le", "oracle"],
+    )
+    def test_golden_machine_bytes(self, capsys, golden_files, options, expected):
+        truth, pred = golden_files
+        status, out, err = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, *options)
+        assert (status, err) == (0, "")
+        assert without_timing(out) == expected
 
     def test_golden_table_output(self, capsys, golden_files):
         truth, pred = golden_files
@@ -101,7 +196,7 @@ class TestEvaluate:
         truth, pred = golden_files
         status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--measure", "pairwise")
         assert status == 0
-        doc = parse_report_document(out)
+        doc = json.loads(out)
         assert list(doc["measures"]) == ["pairwise"]
         assert doc["measures"]["pairwise"]["recall"] == pytest.approx(1.0, abs=1e-12)
 
@@ -109,7 +204,7 @@ class TestEvaluate:
         truth, pred = golden_files
         status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--measure", "se_le")
         assert status == 0
-        doc = parse_report_document(out)
+        doc = json.loads(out)
         assert doc["measures"]["se_le"]["se"] == 0.0
 
     @pytest.mark.parametrize("engine", ["single_pass", "oracle"])
@@ -118,14 +213,14 @@ class TestEvaluate:
         base = ("evaluate", "--truth", truth, "--pred", pred, "--engine", engine)
         status, out, _ = run_cli(capsys, *base)
         assert status == 0
-        full = parse_report_document(out)
+        full = json.loads(out)
         full.pop("timing")
         status, full_table, _ = run_cli(capsys, *base, "--output", "table")
         assert status == 0
         for measure in MEASURE_ORDER:
             status, out, _ = run_cli(capsys, *base, "--measure", measure)
             assert status == 0
-            doc = parse_report_document(out)
+            doc = json.loads(out)
             doc.pop("timing")
             assert doc == {**full, "measures": {measure: full["measures"][measure]}}
             status, table, _ = run_cli(capsys, *base, "--measure", measure, "--output", "table")
@@ -137,7 +232,7 @@ class TestEvaluate:
         truth, pred = golden_files
         status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--engine", "oracle")
         assert status == 0
-        doc = parse_report_document(out)
+        doc = json.loads(out)
         assert doc["engine"] == "oracle"
         assert doc["measures"]["pairwise"]["precision"] == pytest.approx(7 / 13, abs=1e-12)
 
@@ -145,7 +240,7 @@ class TestEvaluate:
         truth, _ = golden_files
         status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", truth)
         assert status == 0
-        doc = parse_report_document(out)
+        doc = json.loads(out)
         for fields in doc["measures"].values():
             assert fields["combined"] == 1.0
 
@@ -167,7 +262,7 @@ class TestEvaluate:
             capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--coverage", "lenient"
         )
         assert status == 0
-        doc = parse_report_document(out)
+        doc = json.loads(out)
         assert any("extra_in_predicted" in f for f in doc["flags"])
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
@@ -223,7 +318,7 @@ class TestEvaluate:
         for file_format in ("auto", "pairs", "clusters"):
             status, out, _ = run_cli(capsys, *base, "--format", file_format)
             assert status == 0
-            flags[file_format] = parse_report_document(out)["flags"]
+            flags[file_format] = json.loads(out)["flags"]
         assert flags["auto"] == [*flags["pairs"], FLAG_AUTO_PAIRS_SINGLETONS]
         assert "--format clusters" in FLAG_AUTO_PAIRS_SINGLETONS
         assert FLAG_AUTO_PAIRS_SINGLETONS not in flags["pairs"] + flags["clusters"]
@@ -270,7 +365,7 @@ class TestEvaluate:
         for _ in range(2):
             status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred)
             assert status == 0
-            doc = parse_report_document(out)
+            doc = json.loads(out)
             doc.pop("timing", None)
             docs.append(doc)
         assert docs[0] == docs[1]
@@ -336,9 +431,12 @@ class TestCheck:
         assert status == 5
         assert "flags" in err and "measures." not in err
 
-    def test_without_files_or_trials_exits_3(self, capsys):
-        status, _, err = run_cli(capsys, "check")
-        assert status == 3
+    def test_without_files_or_trials_exits_2(self, capsys, golden_files):
+        truth, _ = golden_files
+        for files in ((), ("--truth", truth)):
+            status, out, err = run_cli(capsys, "check", *files)
+            assert (status, out) == (2, "")
+            assert err == "error: check needs --truth and --pred, or --trials for randomized mode\n"
 
 
 class TestGen:
@@ -353,7 +451,7 @@ class TestGen:
         assert status == 0
         status, out, _ = run_cli(capsys, "evaluate", "--truth", str(out_t), "--pred", str(out_p))
         assert status == 0
-        assert parse_report_document(out)["stats"]["n_instances"] == 500
+        assert json.loads(out)["stats"]["n_instances"] == 500
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         paths = []

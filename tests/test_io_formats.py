@@ -1,7 +1,9 @@
 """File formats and report serialization."""
 
+import json
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given
@@ -13,15 +15,15 @@ from clustereval.io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
     FORMAT_MEMBERSHIP_PAIRS,
+    MEASURE_ORDER,
     build_report_document,
     parse_clustering,
-    parse_report_document,
     render_report_document,
     sniff_format,
     write_clustering,
     write_report,
 )
-from clustereval.model import Clustering, validate
+from clustereval.model import Clustering, FullReport, validate
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, clusters_from_labels, golden_pair, pair_from_labels
 
@@ -312,7 +314,7 @@ class TestReportDocument:
     def test_round_trip_is_byte_identical(self):
         report = single_pass.evaluate_all(golden_pair())
         rendered = write_report(report, style="machine", timing_seconds=0.00123)
-        reparsed = parse_report_document(rendered)
+        reparsed = json.loads(rendered)
         assert render_report_document(reparsed) == rendered
         assert rendered.encode("utf-8") == render_report_document(reparsed).encode("utf-8")
 
@@ -341,9 +343,14 @@ class TestReportDocument:
             "pair_int_sum",
         }
 
+    def test_measure_order_is_the_report_field_order(self):
+        report = single_pass.evaluate_all(golden_pair())
+        doc = build_report_document(report)
+        assert tuple(doc["measures"]) == MEASURE_ORDER == tuple(f.name for f in fields(FullReport))[:5]
+
     def test_stats_are_integers_after_round_trip(self):
         report = single_pass.evaluate_all(golden_pair())
-        doc = parse_report_document(write_report(report, style="machine"))
+        doc = json.loads(write_report(report, style="machine"))
         assert all(isinstance(v, int) for v in doc["stats"].values())
 
 

@@ -89,7 +89,7 @@ class TestOracleValues:
     def test_split_lump_perfect(self):
         result = oracle.split_lump(pair_from_labels([0, 0, 1], [0, 0, 1]))
         assert (result.se, result.le) == (0.0, 0.0)
-        assert result.converted.combined == 1.0
+        assert result.combined == 1.0
 
     def test_pairwise_golden_intersection(self):
         pair = golden_pair()
@@ -133,11 +133,12 @@ class TestEngineAgreement:
     @settings(deadline=None)
     def test_oracles_match_single_pass(self, pair):
         # both engines round the same exact rationals once, so they agree exactly
-        assert oracle.cluster_f(pair) == single_pass.cluster_f(pair)
-        assert oracle.pairwise_f(pair) == single_pass.pairwise_f(pair)
-        assert oracle.split_lump(pair) == single_pass.split_lump(pair)
-        assert oracle.k_metric(pair) == single_pass.k_metric(pair)
-        assert oracle.b_cubed(pair) == single_pass.b_cubed(pair)
+        report = single_pass.evaluate_all(pair)
+        assert oracle.cluster_f(pair) == report.cluster_f
+        assert oracle.pairwise_f(pair) == report.pairwise
+        assert oracle.split_lump(pair) == report.se_le
+        assert oracle.k_metric(pair) == report.k_metric
+        assert oracle.b_cubed(pair) == report.b_cubed
 
     def test_tie_break_agreement_on_adversarial_ties(self):
         rng = random.Random(99)
@@ -147,7 +148,7 @@ class TestEngineAgreement:
             t_labels = [rng.randrange(3) for _ in range(n)]
             p_labels = [rng.randrange(3) for _ in range(n)]
             pair = pair_from_labels(t_labels, p_labels)
-            assert oracle.split_lump(pair) == single_pass.split_lump(pair)
+            assert oracle.split_lump(pair) == single_pass.evaluate_all(pair).se_le
 
     def test_full_reports_agree_on_random_corpus(self):
         rng = random.Random(20240202)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustereval import oracle, single_pass
+from clustereval import oracle
 from clustereval.model import Clustering, validate
-from clustereval.single_pass import evaluate_all, split_lump
+from clustereval.single_pass import evaluate_all
 
 from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair
 
@@ -67,7 +67,7 @@ class TestTallyTruth:
     def test_lumped_cluster(self):
         # the (4,5) cluster's best match is the 5-cluster, overlap 2: it lumps 3 of 5;
         # with (6,7,8) lumping 2 and (1,2,3) intact, LE = (0 + 3 + 2) / (3 + 5 + 5)
-        result = split_lump(golden_pair())
+        result = evaluate_all(golden_pair()).se_le
         assert result.se == 0.0
         assert result.le == 5 / 13
 
@@ -76,14 +76,14 @@ class TestTallyTruth:
         pair = golden_pair()
         report = evaluate_all(pair)
         assert (report.cluster_f.recall, report.cluster_f.precision) == (1 / 3, 1 / 2)
-        result = split_lump(pair_from_labels([0, 0, 0, 1, 1], [0, 0, 0, 1, 1]))
+        result = evaluate_all(pair_from_labels([0, 0, 0, 1, 1], [0, 0, 0, 1, 1])).se_le
         assert (result.se, result.le) == (0.0, 0.0)
 
     def test_symmetric_tie_breaks_to_smallest_index(self):
         # truth (a,b) splits evenly over two equal-size predicted clusters; either
         # choice gives the rates the oracle's lowest-index choice gives
         pair = pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
-        result = split_lump(pair)
+        result = evaluate_all(pair).se_le
         assert (result.se, result.le) == (0.5, 0.5)
         assert result == oracle.split_lump(pair)
 
@@ -92,17 +92,17 @@ class TestTallyTruth:
         # so LE = (1 + 1) / (2 + 3); were the size-3 one chosen it would be 3/6
         pair = pair_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1])
         assert [len(c) for c in pair.predicted.clusters] == [3, 2]
-        assert split_lump(pair).le == 2 / 5
+        assert evaluate_all(pair).se_le.le == 2 / 5
 
     @given(eval_pairs())
     def test_se_le_match_reference_tally(self, pair):
-        result = split_lump(pair)
+        result = evaluate_all(pair).se_le
         assert (result.se, result.le) == reference_split_lump(pair)
 
 
 class TestClusterF:
     def test_golden(self):
-        triple = single_pass.cluster_f(golden_pair())
+        triple = evaluate_all(golden_pair()).cluster_f
         assert triple.recall == float(Fraction(1, 3))
         assert triple.precision == float(Fraction(1, 2))
         assert triple.combined == float(Fraction(2, 5))
@@ -110,18 +110,18 @@ class TestClusterF:
 
     def test_perfect(self):
         pair = pair_from_labels([0, 0, 1, 2], [0, 0, 1, 2])
-        triple = single_pass.cluster_f(pair)
+        triple = evaluate_all(pair).cluster_f
         assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
 
     def test_no_exact_match(self):
         pair = pair_from_labels([0, 1, 2], [9, 9, 9])
-        triple = single_pass.cluster_f(pair)
+        triple = evaluate_all(pair).cluster_f
         assert (triple.recall, triple.precision, triple.combined) == (0.0, 0.0, 0.0)
 
 
 class TestKMetric:
     def test_golden(self):
-        triple = single_pass.k_metric(golden_pair())
+        triple = evaluate_all(golden_pair()).k_metric
         assert triple.recall == 1.0
         assert triple.precision == float(Fraction(7, 10))
         assert triple.combined == pytest.approx(0.8367, abs=1e-4)
@@ -129,12 +129,12 @@ class TestKMetric:
 
     def test_perfect(self):
         pair = pair_from_labels([0, 1, 1, 2], [0, 1, 1, 2])
-        triple = single_pass.k_metric(pair)
+        triple = evaluate_all(pair).k_metric
         assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
 
     def test_halved_cluster(self):
         pair = pair_from_labels([0, 0, 0, 0], [0, 0, 1, 1])
-        triple = single_pass.k_metric(pair)
+        triple = evaluate_all(pair).k_metric
         assert (triple.recall, triple.precision) == (0.5, 1.0)
         assert triple.combined == math.sqrt(0.5)
         assert triple.combined == pytest.approx(0.7071, abs=1e-4)
@@ -142,7 +142,7 @@ class TestKMetric:
 
 class TestBCubed:
     def test_golden(self):
-        triple = single_pass.b_cubed(golden_pair())
+        triple = evaluate_all(golden_pair()).b_cubed
         assert triple.recall == 1.0
         assert triple.precision == float(Fraction(7, 10))
         assert triple.combined == float(Fraction(14, 17))
@@ -150,51 +150,51 @@ class TestBCubed:
 
     def test_halved_cluster(self):
         pair = pair_from_labels([0, 0, 0, 0], [0, 0, 1, 1])
-        triple = single_pass.b_cubed(pair)
+        triple = evaluate_all(pair).b_cubed
         assert (triple.recall, triple.precision) == (0.5, 1.0)
         assert triple.combined == float(Fraction(2, 3))
 
     @given(eval_pairs())
     def test_equals_k_metric_sides_exactly(self, pair):
-        k = single_pass.k_metric(pair)
-        b = single_pass.b_cubed(pair)
+        report = evaluate_all(pair)
+        k, b = report.k_metric, report.b_cubed
         assert b.recall == k.recall and b.precision == k.precision
 
 
 class TestSplitLump:
     def test_golden(self):
-        result = single_pass.split_lump(golden_pair())
+        result = evaluate_all(golden_pair()).se_le
         assert result.se == 0.0
         assert result.le == float(Fraction(5, 13))
         assert result.le == pytest.approx(0.3846, abs=1e-4)
-        assert result.converted.recall == 1.0
-        assert result.converted.precision == float(Fraction(8, 13))
-        assert result.converted.combined == float(Fraction(16, 21))
-        assert result.converted.combined == pytest.approx(0.7619, abs=1e-4)
+        assert result.recall == 1.0
+        assert result.precision == float(Fraction(8, 13))
+        assert result.combined == float(Fraction(16, 21))
+        assert result.combined == pytest.approx(0.7619, abs=1e-4)
 
     def test_perfect(self):
         pair = pair_from_labels([0, 0, 1], [0, 0, 1])
-        result = single_pass.split_lump(pair)
+        result = evaluate_all(pair).se_le
         assert result.se == 0.0 and result.le == 0.0
-        assert result.converted.combined == 1.0
+        assert result.combined == 1.0
 
     def test_crossing_split(self):
         # T = {(1,2),(3,4)}, P = {(1,3),(2,4)}: every max overlap is 1
         pair = pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
-        result = single_pass.split_lump(pair)
+        result = evaluate_all(pair).se_le
         assert (result.se, result.le) == (0.5, 0.5)
-        assert result.converted.combined == 0.5
+        assert result.combined == 0.5
 
     @given(eval_pairs())
     def test_rates_in_unit_interval(self, pair):
-        result = single_pass.split_lump(pair)
+        result = evaluate_all(pair).se_le
         assert 0.0 <= result.se <= 1.0
         assert 0.0 <= result.le <= 1.0
 
 
 class TestPairwise:
     def test_golden(self):
-        triple = single_pass.pairwise_f(golden_pair())
+        triple = evaluate_all(golden_pair()).pairwise
         assert triple.recall == 1.0
         assert triple.precision == float(Fraction(7, 13))
         assert triple.precision == pytest.approx(0.5385, abs=1e-4)
@@ -202,13 +202,13 @@ class TestPairwise:
 
     def test_perfect(self):
         pair = pair_from_labels([0, 0, 1], [0, 0, 1])
-        triple = single_pass.pairwise_f(pair)
+        triple = evaluate_all(pair).pairwise
         assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
 
     def test_all_singletons_vacuous_agreement(self):
         labels = list(range(12))
         pair = pair_from_labels(labels, labels)
-        triple = single_pass.pairwise_f(pair)
+        triple = evaluate_all(pair).pairwise
         assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
         report = evaluate_all(pair)
         assert any("degenerate_pairwise_recall" in f for f in report.flags)
@@ -226,7 +226,7 @@ class TestEvaluateAll:
     def test_perfect_fixed_point(self):
         pair = pair_from_labels([0, 1, 1, 2, 2, 2], [0, 1, 1, 2, 2, 2])
         report = evaluate_all(pair)
-        for triple in (report.cluster_f, report.k_metric, report.b_cubed, report.pairwise, report.se_le.converted):
+        for triple in (report.cluster_f, report.k_metric, report.b_cubed, report.pairwise, report.se_le):
             assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
         assert report.se_le.se == 0.0 and report.se_le.le == 0.0
 
@@ -235,11 +235,12 @@ class TestEvaluateAll:
         for _ in range(200):
             pair = random_pair(rng, max_n=120)
             report = evaluate_all(pair)
-            assert report.cluster_f == single_pass.cluster_f(pair)
-            assert report.k_metric == single_pass.k_metric(pair)
-            assert report.b_cubed == single_pass.b_cubed(pair)
-            assert report.se_le == single_pass.split_lump(pair)
-            assert report.pairwise == single_pass.pairwise_f(pair)
+            # the fused pass equals the five measures computed separately, by definition
+            assert report.cluster_f == oracle.cluster_f(pair)
+            assert report.k_metric == oracle.k_metric(pair)
+            assert report.b_cubed == oracle.b_cubed(pair)
+            assert report.se_le == oracle.split_lump(pair)
+            assert report.pairwise == oracle.pairwise_f(pair)
 
     def test_b_cubed_and_k_metric_share_one_computation(self):
         report = evaluate_all(golden_pair())
@@ -251,7 +252,7 @@ class TestEvaluateAll:
     def test_every_value_in_unit_interval(self, pair):
         report = evaluate_all(pair)
         values = [report.se_le.se, report.se_le.le]
-        for triple in (report.cluster_f, report.k_metric, report.b_cubed, report.pairwise, report.se_le.converted):
+        for triple in (report.cluster_f, report.k_metric, report.b_cubed, report.pairwise, report.se_le):
             values += [triple.recall, triple.precision, triple.combined]
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -291,16 +292,9 @@ class TestConversionIdentity:
             split += len(labels) - counts[best]
             lump += sizes[best] - counts[best]
             matched += sizes[best]
-        result = single_pass.split_lump(pair)
-        assert result.converted.recall == float(1 - Fraction(split, pair.n_instances))
-        assert result.converted.precision == float(1 - Fraction(lump, matched))
-
-
-class TestMeansExportedHere:
-    def test_mean_functions_available_from_this_module(self):
-        assert single_pass.harmonic_mean(1.0, 0.7) == pytest.approx(0.8235, abs=1e-4)
-        assert single_pass.geometric_mean(1.0, 0.7) == pytest.approx(0.8367, abs=1e-4)
-        assert single_pass.harmonic_mean(0.0, 0.0) == 0.0
+        result = evaluate_all(pair).se_le
+        assert result.recall == float(1 - Fraction(split, pair.n_instances))
+        assert result.precision == float(1 - Fraction(lump, matched))
 
 
 class TestConcurrency:
@@ -381,3 +375,69 @@ class TestMonotonicDegradation:
         assert after.pairwise.recall <= before.pairwise.recall
         assert after.k_metric.recall <= before.k_metric.recall
         assert after.b_cubed.recall <= before.b_cubed.recall
+
+
+@st.composite
+def labelled_instances(draw, seeded: tuple[int, ...], max_n: int = 30, max_labels: int = 4):
+    """Truth and predicted labels that start with the ``seeded`` truth labels, then random ones."""
+    n = draw(st.integers(min_value=len(seeded), max_value=max_n))
+    label = st.integers(min_value=0, max_value=max_labels - 1)
+    truth_rest = draw(st.lists(label, min_size=n - len(seeded), max_size=n - len(seeded)))
+    return [*seeded, *truth_rest], draw(st.lists(label, min_size=n, max_size=n))
+
+
+def members(truth_labels, category, min_size=1):
+    """Distinct instances of one truth category, at least ``min_size`` of them."""
+    indices = [i for i, label in enumerate(truth_labels) if label == category]
+    return st.lists(st.sampled_from(indices), min_size=min_size, max_size=len(indices), unique=True)
+
+
+@st.composite
+def homogeneity_moves(draw):
+    """A pair whose predicted side has one cluster holding instances of exactly two truth
+    categories, and the same pair with that cluster split by category."""
+    truth_labels, predicted_labels = draw(labelled_instances(seeded=(0, 1)))
+    mixed, split = list(predicted_labels), list(predicted_labels)
+    for category, part in ((0, "first"), (1, "second")):
+        for i in draw(members(truth_labels, category)):
+            mixed[i], split[i] = "mixed", part
+    return pair_from_labels(truth_labels, mixed), pair_from_labels(truth_labels, split)
+
+
+@st.composite
+def completeness_moves(draw):
+    """A pair whose predicted side has two clusters holding instances of one truth category
+    only, and the same pair with those two clusters merged."""
+    truth_labels, predicted_labels = draw(labelled_instances(seeded=(0, 0)))
+    both = draw(members(truth_labels, 0, min_size=2))
+    cut = draw(st.integers(min_value=1, max_value=len(both) - 1))
+    apart, merged = list(predicted_labels), list(predicted_labels)
+    for position, i in enumerate(both):
+        apart[i] = "first" if position < cut else "second"
+        merged[i] = "merged"
+    return pair_from_labels(truth_labels, apart), pair_from_labels(truth_labels, merged)
+
+
+@pytest.mark.parametrize("engine", [evaluate_all, oracle.evaluate_all], ids=["single_pass", "oracle"])
+class TestAmigoConstraints:
+    """Amigó et al. (2009) formal constraints that B-cubed and the K-metric strictly satisfy."""
+
+    @given(homogeneity_moves())
+    @settings(deadline=None)
+    def test_cluster_homogeneity(self, engine, move):
+        # splitting a two-category cluster by category raises both purity precisions, keeps recall
+        before, after = map(engine, move)
+        for name in ("b_cubed", "k_metric"):
+            assert getattr(after, name).recall == getattr(before, name).recall
+            assert getattr(after, name).precision > getattr(before, name).precision
+            assert getattr(after, name).combined > getattr(before, name).combined
+
+    @given(completeness_moves())
+    @settings(deadline=None)
+    def test_cluster_completeness(self, engine, move):
+        # merging two clusters of one category raises both purity recalls, keeps precision
+        before, after = map(engine, move)
+        for name in ("b_cubed", "k_metric"):
+            assert getattr(after, name).recall > getattr(before, name).recall
+            assert getattr(after, name).precision == getattr(before, name).precision
+            assert getattr(after, name).combined > getattr(before, name).combined
