@@ -111,13 +111,15 @@ def _check_one(pair: EvalPair, pair_budget: int, label: str) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.trials:
+    # Each mode's options are left unset by the parser, so the other mode can reject them.
+    if args.trials is not None:
         for name in ("truth", "pred", "coverage", "format"):
             if getattr(args, name) is not None:
                 raise ParseError(f"check --trials draws random pairs and cannot be combined with --{name}")
-        rng = random.Random(args.seed)
+        max_n = 200 if args.max_n is None else args.max_n
+        rng = random.Random(0 if args.seed is None else args.seed)
         for trial in range(args.trials):
-            n = rng.randint(1, args.max_n)
+            n = rng.randint(1, max_n)
             config = SynthConfig(
                 n_instances=n,
                 n_truth_clusters=rng.randint(1, n),
@@ -132,9 +134,12 @@ def cmd_check(args) -> int:
         sys.stdout.write(f"check: {args.trials} randomized trials agreed exactly\n")
         return EXIT_OK
 
+    for option, value in (("--max-n", args.max_n), ("--seed", args.seed)):
+        if value is not None:
+            raise ParseError(f"check {option} shapes randomized trials and needs --trials")
     if not (args.truth and args.pred):
         raise ParseError("check needs --truth and --pred, or --trials for randomized mode")
-    # Left unset so that --trials can reject them; a file check takes evaluate's defaults.
+    # A file check takes evaluate's defaults.
     vars(args).update(coverage=args.coverage or "strict", format=args.format or "auto")
     pair, read_flags = _load_pair(args)
     status = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
@@ -275,13 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="compare single_pass against the brute-force oracle")
     _add_input_options(p_check, required=False)
+    p_check.add_argument("--trials", type=_int_at_least(1), help="randomized trials instead of files")
     p_check.add_argument(
-        "--trials", type=_int_at_least(0), default=0, help="randomized trials instead of files"
+        "--max-n", type=_int_at_least(1), help="max instances per randomized trial (default 200)"
     )
-    p_check.add_argument(
-        "--max-n", type=_int_at_least(1), default=200, help="max instances per randomized trial"
-    )
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, help="seed of the randomized trials (default 0)")
     p_check.add_argument("--pair-budget", type=_int_at_least(0), default=oracle.DEFAULT_PAIR_BUDGET)
     p_check.set_defaults(func=cmd_check, coverage=None, format=None)
 

@@ -1,9 +1,10 @@
 """Linear-time evaluator built on two hash tables.
 
 :func:`~clustereval.model.validate` records the predicted cluster of every
-truth instance. :func:`evaluate_all`, this module's one entry point, counts
+truth instance. :func:`evaluate_all`, this module's one entry point, finds
 how each truth cluster, a slice of that list, spreads over predicted
-clusters, and feeds all five measures from one loop over those counts.
+clusters: a slice with one label throughout is a single cell, and only the
+others are counted. One loop over those cells feeds all five measures.
 Tallies are exact integers, and each ratio one ``Fraction`` rounded to a
 float once.
 """
@@ -34,9 +35,13 @@ def _purity(squares_by_size: list[int], sizes, instance_total: int) -> Fraction:
 def evaluate_all(pair: EvalPair) -> FullReport:
     """All five measures from one pass over the truth clusters.
 
-    A Cluster-F match is a tally entry covering a whole truth cluster with an
-    equal-sized predicted cluster. K-metric and B-cubed share the purity
-    sums: squared overlaps, summed per size of the cluster they divide by.
+    A truth cluster's cells are its overlaps with the predicted clusters. A
+    cluster with one label throughout is one cell of its own size; a split
+    one is counted with a ``Counter``, in time linear in its size however
+    many parts it has. A Cluster-F match is a cell covering a whole truth
+    cluster with an equal-sized predicted cluster. K-metric and B-cubed
+    share the purity sums: squared overlaps, summed per size of the cluster
+    they divide by.
     SE&LE measures against the best match: the largest overlap, ties going
     to the smaller predicted cluster (which of several equal-sized ones wins
     changes no number). A side with no pairs has its pairwise ratio 1, flagged.
@@ -51,11 +56,16 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     matched_size_total = 0
     truth_pair_total = 0
 
+    assignments = pair.assignments
     stop = 0
     for size in pair.truth.sizes:
         start, stop = stop, stop + size
+        labels = assignments[start:stop]
+        first = labels[0]
+        # A cluster the prediction left whole is one cell, known without counting.
+        cells = ((first, size),) if labels.count(first) == size else Counter(labels).items()
         max_val = max_size = squares = 0
-        for key, value in Counter(pair.assignments[start:stop]).items():
+        for key, value in cells:
             key_size = sizes[key]
             if value == size and key_size == size:
                 matches += 1

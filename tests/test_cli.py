@@ -412,6 +412,14 @@ class TestCheck:
         assert out == ""
         assert err == f"error: check --trials draws random pairs and cannot be combined with {option}\n"
 
+    @pytest.mark.parametrize("option, value", [("--max-n", "50"), ("--seed", "3")])
+    def test_file_check_rejects_trial_options(self, capsys, golden_files, option, value):
+        truth, pred = golden_files
+        for files in (("--truth", truth, "--pred", pred), ()):
+            status, out, err = run_cli(capsys, "check", *files, option, value)
+            assert (status, out) == (2, "")
+            assert err == f"error: check {option} shapes randomized trials and needs --trials\n"
+
     def test_budget_exceeded_exits_6(self, capsys, golden_files):
         truth, pred = golden_files
         status, _, err = run_cli(capsys, "check", "--truth", truth, "--pred", pred, "--pair-budget", "3")
@@ -500,6 +508,8 @@ class TestNumericOptions:
             (("evaluate", "--truth", "t", "--pred", "p", "--pair-budget", "-5"), "--pair-budget"),
             (("check", "--trials", "1", "--pair-budget", "-1"), "--pair-budget"),
             (("bench", "--sizes", "100", "--pair-budget", "-1"), "--pair-budget"),
+            (("check", "--trials", "0"), "--trials"),
+            (("check", "--trials", "0", "--truth", "t", "--pred", "p"), "--trials"),
         ],
     )
     def test_out_of_range_is_a_usage_error(self, capsys, argv, option):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -308,26 +309,38 @@ class TestConcurrency:
         assert all(report == expected for report in reports)
 
 
-class TestRuntimeLinearity:
-    def test_doubling_instances_less_than_quadruples_time(self):
-        import time
+def best_time(pair, repeats=5):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        evaluate_all(pair)
+        times.append(time.perf_counter() - start)
+    return min(times)
 
+
+class TestRuntimeLinearity:
+    @pytest.mark.parametrize("split_rate", [0.0, 0.2, 1.0])
+    def test_doubling_instances_less_than_quadruples_time(self, split_rate):
         from clustereval.synth import SynthConfig, generate
 
-        def best_time(n):
-            pair = generate(
-                SynthConfig(n, max(1, n // 80), size_skew=1.0, split_rate=0.2, merge_rate=0.2, seed=13)
-            )
-            times = []
-            for _ in range(5):
-                start = time.perf_counter()
-                evaluate_all(pair)
-                times.append(time.perf_counter() - start)
-            return min(times)
+        def synth_time(n):
+            config = SynthConfig(n, max(1, n // 80), size_skew=1.0, split_rate=split_rate, merge_rate=0.2, seed=13)
+            return best_time(generate(config))
 
-        small = best_time(200_000)
-        large = best_time(400_000)
+        small = synth_time(200_000)
+        large = synth_time(400_000)
         assert large < 4.0 * small, f"doubling N scaled time {large / small:.2f}x (limit 4x)"
+
+    def test_one_cluster_split_into_singletons_stays_linear(self):
+        # Every instance of the one truth cluster is its own predicted cluster: n cells to count.
+        # A tally that scans the cluster once per distinct label would scale 16x here.
+        def shattered_time(n):
+            ids = tuple(range(n))
+            return best_time(validate(Clustering(ids, (n,), "truth"), Clustering(ids, (1,) * n, "predicted")))
+
+        small = shattered_time(10_000)
+        large = shattered_time(40_000)
+        assert large < 8.0 * small, f"quadrupling N scaled time {large / small:.2f}x (limit 8x)"
 
 
 class TestSwapDuality:
@@ -418,6 +431,35 @@ def completeness_moves(draw):
     return pair_from_labels(truth_labels, apart), pair_from_labels(truth_labels, merged)
 
 
+@st.composite
+def rag_bag_moves(draw):
+    """A pair with a clean predicted cluster (two or more instances of one truth category) and a
+    rag bag (one instance each of two or more other categories), with an instance of a new
+    category added to the clean cluster, and the same pair with it added to the rag bag."""
+    truth_labels, predicted_labels = draw(labelled_instances(seeded=(0, 0, 1, 2)))
+    base = list(predicted_labels)
+    for i in draw(members(truth_labels, 0, min_size=2)):
+        base[i] = "clean"
+    for category in draw(st.lists(st.sampled_from(sorted(set(truth_labels) - {0})), min_size=2, unique=True)):
+        base[draw(members(truth_labels, category))[0]] = "rag bag"
+    truth_labels = [*truth_labels, "new"]
+    return pair_from_labels(truth_labels, [*base, "clean"]), pair_from_labels(truth_labels, [*base, "rag bag"])
+
+
+@st.composite
+def size_vs_quantity_moves(draw):
+    """For n >= 2, a truth category of n + 1 instances and n categories of two, predicted with one
+    instance split off the big category, and the same pair with every two-instance category split
+    in half instead. Any other instances are predicted alike in both."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    truth_labels, predicted_labels = draw(labelled_instances(seeded=(), max_n=15))
+    small = [f"small {k}" for k in range(n) for _ in range(2)]
+    truth_labels = [*truth_labels, *["big"] * (n + 1), *small]
+    one_off = [*predicted_labels, *["big"] * n, "split off", *small]
+    halves = [*predicted_labels, *["big"] * (n + 1), *(f"half {i}" for i in range(2 * n))]
+    return pair_from_labels(truth_labels, one_off), pair_from_labels(truth_labels, halves)
+
+
 @pytest.mark.parametrize("engine", [evaluate_all, oracle.evaluate_all], ids=["single_pass", "oracle"])
 class TestAmigoConstraints:
     """Amigó et al. (2009) formal constraints that B-cubed and the K-metric strictly satisfy."""
@@ -441,3 +483,39 @@ class TestAmigoConstraints:
             assert getattr(after, name).recall > getattr(before, name).recall
             assert getattr(after, name).precision == getattr(before, name).precision
             assert getattr(after, name).combined > getattr(before, name).combined
+
+    @given(rag_bag_moves())
+    @settings(deadline=None)
+    def test_rag_bag(self, engine, move):
+        # a new category's instance costs less precision in a rag bag than in a clean cluster
+        to_clean, to_rag_bag = map(engine, move)
+        for name in ("b_cubed", "k_metric"):
+            assert getattr(to_rag_bag, name).recall == getattr(to_clean, name).recall
+            assert getattr(to_rag_bag, name).precision > getattr(to_clean, name).precision
+            assert getattr(to_rag_bag, name).combined > getattr(to_clean, name).combined
+
+    @given(size_vs_quantity_moves())
+    @settings(deadline=None)
+    def test_size_vs_quantity(self, engine, move):
+        # one instance split off a big cluster costs less recall than n small clusters split in half
+        one_off, halves = map(engine, move)
+        for name in ("b_cubed", "k_metric"):
+            assert getattr(one_off, name).recall > getattr(halves, name).recall
+            assert getattr(one_off, name).precision == getattr(halves, name).precision
+            assert getattr(one_off, name).combined > getattr(halves, name).combined
+
+    def test_pairwise_violates_rag_bag(self, engine):
+        # truth {a1..a4} plus singletons b..f; f joins the clean {a1..a4} or the rag bag {b, c, d, e}
+        truth = ["a"] * 4 + list("bcdef")
+        to_clean = engine(pair_from_labels(truth, ["clean"] * 4 + ["rag bag"] * 4 + ["clean"]))
+        to_rag_bag = engine(pair_from_labels(truth, ["clean"] * 4 + ["rag bag"] * 5))
+        assert to_clean.pairwise.precision == 6 / 16
+        assert to_clean.pairwise == to_rag_bag.pairwise
+
+    def test_pairwise_violates_size_vs_quantity(self, engine):
+        # n = 2: truth {a1, a2, a3}, {b1, b2}, {c1, c2}; a3 split off, or b and c split in half
+        truth = list("aaabbcc")
+        one_off = engine(pair_from_labels(truth, list("aaXbbcc")))
+        halves = engine(pair_from_labels(truth, list("aaa") + ["b1", "b2", "c1", "c2"]))
+        assert (one_off.pairwise.recall, one_off.pairwise.precision) == (3 / 5, 1.0)
+        assert one_off.pairwise == halves.pairwise
