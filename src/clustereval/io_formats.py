@@ -20,9 +20,10 @@ malformed membership-pairs row anywhere in the file is therefore reported
 before any repeat.
 
 Machine reports are JSON whose keys follow the report dataclasses' fields,
-with every float rendered as fixed-point with 12 decimals (never scientific
-notation), so rendering what ``json.loads`` reads back is byte-identical and
-goldens diff cleanly.
+with every float printed as its shortest round-trip repr, so ``json.loads``
+gives back exactly the engine's doubles and rendering what it reads back is
+byte-identical. Values below 1e-4 may be printed with an exponent; a
+non-finite value raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -187,50 +188,8 @@ def build_report_document(
     return doc
 
 
-def _render_value(value, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _render_value(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(inner)
-            _render_value(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError("report documents cannot carry non-finite numbers")
-        out.append(format(value, ".12f"))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot render {type(value).__name__} in a report document")
-
-
 def render_report_document(doc: dict) -> str:
-    out: list[str] = []
-    _render_value(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _render_table(doc: dict) -> str:

@@ -61,6 +61,21 @@ def random_synth_pair(rng: random.Random, max_n: int = 200) -> EvalPair:
     return generate(config)
 
 
+def random_synth_pair_in_mode(rng: random.Random, mode: str) -> EvalPair:
+    """A random synth pair under ``mode``; a lenient one gets 1-5 predicted-only extras."""
+    pair = random_synth_pair(rng)
+    predicted = [list(c) for c in pair.predicted.clusters]
+    if mode == "lenient":
+        # predicted-only extras, each joining a random cluster or a new one of its own
+        first = max(pair.truth.ids) + 1
+        for extra in range(first, first + rng.randint(1, 5)):
+            k = rng.randrange(len(predicted) + 1)
+            if k == len(predicted):
+                predicted.append([])
+            predicted[k].append(extra)
+    return validate(pair.truth, Clustering.from_clusters(predicted, role="predicted"), mode)
+
+
 @st.composite
 def eval_pairs(draw, max_n: int = 50, max_labels: int = 10):
     """Strict pairs from two independent random label assignments."""

@@ -4,10 +4,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -56,31 +58,31 @@ GOLDEN_MACHINE = """{
   "package_version": "0.1.0",
   "measures": {
     "cluster_f": {
-      "recall": 0.333333333333,
-      "precision": 0.500000000000,
-      "combined": 0.400000000000
+      "recall": 0.3333333333333333,
+      "precision": 0.5,
+      "combined": 0.4
     },
     "k_metric": {
-      "recall": 1.000000000000,
-      "precision": 0.700000000000,
-      "combined": 0.836660026534
+      "recall": 1.0,
+      "precision": 0.7,
+      "combined": 0.8366600265340756
     },
     "se_le": {
-      "se": 0.000000000000,
-      "le": 0.384615384615,
-      "recall": 1.000000000000,
-      "precision": 0.615384615385,
-      "combined": 0.761904761905
+      "se": 0.0,
+      "le": 0.38461538461538464,
+      "recall": 1.0,
+      "precision": 0.6153846153846154,
+      "combined": 0.7619047619047619
     },
     "pairwise": {
-      "recall": 1.000000000000,
-      "precision": 0.538461538462,
-      "combined": 0.700000000000
+      "recall": 1.0,
+      "precision": 0.5384615384615384,
+      "combined": 0.7
     },
     "b_cubed": {
-      "recall": 1.000000000000,
-      "precision": 0.700000000000,
-      "combined": 0.823529411765
+      "recall": 1.0,
+      "precision": 0.7,
+      "combined": 0.8235294117647058
     }
   },
   "stats": {
@@ -101,11 +103,11 @@ GOLDEN_MACHINE_SE_LE = """{
   "package_version": "0.1.0",
   "measures": {
     "se_le": {
-      "se": 0.000000000000,
-      "le": 0.384615384615,
-      "recall": 1.000000000000,
-      "precision": 0.615384615385,
-      "combined": 0.761904761905
+      "se": 0.0,
+      "le": 0.38461538461538464,
+      "recall": 1.0,
+      "precision": 0.6153846153846154,
+      "combined": 0.7619047619047619
     }
   },
   "stats": {
@@ -124,7 +126,7 @@ GOLDEN_MACHINE_SE_LE = """{
 def without_timing(out: str) -> str:
     """A machine report with its last key, `timing`, cut off; the cut part must be just that key."""
     body, timing = out.split(',\n  "timing": ', 1)
-    assert re.fullmatch(r'\{\n    "seconds": \d+\.\d{12}\n  \}\n\}\n', timing), timing
+    assert re.fullmatch(r'\{\n    "seconds": -?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?\n  \}\n\}\n', timing), timing
     return body + "\n}\n"
 
 
@@ -141,10 +143,10 @@ class TestEvaluate:
         assert status == 0
         doc = json.loads(out)
         measures = doc["measures"]
-        assert measures["cluster_f"]["combined"] == pytest.approx(0.4, abs=1e-12)
+        assert measures["cluster_f"]["combined"] == float(Fraction(2, 5))
         assert measures["k_metric"]["combined"] == pytest.approx(0.8367, abs=1e-4)
-        assert measures["se_le"]["le"] == pytest.approx(5 / 13, abs=1e-12)
-        assert measures["pairwise"]["precision"] == pytest.approx(7 / 13, abs=1e-12)
+        assert measures["se_le"]["le"] == float(Fraction(5, 13))
+        assert measures["pairwise"]["precision"] == float(Fraction(7, 13))
         assert measures["b_cubed"]["combined"] == pytest.approx(0.8235, abs=1e-4)
         assert doc["stats"]["n_instances"] == 8
 
@@ -198,7 +200,7 @@ class TestEvaluate:
         assert status == 0
         doc = json.loads(out)
         assert list(doc["measures"]) == ["pairwise"]
-        assert doc["measures"]["pairwise"]["recall"] == pytest.approx(1.0, abs=1e-12)
+        assert doc["measures"]["pairwise"]["recall"] == float(Fraction(7, 7))
 
     def test_single_measure_se_le_carries_raw_rates(self, capsys, golden_files):
         truth, pred = golden_files
@@ -234,7 +236,7 @@ class TestEvaluate:
         assert status == 0
         doc = json.loads(out)
         assert doc["engine"] == "oracle"
-        assert doc["measures"]["pairwise"]["precision"] == pytest.approx(7 / 13, abs=1e-12)
+        assert doc["measures"]["pairwise"]["precision"] == float(Fraction(7, 13))
 
     def test_perfect_prediction(self, capsys, tmp_path, golden_files):
         truth, _ = golden_files
@@ -438,6 +440,30 @@ class TestCheck:
         status, _, err = run_cli(capsys, "check", "--truth", truth, "--pred", pred)
         assert status == 5
         assert "flags" in err and "measures." not in err
+
+    def test_one_ulp_divergence_shows_in_the_printed_documents(self, capsys, monkeypatch, golden_files):
+        truth, pred = golden_files
+        real = oracle.evaluate_all
+
+        def one_ulp_off(pair, pair_budget=oracle.DEFAULT_PAIR_BUDGET):
+            report = real(pair, pair_budget=pair_budget)
+            moved = dataclasses.replace(report.pairwise, precision=math.nextafter(report.pairwise.precision, 2.0))
+            return dataclasses.replace(report, pairwise=moved)
+
+        monkeypatch.setattr(oracle, "evaluate_all", one_ulp_off)
+        status, out, err = run_cli(capsys, "check", "--truth", truth, "--pred", pred)
+        assert status == 5
+        assert "measures.pairwise.precision" in err
+        # the two documents are printed back to back, the fast engine's first
+        end = out.index("\n}\n") + 3
+        fast, slow = out[:end].splitlines(), out[end:].splitlines()
+        assert len(fast) == len(slow)
+        moved = math.nextafter(7 / 13, 2.0)
+        assert [(a, b) for a, b in zip(fast, slow) if a != b] == [
+            ('  "engine": "single_pass",', '  "engine": "oracle",'),
+            (f'      "precision": {7 / 13!r},', f'      "precision": {moved!r},'),
+        ]
+        assert json.loads(out[end:])["measures"]["pairwise"]["precision"] == moved
 
     def test_without_files_or_trials_exits_2(self, capsys, golden_files):
         truth, _ = golden_files

@@ -1,15 +1,18 @@
 """File formats and report serialization."""
 
 import json
+import math
 import os
+import random
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clustereval import single_pass
+from clustereval import oracle, single_pass
 from clustereval.errors import ClusterEvalError, DuplicateInstance, ParseError
 from clustereval.io_formats import (
     FORMAT_AUTO,
@@ -23,9 +26,16 @@ from clustereval.io_formats import (
     write_clustering,
     write_report,
 )
-from clustereval.model import Clustering, FullReport, validate
+from clustereval.model import COVERAGE_MODES, Clustering, FullReport, validate
 
-from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, clusters_from_labels, golden_pair, pair_from_labels
+from helpers import (
+    GOLDEN_PRED_TEXT,
+    GOLDEN_TRUTH_TEXT,
+    clusters_from_labels,
+    golden_pair,
+    pair_from_labels,
+    random_synth_pair_in_mode,
+)
 
 
 class TestParseClusterLines:
@@ -318,12 +328,32 @@ class TestReportDocument:
         assert render_report_document(reparsed) == rendered
         assert rendered.encode("utf-8") == render_report_document(reparsed).encode("utf-8")
 
-    def test_fixed_point_rendering(self):
-        report = single_pass.evaluate_all(golden_pair())
+    @pytest.mark.parametrize("mode", COVERAGE_MODES)
+    @pytest.mark.parametrize("engine", ["single_pass", "oracle"])
+    def test_machine_report_reads_back_exactly(self, engine, mode):
+        evaluate_all = single_pass.evaluate_all if engine == "single_pass" else oracle.evaluate_all
+        rng = random.Random(20261019)
+        for _ in range(100):
+            report = evaluate_all(random_synth_pair_in_mode(rng, mode))
+            doc = json.loads(write_report(report, style="machine", engine=engine))
+            assert doc["measures"] == {name: asdict(getattr(report, name)) for name in MEASURE_ORDER}
+            assert doc["stats"] == asdict(report.stats)
+
+    def test_score_below_1e_4_reads_back_exactly(self):
+        # one truth singleton kept, the other 20 000 merged: one of 20 001 truth clusters is matched
+        truth = Clustering.from_clusters([(i,) for i in range(20_001)], role="truth")
+        predicted = Clustering.from_clusters([(0,), tuple(range(1, 20_001))], role="predicted")
+        report = single_pass.evaluate_all(validate(truth, predicted))
         rendered = write_report(report, style="machine")
-        assert "0.333333333333" in rendered
-        assert "0.538461538462" in rendered
-        assert "e-" not in rendered and "E-" not in rendered
+        assert '"recall": 4.999750012499375e-05' in rendered
+        assert json.loads(rendered)["measures"]["cluster_f"]["recall"] == float(Fraction(1, 20_001))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_rejected(self, value):
+        doc = build_report_document(single_pass.evaluate_all(golden_pair()))
+        doc["measures"]["pairwise"]["recall"] = value
+        with pytest.raises(ValueError):
+            render_report_document(doc)
 
     def test_required_fields(self):
         report = single_pass.evaluate_all(golden_pair())

@@ -14,7 +14,7 @@ from clustereval.io_formats import build_report_document
 from clustereval.model import COVERAGE_MODES, Clustering, validate
 from clustereval.oracle import iter_pairs, pair_set
 
-from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair, random_synth_pair
+from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair, random_synth_pair_in_mode
 
 
 class TestPairSet:
@@ -160,17 +160,7 @@ class TestEngineAgreement:
     def test_report_documents_are_equal_on_synth_pairs(self, mode):
         rng = random.Random(20241018)
         for _ in range(300):
-            pair = random_synth_pair(rng)
-            predicted = [list(c) for c in pair.predicted.clusters]
-            if mode == "lenient":
-                # predicted-only extras, each joining a random cluster or a new one of its own
-                first = max(pair.truth.ids) + 1
-                for extra in range(first, first + rng.randint(1, 5)):
-                    k = rng.randrange(len(predicted) + 1)
-                    if k == len(predicted):
-                        predicted.append([])
-                    predicted[k].append(extra)
-            pair = validate(pair.truth, Clustering.from_clusters(predicted, role="predicted"), mode)
+            pair = random_synth_pair_in_mode(rng, mode)
             fast = build_report_document(single_pass.evaluate_all(pair))
             slow = build_report_document(oracle.evaluate_all(pair))
             assert fast == slow
