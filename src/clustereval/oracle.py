@@ -19,6 +19,7 @@ from .errors import PairBudgetExceeded
 from .model import (
     FLAG_DEGENERATE_PRECISION,
     FLAG_DEGENERATE_RECALL,
+    FLAG_EXTRA_IN_PREDICTED,
     EvalPair,
     FullReport,
     MetricTriple,
@@ -152,13 +153,16 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     """Full report from the five brute-force measures.
 
     Pair statistics come from the materialized pair sets, not from any
-    closed form, keeping the report fully independent of the single-pass
-    engine.
+    closed form, and the predicted-only extras from a set difference, not
+    from the pair's flags, keeping the report fully independent of the
+    single-pass engine.
     """
     truth_pairs, predicted_pairs = _pair_sets(pair, pair_budget)
     shared = len(truth_pairs & predicted_pairs)
 
-    flags = list(pair.flags)
+    flags = []
+    if extra := pair.predicted.instance_set() - pair.truth.instance_set():
+        flags.append(FLAG_EXTRA_IN_PREDICTED.format(len(extra)))
     if not truth_pairs:
         flags.append(FLAG_DEGENERATE_RECALL)
     if not predicted_pairs:

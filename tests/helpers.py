@@ -6,6 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
+from clustereval.errors import DuplicateInstance, ExtraInPredicted, MissingFromPredicted
 from clustereval.model import Clustering, EvalPair, validate
 from clustereval.synth import SynthConfig, generate
 
@@ -22,6 +23,24 @@ def golden_pair() -> EvalPair:
     truth = Clustering.from_clusters(GOLDEN_TRUTH, role="truth")
     predicted = Clustering.from_clusters(GOLDEN_PRED, role="predicted")
     return validate(truth, predicted)
+
+
+def reference_id_error(truth: Clustering, predicted: Clustering, mode: str):
+    """What ``validate`` rejects in the ids of a pair, by plain sets: ``(error type, payload)`` or None.
+
+    In order: the first truth id that an earlier one equals, the same in
+    predicted, truth ids missing from predicted, then predicted-only extras
+    in strict mode.
+    """
+    for ids in (truth.ids, predicted.ids):
+        if repeats := [x for i, x in enumerate(ids) if x in ids[:i]]:
+            return DuplicateInstance, repeats[0]
+    truth_ids, predicted_ids = set(truth.ids), set(predicted.ids)
+    if missing := truth_ids - predicted_ids:
+        return MissingFromPredicted, sorted(missing, key=str)
+    if mode == "strict" and (extra := predicted_ids - truth_ids):
+        return ExtraInPredicted, sorted(extra, key=str)
+    return None
 
 
 def clusters_from_labels(labels) -> list[tuple[int, ...]]:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from clustereval import oracle
 from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
 from clustereval.io_formats import MEASURE_ORDER
+from clustereval.model import FLAG_EXTRA_IN_PREDICTED, EvalPair
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT
 
@@ -336,6 +338,51 @@ class TestEvaluate:
         assert status == 3
         assert err == "error: instance '1' appears in more than one cluster (lines 1 and 4)\n"
 
+    @pytest.mark.parametrize(
+        "truth_text, pred_text, lines",
+        [
+            ("1 2\n# note\n3 2\n", "3 1\n2\n", (1, 3)),  # a truth repeat
+            ("1 2\n3\n", "3 1\n2 2\n", (2, 2)),  # a predicted repeat on one line
+            ("1 2 1\n3\n", "3\n\n3 1 2\n", (1, 1)),  # repeats on both sides: truth is named first
+        ],
+    )
+    def test_either_side_repeat_exits_3_naming_its_lines(self, capsys, tmp_path, truth_text, pred_text, lines):
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text(truth_text)
+        pred.write_text(pred_text)
+        for coverage in ("strict", "lenient"):
+            status, _, err = run_cli(
+                capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--coverage", coverage
+            )
+            assert status == 3
+            assert err.endswith(f"appears in more than one cluster (lines {lines[0]} and {lines[1]})\n")
+
+    def test_a_repeat_in_a_pipe_exits_3_without_lines(self, capsys, tmp_path):
+        # the pipe is not opened a second time, and the predicted repeat is not named in its place
+        truth = tmp_path / "t.fifo"
+        os.mkfifo(truth)
+        pred = tmp_path / "p.txt"
+        pred.write_text("1 2\n3 3\n")
+        writer = threading.Thread(target=truth.write_text, args=("1 2\n# note\n3 1\n",), daemon=True)
+        writer.start()
+        status, _, err = run_cli(
+            capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--format", "clusters"
+        )
+        writer.join(timeout=10)
+        assert status == 3
+        assert err == "error: instance '1' appears in more than one cluster\n"
+
+    def test_malformed_predicted_file_wins_over_a_truth_repeat(self, capsys, tmp_path):
+        # both files are parsed before any id is checked
+        truth = tmp_path / "t.txt"
+        truth.write_text("1\tA\n1\tB\n2\tB\n")
+        pred = tmp_path / "p.txt"
+        pred.write_text("1\tA\n2\tB\tC\n")
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
+        assert status == 2
+        assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n"
+
     def test_malformed_row_after_a_duplicate_exits_2(self, capsys, tmp_path):
         # the whole file is read before the duplicate check, so the malformed row wins
         truth = tmp_path / "t.txt"
@@ -440,6 +487,26 @@ class TestCheck:
         status, _, err = run_cli(capsys, "check", "--truth", truth, "--pred", pred)
         assert status == 5
         assert "flags" in err and "measures." not in err
+
+    def test_a_wrong_extra_count_exits_5(self, capsys, monkeypatch, tmp_path):
+        # the oracle counts the predicted-only extras itself, so a miscounting pair shows
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text("1 2\n3\n")
+        pred.write_text("1 2 3 x\n")
+        args = ("check", "--truth", str(truth), "--pred", str(pred), "--coverage", "lenient")
+        assert run_cli(capsys, *args)[0] == 0
+        counted = EvalPair.__post_init__
+
+        def miscounted(pair):
+            counted(pair)
+            object.__setattr__(pair, "flags", (FLAG_EXTRA_IN_PREDICTED.format(2),))
+
+        monkeypatch.setattr(EvalPair, "__post_init__", miscounted)
+        status, _, err = run_cli(capsys, *args)
+        assert status == 5
+        assert "flags: single_pass=['extra_in_predicted: 2 " in err
+        assert "oracle=['extra_in_predicted: 1 " in err
 
     def test_one_ulp_divergence_shows_in_the_printed_documents(self, capsys, monkeypatch, golden_files):
         truth, pred = golden_files

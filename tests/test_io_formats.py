@@ -21,6 +21,7 @@ from clustereval.io_formats import (
     MEASURE_ORDER,
     build_report_document,
     parse_clustering,
+    raise_first_repeat,
     render_report_document,
     sniff_format,
     write_clustering,
@@ -46,8 +47,9 @@ class TestParseClusterLines:
         ).partition()
 
     def test_duplicate_reports_both_lines(self):
+        assert parse_clustering("1 2\n2 3\n").ids == ("1", "2", "2", "3")  # validate rejects the repeat
         with pytest.raises(DuplicateInstance) as err:
-            parse_clustering("1 2\n2 3\n")
+            raise_first_repeat("1 2\n2 3\n")
         assert err.value.instance == "2"
         assert (err.value.first_line, err.value.second_line) == (1, 2)
 
@@ -76,12 +78,14 @@ class TestParseMembershipPairs:
         assert clustering.clusters == (("a", "c"), ("b",))
 
     def test_duplicate_instance_across_labels(self):
-        with pytest.raises(DuplicateInstance):
-            parse_clustering("a\tX\na\tY\n")
+        with pytest.raises(DuplicateInstance) as err:
+            validate(parse_clustering("a\tX\na\tY\n"), parse_clustering("a\tX\n", role="predicted"))
+        assert err.value.instance == "a"
 
     def test_duplicate_instance_same_label(self):
-        with pytest.raises(DuplicateInstance):
-            parse_clustering("a\tX\na\tX\n")
+        with pytest.raises(DuplicateInstance) as err:
+            validate(parse_clustering("a\tX\na\tX\n"), parse_clustering("a\tX\n", role="predicted"))
+        assert err.value.instance == "a"
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError) as err:
@@ -215,10 +219,12 @@ class TestOnePassParser:
             except ClusterEvalError as exc:
                 return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
-        parsed = outcome(lambda: parse_clustering(data, format=format))
-        if isinstance(parsed, Clustering):
-            parsed = parsed.ids, parsed.sizes
-        assert parsed == outcome(lambda: reference_parse(data, format))
+        def parse_then_rescan():
+            clustering = parse_clustering(data, format=format)
+            raise_first_repeat(data, format=format)
+            return clustering.ids, clustering.sizes
+
+        assert outcome(parse_then_rescan) == outcome(lambda: reference_parse(data, format))
 
     @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
     def test_evaluating_a_parsed_pair_builds_no_cluster_tuples(self, format):
@@ -309,14 +315,15 @@ class TestDuplicateError:
 
         if expected is None:
             assert parse_clustering(text, format=format).n_instances == len(first_seen)
+            assert raise_first_repeat(text, format=format) is None
         else:
             with pytest.raises(DuplicateInstance) as err:
-                parse_clustering(text, format=format)
+                raise_first_repeat(text, format=format)
             assert (err.value.instance, err.value.first_line, err.value.second_line) == expected
 
     def test_repeat_on_the_same_line(self):
         with pytest.raises(DuplicateInstance) as err:
-            parse_clustering("# ids\r\n1 2\r\n\r\n3 4 3 2\r\n", format=FORMAT_CLUSTER_LINES)
+            raise_first_repeat("# ids\r\n1 2\r\n\r\n3 4 3 2\r\n", format=FORMAT_CLUSTER_LINES)
         assert (err.value.instance, err.value.first_line, err.value.second_line) == ("3", 4, 4)
 
 

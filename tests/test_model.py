@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from clustereval.errors import (
@@ -17,6 +18,8 @@ from clustereval.errors import (
     ValidationError,
 )
 from clustereval.model import (
+    COVERAGE_MODES,
+    FLAG_EXTRA_IN_PREDICTED,
     Clustering,
     EvalPair,
     MetricTriple,
@@ -25,7 +28,12 @@ from clustereval.model import (
     validate,
 )
 
-from helpers import GOLDEN_PRED, GOLDEN_TRUTH, clusters_from_labels, golden_pair
+from helpers import GOLDEN_PRED, GOLDEN_TRUTH, clusters_from_labels, golden_pair, reference_id_error
+
+
+def distinct_predicted(*ids) -> Clustering:
+    """A predicted side of singletons over ``ids``."""
+    return Clustering.from_clusters([(x,) for x in ids], role="predicted")
 
 
 class TestClustering:
@@ -35,13 +43,16 @@ class TestClustering:
         assert len(truth.clusters) == 3
         assert truth.role == "truth"
 
+    # A repeated id is a partition error that validate finds, in the table it builds for the pair.
     def test_duplicate_across_clusters(self):
-        with pytest.raises(DuplicateInstance):
-            Clustering.from_clusters([("1", "2"), ("2", "3")])
+        with pytest.raises(DuplicateInstance) as err:
+            validate(Clustering.from_clusters([("1", "2"), ("2", "3")]), distinct_predicted("1", "2", "3"))
+        assert err.value.instance == "2"
 
     def test_duplicate_within_cluster(self):
-        with pytest.raises(DuplicateInstance):
-            Clustering.from_clusters([("1", "1", "2")])
+        with pytest.raises(DuplicateInstance) as err:
+            validate(Clustering.from_clusters([("1", "1", "2")]), distinct_predicted("1", "2"))
+        assert err.value.instance == "1"
 
     def test_empty_member_cluster_rejected(self):
         with pytest.raises(ValidationError):
@@ -49,9 +60,10 @@ class TestClustering:
 
     def test_bare_constructor_rejects_duplicates(self):
         # a predicted side with a repeat would otherwise pass validate on counts alone
-        with pytest.raises(DuplicateInstance) as err:
-            Clustering(("1", "1"), (2,), "predicted")
-        assert err.value.instance == "1"
+        for mode in COVERAGE_MODES:
+            with pytest.raises(DuplicateInstance) as err:
+                validate(Clustering(("1",), (1,)), Clustering(("1", "1"), (2,), "predicted"), mode)
+            assert err.value.instance == "1"
 
     def test_bare_constructor_rejects_empty_member_cluster(self):
         with pytest.raises(ValidationError, match="predicted cluster at position 1 is empty"):
@@ -143,10 +155,61 @@ class TestValidate:
             validate(*pair, "sloppy")
 
     def test_duplicate_detection_is_side_symmetric(self):
-        # the same construction path guards both clusterings
+        # the same table guards both clusterings
         for side in ("truth", "predicted"):
-            with pytest.raises(DuplicateInstance):
-                Clustering.from_clusters([("1", "2"), ("2",)], role=side)
+            repeated = Clustering.from_clusters([("1", "2"), ("2",)], role=side)
+            other = Clustering.from_clusters([("1", "2")], role="predicted" if side == "truth" else "truth")
+            with pytest.raises(DuplicateInstance) as err:
+                validate(*((repeated, other) if side == "truth" else (other, repeated)))
+            assert err.value.instance == "2"
+
+
+class TestIdErrors:
+    """``validate`` checks every id in one table and agrees with a plain-set reference."""
+
+    PAYLOAD = {DuplicateInstance: "instance", MissingFromPredicted: "missing", ExtraInPredicted: "extra"}
+
+    @given(data=st.data(), mode=st.sampled_from(COVERAGE_MODES))
+    def test_validate_matches_the_plain_set_reference(self, data, mode):
+        def clusters(ids):
+            labels = data.draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+            return [[ids[i] for i in c] for c in clusters_from_labels(labels)]
+
+        def with_repeats(clusters):
+            # each repeat lands in its own id's cluster or in another
+            for _ in range(data.draw(st.integers(0, 2))):
+                instance = data.draw(st.sampled_from([x for c in clusters for x in c]))
+                cluster = data.draw(st.sampled_from(clusters))
+                cluster.insert(data.draw(st.integers(0, len(cluster))), instance)
+            return clusters
+
+        ids = [str(i) for i in range(data.draw(st.integers(1, 10)))]
+        missing = data.draw(st.sets(st.sampled_from(ids), max_size=2))
+        extras = [f"x{i}" for i in range(data.draw(st.integers(0, 2)))]
+        predicted_ids = data.draw(st.permutations([x for x in ids if x not in missing] + extras))
+        assume(predicted_ids)
+        truth = Clustering.from_clusters(with_repeats(clusters(ids)))
+        predicted = Clustering.from_clusters(with_repeats(clusters(predicted_ids)), role="predicted")
+
+        expected = reference_id_error(truth, predicted, mode)
+        if expected is None:
+            n_extra = len(predicted.instance_set() - truth.instance_set())
+            flags = (FLAG_EXTRA_IN_PREDICTED.format(n_extra),) if n_extra else ()
+            assert validate(truth, predicted, mode).flags == flags
+        else:
+            with pytest.raises(ValidationError) as err:
+                validate(truth, predicted, mode)
+            assert (type(err.value), getattr(err.value, self.PAYLOAD[type(err.value)])) == expected
+
+    @pytest.mark.parametrize("mode", COVERAGE_MODES)
+    def test_a_truth_repeat_balanced_by_an_extra(self, mode):
+        # both sides hold three ids, so counts alone cannot see the repeat
+        truth = Clustering.from_clusters([("1", "2"), ("2",)])
+        predicted = Clustering.from_clusters([("1", "2", "x")], role="predicted")
+        assert reference_id_error(truth, predicted, mode) == (DuplicateInstance, "2")
+        with pytest.raises(DuplicateInstance) as err:
+            validate(truth, predicted, mode)
+        assert err.value.instance == "2"
 
 
 class TestEvalPairLabelsItself:
@@ -240,6 +303,13 @@ class TestInterning:
             assert len(pair.flags) == (1 if extras else 0)
 
 
+def decimal_root(value: Fraction) -> float:
+    """sqrt(value) to 60 significant digits, then rounded to a double."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(value.numerator) / Decimal(value.denominator)).sqrt())
+
+
 class TestMeans:
     def test_harmonic_worked_values(self):
         assert harmonic_mean(1.0, 0.7) == pytest.approx(0.8235, abs=1e-4)
@@ -248,6 +318,19 @@ class TestMeans:
     def test_geometric_worked_values(self):
         assert geometric_mean(1.0, 0.7) == pytest.approx(0.8367, abs=1e-4)
         assert geometric_mean(1.0, 0.7) == math.sqrt(0.7)
+
+    @given(
+        st.fractions(0, 1, max_denominator=10**15),
+        st.one_of(st.fractions(0, 1, max_denominator=10**15), st.fractions(0, 10**30, max_denominator=10**3)),
+    )
+    @example(Fraction(5, 6), Fraction(8, 25))
+    def test_geometric_rounds_the_exact_root_once(self, recall, precision):
+        assert MetricTriple.geometric(recall, precision).combined == decimal_root(recall * precision)
+
+    def test_rounding_the_product_first_can_be_one_ulp_off(self):
+        product = Fraction(5, 6) * Fraction(8, 25)
+        combined = MetricTriple.geometric(Fraction(5, 6), Fraction(8, 25)).combined
+        assert combined == decimal_root(product) == math.nextafter(math.sqrt(float(product)), 1.0)
 
     def test_harmonic_zero_zero(self):
         assert harmonic_mean(0.0, 0.0) == 0.0
