@@ -56,6 +56,10 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files, and the flags on how they were read."""
     file_format = _FILE_FORMATS[args.format]
     if file_format == FORMAT_AUTO:
+        # Detection opens each file before it is parsed, and a pipe read twice loses what the first read took.
+        for path in (args.truth, args.pred):
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise ParseError(f"{path} is not a regular file, which --format auto reads twice; use --format")
         # Detect once for both files; a file without data lines agrees with either format.
         truth_format, pred_format = sniff_format(args.truth), sniff_format(args.pred)
         if truth_format and pred_format and truth_format != pred_format:

@@ -1,4 +1,4 @@
-"""Clustering data model: partitions, identifier interning, pair validation.
+"""Clustering data model: partitions and pair validation.
 
 A :class:`Clustering` is a list of opaque instance ids cut into non-empty
 clusters, stored as a flat id column and a cluster size column whose shape
@@ -125,11 +125,6 @@ class FullReport:
     flags: tuple[str, ...]
 
 
-def _cut(flat: tuple, sizes: Iterable[int]) -> tuple[tuple, ...]:
-    """``flat`` cut into consecutive slices of the given sizes."""
-    return tuple(flat[start:stop] for start, stop in pairwise(accumulate(sizes, initial=0)))
-
-
 @dataclass(frozen=True)
 class Clustering:
     """Instance ids cut into non-empty clusters, stored as two columns.
@@ -164,7 +159,8 @@ class Clustering:
     @cached_property
     def clusters(self) -> tuple[tuple[Hashable, ...], ...]:
         """The clusters as tuples of ids, cut from ``ids`` on first read."""
-        return _cut(self.ids, self.sizes)
+        ids = self.ids
+        return tuple(ids[start:stop] for start, stop in pairwise(accumulate(self.sizes, initial=0)))
 
     @classmethod
     def from_clusters(cls, clusters: Iterable[Iterable[Hashable]], role: str = "truth") -> "Clustering":
@@ -258,22 +254,6 @@ class EvalPair:
     def n_instances(self) -> int:
         """N: the number of truth-side instances."""
         return self.truth.n_instances
-
-    @cached_property
-    def _dense_views(self) -> tuple[tuple, tuple, tuple]:
-        """``(instances, truth_dense, predicted_dense)``, built on first read, for the oracle and tests.
-
-        ``instances[d]`` is the raw id behind dense index ``d``: truth ids in cluster order, then
-        predicted-only extras. Both sides go through one dict, so equal dense ids are the same ints.
-        """
-        dense = dict(zip(self.truth.ids, count()))
-        truth_flat = tuple(dense.values())
-        predicted_flat = tuple([dense.setdefault(x, len(dense)) for x in self.predicted.ids])
-        return tuple(dense), _cut(truth_flat, self.truth.sizes), _cut(predicted_flat, self.predicted.sizes)
-
-    instances = property(lambda self: self._dense_views[0])
-    truth_dense = property(lambda self: self._dense_views[1])
-    predicted_dense = property(lambda self: self._dense_views[2])
 
 
 def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> EvalPair:

@@ -2,8 +2,8 @@
 
 These follow each measure's definition literally: nested cluster-by-cluster
 set intersections, per-instance cluster lookups, and materialized pair sets.
-They are intentionally slow and share nothing with the single-pass engine
-beyond the core data model, so agreement between the two engines is a
+They are intentionally slow, number the ids themselves, and read nothing of
+the pair but its two clusterings, so agreement between the two engines is a
 meaningful correctness check: each ratio is a ``Fraction`` rounded once, so
 the reports must be equal. Use them on small inputs only; pair enumeration
 is capped by a budget.
@@ -40,10 +40,21 @@ def pair_set(clusters: Iterable[Iterable[int]]) -> frozenset:
     return frozenset(chain.from_iterable(map(iter_pairs, clusters)))
 
 
+def _dense_clusters(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
+    """Both sides' clusters as sets of ints, numbered here rather than taken from the fast path.
+
+    One dict numbers the ids, truth ids in cluster order and then the
+    predicted-only extras, so an id is the same int on both sides. Raw ids
+    need not be orderable against each other; the ints are.
+    """
+    dense: dict = {}
+    sides = (pair.truth.clusters, pair.predicted.clusters)
+    return tuple([frozenset([dense.setdefault(x, len(dense)) for x in c]) for c in side] for side in sides)
+
+
 def cluster_f(pair: EvalPair) -> MetricTriple:
     """Count predicted clusters that equal a truth cluster, by set equality."""
-    truth_sets = [frozenset(c) for c in pair.truth_dense]
-    predicted_sets = [frozenset(c) for c in pair.predicted_dense]
+    truth_sets, predicted_sets = _dense_clusters(pair)
     matches = 0
     for p in predicted_sets:
         for t in truth_sets:
@@ -59,8 +70,7 @@ def k_metric(pair: EvalPair) -> MetricTriple:
     precision sum walks predicted clusters against truth ones, one exact
     ratio per cluster.
     """
-    truth_sets = [frozenset(c) for c in pair.truth_dense]
-    predicted_sets = [frozenset(c) for c in pair.predicted_dense]
+    truth_sets, predicted_sets = _dense_clusters(pair)
     n = sum(len(t) for t in truth_sets)
     aap = sum(Fraction(sum(len(t & p) ** 2 for p in predicted_sets), len(t)) for t in truth_sets)
     acp = sum(Fraction(sum(len(p & t) ** 2 for t in truth_sets), len(p)) for p in predicted_sets)
@@ -72,8 +82,7 @@ def b_cubed(pair: EvalPair) -> MetricTriple:
 
     Overlaps are summed per truth (recall) and predicted (precision) cluster, then divided by its size.
     """
-    truth_sets = [frozenset(c) for c in pair.truth_dense]
-    predicted_sets = [frozenset(c) for c in pair.predicted_dense]
+    truth_sets, predicted_sets = _dense_clusters(pair)
     n = 0
     recall_sum = 0
     precision_numerators = dict.fromkeys(predicted_sets, 0)
@@ -97,8 +106,7 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
     the largest overlap; ties prefer the smaller cluster, then the smaller
     index, which changes no number but makes the choice definite.
     """
-    truth_sets = [frozenset(c) for c in pair.truth_dense]
-    predicted_sets = [frozenset(c) for c in pair.predicted_dense]
+    truth_sets, predicted_sets = _dense_clusters(pair)
     split_instances = 0
     truth_instances = 0
     lumped_instances = 0
@@ -124,12 +132,16 @@ def pair_demand(pair: EvalPair) -> int:
     return sum(k * (k - 1) // 2 for k in pair.truth.sizes + pair.predicted.sizes)
 
 
-def _pair_sets(pair: EvalPair, pair_budget: int) -> tuple[frozenset, frozenset]:
-    """Both sides' pair sets; :class:`PairBudgetExceeded` when they would exceed ``pair_budget``."""
+def _pair_counts(pair: EvalPair, pair_budget: int) -> tuple[int, int, int]:
+    """Shared, truth and predicted pairs of both pair sets; :class:`PairBudgetExceeded` past ``pair_budget``.
+
+    The sets die on return: while alive, each full garbage collection walks every pair in them.
+    """
     needed = pair_demand(pair)
     if needed > pair_budget:
         raise PairBudgetExceeded(needed, pair_budget)
-    return pair_set(pair.truth_dense), pair_set(pair.predicted_dense)
+    truth_pairs, predicted_pairs = map(pair_set, _dense_clusters(pair))
+    return len(truth_pairs & predicted_pairs), len(truth_pairs), len(predicted_pairs)
 
 
 def _pairwise(shared: int, truth_total: int, predicted_total: int) -> MetricTriple:
@@ -145,8 +157,7 @@ def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Metric
     pairs than ``pair_budget``; the zero-pair sides are defined as 1.0 like
     in the single-pass engine.
     """
-    truth_pairs, predicted_pairs = _pair_sets(pair, pair_budget)
-    return _pairwise(len(truth_pairs & predicted_pairs), len(truth_pairs), len(predicted_pairs))
+    return _pairwise(*_pair_counts(pair, pair_budget))
 
 
 def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FullReport:
@@ -157,29 +168,29 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     from the pair's flags, keeping the report fully independent of the
     single-pass engine.
     """
-    truth_pairs, predicted_pairs = _pair_sets(pair, pair_budget)
-    shared = len(truth_pairs & predicted_pairs)
+    shared, truth_total, predicted_total = _pair_counts(pair, pair_budget)
+    truth_sets, predicted_sets = _dense_clusters(pair)
 
     flags = []
     if extra := pair.predicted.instance_set() - pair.truth.instance_set():
         flags.append(FLAG_EXTRA_IN_PREDICTED.format(len(extra)))
-    if not truth_pairs:
+    if not truth_total:
         flags.append(FLAG_DEGENERATE_RECALL)
-    if not predicted_pairs:
+    if not predicted_total:
         flags.append(FLAG_DEGENERATE_PRECISION)
 
     return FullReport(
         cluster_f=cluster_f(pair),
         k_metric=k_metric(pair),
         se_le=split_lump(pair),
-        pairwise=_pairwise(shared, len(truth_pairs), len(predicted_pairs)),
+        pairwise=_pairwise(shared, truth_total, predicted_total),
         b_cubed=b_cubed(pair),
         stats=ReportStats(
-            n_truth_clusters=len(pair.truth_dense),
-            n_predicted_clusters=len(pair.predicted_dense),
-            n_instances=sum(len(c) for c in pair.truth_dense),
-            pair_tr_sum=len(truth_pairs),
-            pair_pr_sum=len(predicted_pairs),
+            n_truth_clusters=len(truth_sets),
+            n_predicted_clusters=len(predicted_sets),
+            n_instances=sum(map(len, truth_sets)),
+            pair_tr_sum=truth_total,
+            pair_pr_sum=predicted_total,
             pair_int_sum=shared,
         ),
         flags=tuple(flags),

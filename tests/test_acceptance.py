@@ -156,7 +156,7 @@ def test_criterion_6_scalability_1_2m():
     )
     pair = generate(config)  # generation excluded from the timed section
     assert pair.n_instances == 1_200_000
-    assert len(pair.truth_dense) == 15_000
+    assert len(pair.truth.sizes) == 15_000
 
     start = time.perf_counter()
     report = single_pass.evaluate_all(pair)
@@ -177,11 +177,7 @@ def test_criterion_7_runtime_contrast():
         seed=7,
     )
     pair = generate(config)
-    demand = sum(
-        len(c) * (len(c) - 1) // 2
-        for side in (pair.truth_dense, pair.predicted_dense)
-        for c in side
-    )
+    demand = oracle.pair_demand(pair)
     assert demand > 100_000, "workload must exceed 1e5 enumerated pairs"
 
     fast_times = []

@@ -373,6 +373,35 @@ class TestEvaluate:
         assert status == 3
         assert err == "error: instance '1' appears in more than one cluster\n"
 
+    @pytest.mark.parametrize("side", ["--truth", "--pred"])
+    def test_auto_format_refuses_a_pipe_without_opening_it(self, capsys, tmp_path, golden_files, side):
+        # detection would take the pipe's first chunk, and the parse would read only what is left
+        files = dict(zip(("--truth", "--pred"), golden_files))
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(Path(files[side]).read_text(),), daemon=True)
+        writer.start()
+
+        def unblock():  # a parse that opened the pipe a second time waits for another writer: an empty one
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+        watchdog = threading.Timer(10, unblock)
+        watchdog.daemon = True
+        watchdog.start()
+        pipe_argv = [arg for item in {**files, side: str(fifo)}.items() for arg in item]
+        status, out, err = run_cli(capsys, "evaluate", *pipe_argv)
+        assert (status, out) == (2, "")
+        assert err == f"error: {fifo} is not a regular file, which --format auto reads twice; use --format\n"
+        assert writer.is_alive()  # still waiting for a reader: the pipe was never opened
+        # with the format given, the pipe is read once and gives the file's numbers
+        truth, pred = golden_files
+        expected = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--output", "table")
+        assert run_cli(capsys, "evaluate", *pipe_argv, "--format", "clusters", "--output", "table") == expected
+        watchdog.cancel()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_malformed_predicted_file_wins_over_a_truth_repeat(self, capsys, tmp_path):
         # both files are parsed before any id is checked
         truth = tmp_path / "t.txt"

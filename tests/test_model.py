@@ -1,4 +1,4 @@
-"""Core model: construction, validation, interning, mean helpers."""
+"""Core model: construction, validation, the oracle's id numbering, mean helpers."""
 
 import dataclasses
 import math
@@ -27,6 +27,7 @@ from clustereval.model import (
     harmonic_mean,
     validate,
 )
+from clustereval.oracle import _dense_clusters
 
 from helpers import GOLDEN_PRED, GOLDEN_TRUTH, clusters_from_labels, golden_pair, reference_id_error
 
@@ -131,7 +132,8 @@ class TestValidate:
         pair = validate(truth, predicted, "lenient")
         assert pair.n_instances == 2
         assert len(pair.flags) == 1 and "extra_in_predicted" in pair.flags[0]
-        assert len(pair.instances) == 3  # extras are interned after truth
+        # the oracle numbers the extra after the truth ids
+        assert _dense_clusters(pair) == ([frozenset({0, 1})], [frozenset({0, 1}), frozenset({2})])
 
     def test_missing_fatal_in_both_modes(self):
         truth = Clustering.from_clusters([("1", "2")], role="truth")
@@ -241,15 +243,32 @@ class TestEvalPairLabelsItself:
             dataclasses.replace(lenient, coverage_mode="strict")
 
 
+def assert_numbered_by_the_rule(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
+    """The oracle's clusters, checked against its documented numbering, which is built here from raw ids.
+
+    Truth ids are numbered in cluster order from 0, then the predicted-only ids in predicted order.
+    """
+    truth_ids = list(chain.from_iterable(pair.truth.clusters))
+    seen = set(truth_ids)
+    extras = [x for x in chain.from_iterable(pair.predicted.clusters) if x not in seen]
+    number = {x: d for d, x in enumerate(truth_ids + extras)}
+    truth_sets, predicted_sets = _dense_clusters(pair)
+    assert truth_sets == [frozenset(number[x] for x in c) for c in pair.truth.clusters]
+    assert predicted_sets == [frozenset(number[x] for x in c) for c in pair.predicted.clusters]
+    return truth_sets, predicted_sets
+
+
 class TestInterning:
+    """The oracle numbers the ids itself; the pair holds only raw ids and labels."""
+
     def test_dense_ids_contiguous_from_zero(self):
-        pair = golden_pair()
-        seen = sorted(i for cluster in pair.truth_dense for i in cluster)
-        assert seen == list(range(8))
+        truth_sets, _ = assert_numbered_by_the_rule(golden_pair())
+        assert sorted(chain.from_iterable(truth_sets)) == list(range(8))
 
     def test_bijection(self):
-        pair = golden_pair()
-        assert len(set(pair.instances)) == len(pair.instances) == 8
+        truth_sets, predicted_sets = assert_numbered_by_the_rule(golden_pair())
+        assert len(set().union(*truth_sets)) == len(set().union(*predicted_sets)) == 8
+        assert set().union(*truth_sets) == set().union(*predicted_sets)
 
     @given(
         st.lists(st.integers(0, 5), min_size=1, max_size=40),
@@ -260,11 +279,10 @@ class TestInterning:
         t_labels, p_labels = t_labels[:n], p_labels[:n]
         truth = Clustering.from_clusters(clusters_from_labels(t_labels), role="truth")
         predicted = Clustering.from_clusters(clusters_from_labels(p_labels), role="predicted")
-        pair = validate(truth, predicted)
-        assert [len(c) for c in pair.truth_dense] == [len(c) for c in truth.clusters]
-        assert [len(c) for c in pair.predicted_dense] == [len(c) for c in predicted.clusters]
-        flat = [i for c in pair.truth_dense for i in c]
-        assert len(set(flat)) == len(flat)
+        truth_sets, predicted_sets = assert_numbered_by_the_rule(validate(truth, predicted))
+        assert [len(c) for c in truth_sets] == [len(c) for c in truth.clusters]
+        assert [len(c) for c in predicted_sets] == [len(c) for c in predicted.clusters]
+        assert len(set().union(*truth_sets)) == n
 
     @given(st.data())
     def test_dense_clusters_map_back_to_raw(self, data):
@@ -294,12 +312,10 @@ class TestInterning:
                 assert err.value.extra == sorted(extras, key=str)
                 continue
             pair = validate(truth, predicted, mode)
-            for raw, dense in ((truth.clusters, pair.truth_dense), (predicted.clusters, pair.predicted_dense)):
-                assert [tuple(pair.instances[d] for d in c) for c in dense] == list(raw)
-            assert all(c == tuple(range(c[0], c[0] + len(c))) for c in pair.truth_dense)
-            assert pair.assignments == [i for d in range(n) for i, c in enumerate(pair.predicted_dense) if d in c]
-            assert pair.instances[:n] == tuple(chain.from_iterable(truth.clusters))
-            assert pair.instances[n:] == tuple(x for x in chain.from_iterable(predicted.clusters) if x in extras)
+            truth_sets, predicted_sets = assert_numbered_by_the_rule(pair)
+            assert all(c == frozenset(range(min(c), min(c) + len(c))) for c in truth_sets)
+            assert set().union(*predicted_sets) - set().union(*truth_sets) == set(range(n, n + len(extras)))
+            assert pair.assignments == [next(k for k, c in enumerate(predicted.clusters) if x in c) for x in truth.ids]
             assert len(pair.flags) == (1 if extras else 0)
 
 

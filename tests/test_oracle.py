@@ -93,8 +93,8 @@ class TestOracleValues:
 
     def test_pairwise_golden_intersection(self):
         pair = golden_pair()
-        truth_pairs = pair_set(pair.truth_dense)
-        predicted_pairs = pair_set(pair.predicted_dense)
+        truth_pairs = pair_set(pair.truth.clusters)
+        predicted_pairs = pair_set(pair.predicted.clusters)
         assert len(truth_pairs & predicted_pairs) == 7
         triple = oracle.pairwise_f(pair)
         assert triple.recall == 1.0
@@ -164,6 +164,21 @@ class TestEngineAgreement:
             fast = build_report_document(single_pass.evaluate_all(pair))
             slow = build_report_document(oracle.evaluate_all(pair))
             assert fast == slow
+
+    @pytest.mark.parametrize("mode", COVERAGE_MODES)
+    def test_report_documents_are_equal_on_ids_that_cannot_be_ordered(self, mode):
+        # the oracle numbers ids rather than sorting them, so ids of mixed types are fine
+        ids = [1, "1", (2,), None, 3.5, b"1"]
+        with pytest.raises(TypeError):
+            sorted(ids)
+        truth = Clustering.from_clusters([(1, "1", None), ((2,), 3.5, b"1")], role="truth")
+        predicted = [(1, (2,)), ("1", None, b"1"), (3.5,)]
+        if mode == "lenient":
+            predicted[2] += (frozenset({"extra"}),)
+        pair = validate(truth, Clustering.from_clusters(predicted, role="predicted"), mode)
+        fast = build_report_document(single_pass.evaluate_all(pair))
+        assert build_report_document(oracle.evaluate_all(pair)) == fast
+        assert fast["stats"]["pair_int_sum"] == 1 and len(fast["flags"]) == (mode == "lenient")
 
     def test_engines_agree_on_lenient_pairs(self):
         rng = random.Random(20240303)

@@ -14,24 +14,22 @@ class TestDeterminism:
     def test_equal_configs_give_identical_pairs(self):
         config = SynthConfig(3000, 60, size_skew=1.4, split_rate=0.35, merge_rate=0.25, seed=77)
         a, b = generate(config), generate(config)
-        assert a.instances == b.instances
-        assert a.truth_dense == b.truth_dense
-        assert a.predicted_dense == b.predicted_dense
+        assert a.truth == b.truth and a.predicted == b.predicted
 
     def test_different_seeds_differ(self):
         base = dict(n_instances=500, n_truth_clusters=20, size_skew=1.0, split_rate=0.5, merge_rate=0.5)
         a = generate(SynthConfig(seed=1, **base))
         b = generate(SynthConfig(seed=2, **base))
-        assert a.predicted_dense != b.predicted_dense
+        assert a.predicted != b.predicted
 
 
 class TestSoundness:
     def test_counts_match_config(self):
         pair = generate(SynthConfig(10_000, 137, size_skew=2.0, split_rate=0.4, merge_rate=0.4, seed=5))
         assert pair.n_instances == 10_000
-        assert len(pair.truth_dense) == 137
-        assert sum(len(c) for c in pair.truth_dense) == 10_000
-        assert all(len(c) >= 1 for c in pair.truth_dense)
+        assert len(pair.truth.clusters) == 137
+        assert sum(len(c) for c in pair.truth.clusters) == 10_000
+        assert all(len(c) >= 1 for c in pair.truth.clusters)
 
     def test_identity_perturbation_scores_perfect(self):
         pair = generate(SynthConfig(800, 40, size_skew=1.0, split_rate=0.0, merge_rate=0.0, seed=3))
@@ -50,15 +48,15 @@ class TestSoundness:
         # sizes (3,3,2) with one intact cluster and the other two merged:
         # the same shape as the eight-instance worked example
         pair = generate(SynthConfig(8, 3, size_skew=0.0, split_rate=0.0, merge_rate=1.0, seed=0))
-        assert sorted(len(c) for c in pair.truth_dense) == [2, 3, 3]
-        assert sorted(len(c) for c in pair.predicted_dense) == [3, 5]
-        truth_sets = {frozenset(c) for c in pair.truth_dense}
-        intact = [frozenset(c) for c in pair.predicted_dense if frozenset(c) in truth_sets]
+        assert sorted(len(c) for c in pair.truth.clusters) == [2, 3, 3]
+        assert sorted(len(c) for c in pair.predicted.clusters) == [3, 5]
+        truth_sets = {frozenset(c) for c in pair.truth.clusters}
+        intact = [frozenset(c) for c in pair.predicted.clusters if frozenset(c) in truth_sets]
         assert len(intact) == 1 and len(intact[0]) == 3
 
     def test_uniform_sizes_are_balanced(self):
         pair = generate(SynthConfig(100, 10, size_skew=0.0, seed=9))
-        assert all(len(c) == 10 for c in pair.truth_dense)
+        assert all(len(c) == 10 for c in pair.truth.clusters)
 
 
 class TestInfeasibleConfigs:
