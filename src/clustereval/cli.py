@@ -31,7 +31,6 @@ from .io_formats import (
     parse_clustering_file,
     raise_first_repeat,
     render_report_document,
-    sniff_format,
     write_clustering,
     write_report,
 )
@@ -54,33 +53,27 @@ _FILE_FORMATS = {"auto": FORMAT_AUTO, "clusters": FORMAT_CLUSTER_LINES, "pairs":
 
 def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files, and the flags on how they were read."""
-    file_format = _FILE_FORMATS[args.format]
-    if file_format == FORMAT_AUTO:
-        # Detection opens each file before it is parsed, and a pipe read twice loses what the first read took.
-        for path in (args.truth, args.pred):
-            if os.path.exists(path) and not os.path.isfile(path):
-                raise ParseError(f"{path} is not a regular file, which --format auto reads twice; use --format")
-        # Detect once for both files; a file without data lines agrees with either format.
-        truth_format, pred_format = sniff_format(args.truth), sniff_format(args.pred)
-        if truth_format and pred_format and truth_format != pred_format:
-            raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
-        file_format = truth_format or pred_format or FORMAT_AUTO
-    truth = parse_clustering_file(args.truth, format=file_format, role="truth")
-    predicted = parse_clustering_file(args.pred, format=file_format, role="predicted")
+    # Each file is read once, in the given format or the one detected from its own first data line.
+    requested = _FILE_FORMATS[args.format]
+    truth, truth_format = parse_clustering_file(args.truth, format=requested, role="truth")
+    predicted, pred_format = parse_clustering_file(args.pred, format=requested, role="predicted")
+    # A file without data lines (format None) agrees with either format.
+    if truth_format and pred_format and truth_format != pred_format:
+        raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
     try:
         pair = validate(truth, predicted, args.coverage)
     except DuplicateInstance:
         # Name the repeat with the lines of both occurrences, in validate's order: truth first. The
         # files are read again, which a pipe cannot be; from one on, the error goes without lines.
-        for path in (args.truth, args.pred):
+        for path, file_format in ((args.truth, truth_format), (args.pred, pred_format)):
             if not os.path.isfile(path):
                 break
             with open(path, "rb") as handle:
-                raise_first_repeat(handle.read(), file_format)
+                raise_first_repeat(handle.read(), file_format or FORMAT_AUTO)
         raise
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
     singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
-    if args.format == "auto" and file_format == FORMAT_MEMBERSHIP_PAIRS and singletons:
+    if args.format == "auto" and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:
         return pair, (FLAG_AUTO_PAIRS_SINGLETONS,)
     return pair, ()
 

@@ -9,8 +9,9 @@ and ``#`` comment lines ignored:
   clusters are the groups of equal labels.
 
 Auto-detection picks ``membership_pairs`` when the first data line contains
-a TAB, else ``cluster_lines``; :func:`sniff_format` applies that rule to a
-file without reading past its first data line.
+a TAB, else ``cluster_lines``. It runs inside the parse, on the lines the
+parse has already split, so each file is read once:
+:func:`parse_clustering_file` returns the format it read the file in.
 
 The parser fills the two columns of a :class:`Clustering` (ids in cluster
 order, cluster sizes) in one pass over the file's lines. It does not look
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from itertools import chain
-from typing import Iterable
 
 from . import __version__
 from .errors import DuplicateInstance, ParseError
@@ -60,21 +60,6 @@ def _is_data_line(line: str) -> bool:
     return bool(head := line.lstrip()) and head[0] != "#"
 
 
-def _detected_format(lines: Iterable[str]) -> str | None:
-    """Auto-detection's pick from the first data line of ``lines``; None when there is none."""
-    first = next(filter(_is_data_line, lines), None)
-    if first is None:
-        return None
-    return FORMAT_MEMBERSHIP_PAIRS if "\t" in first else FORMAT_CLUSTER_LINES
-
-
-def sniff_format(path) -> str | None:
-    """Auto-detection's pick for a file, read only up to its first data line; None without one."""
-    # Lines end at "\n" only, and a BOM is dropped, as in parse_clustering.
-    with open(path, encoding="utf-8-sig", errors="replace", newline="\n") as handle:
-        return _detected_format(handle)
-
-
 def _text(source: str | bytes) -> str:
     """``source`` as text: bytes are decoded as UTF-8, a BOM dropped."""
     if isinstance(source, str):
@@ -85,13 +70,15 @@ def _text(source: str | bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _lines_and_format(text: str, format: str) -> tuple[list[str], str]:
-    """The lines of ``text`` and the format to read them in, ``format`` or the detected one."""
+def _lines_and_format(text: str, format: str) -> tuple[list[str], str | None]:
+    """The lines of ``text`` and the format to read them in: ``format``, or the one detected from
+    the first data line, None when auto-detection finds no data line."""
     if format not in FORMATS:
         raise ValueError(f"unknown clustering format {format!r}")
     rows = text.split("\n")
     if format == FORMAT_AUTO:
-        format = _detected_format(rows) or FORMAT_CLUSTER_LINES
+        first = next(filter(_is_data_line, rows), None)
+        format = None if first is None else FORMAT_MEMBERSHIP_PAIRS if "\t" in first else FORMAT_CLUSTER_LINES
     return rows, format
 
 
@@ -100,13 +87,18 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
 
     Repeated ids are read as they are; :func:`~clustereval.model.validate` rejects them.
     """
-    # Each step drops the reference to the input it consumed, so the file's bytes are freed once
-    # decoded and the text once split: at most two copies of the file are alive at once.
+    return _parse(source, format, role)[0]
+
+
+def _parse(source: str | bytes, format: str, role: str) -> tuple[Clustering, str | None]:
+    """:func:`parse_clustering`, and the format it read ``source`` in (None: no data lines)."""
+    # Each step drops the reference to the input it consumed, so the bytes parse_clustering_file read
+    # are freed once decoded and the text once split: at most two copies of the file are alive at once.
     source = _text(source)
     rows, format = _lines_and_format(source, format)
     del source
 
-    if format == FORMAT_CLUSTER_LINES:
+    if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
         ids, sizes = [], []
         for line in rows:
             # split() and lstrip() share one definition of whitespace, so this is _is_data_line.
@@ -135,7 +127,7 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
         ids = list(chain.from_iterable(groups.values()))
         sizes = list(map(len, groups.values()))
     del rows  # freed before the columns are copied into tuples
-    return Clustering(tuple(ids), tuple(sizes), role)
+    return Clustering(tuple(ids), tuple(sizes), role), format
 
 
 def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
@@ -155,13 +147,16 @@ def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
             first_seen[token] = number
 
 
-def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
+def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> tuple[Clustering, str | None]:
+    """The clustering in the file at ``path``, read once, and the format it was read in (None: no data lines)."""
     with open(path, "rb") as handle:
-        return parse_clustering(handle.read(), format=format, role=role)
+        return _parse(handle.read(), format, role)
 
 
 def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES) -> str:
     """Serialize a clustering; ``ValueError`` for an id that would not read back the same."""
+    if clustering.ids and str(clustering.ids[0]).startswith("\ufeff"):
+        raise ValueError(f"instance id {clustering.ids[0]!r} would start the file, where U+FEFF is dropped as a BOM")
     if format == FORMAT_CLUSTER_LINES:
         rows = []
         for cluster in clustering.clusters:

@@ -293,6 +293,25 @@ class TestEvaluate:
             assert (status, out) == (2, "")
             assert "cluster_lines" in err and "membership_pairs" in err
 
+    def test_a_malformed_row_in_a_files_own_format_wins_over_a_mismatch(self, capsys, tmp_path):
+        # each file is parsed in the format of its own first data line before the two formats are compared
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_text("a b\n")
+        pred.write_text("a\tx\nb\ty\tz\n")
+        status, out, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
+        assert (status, out) == (2, "")
+        assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n"
+
+    @pytest.mark.parametrize("file_format", ["auto", "clusters"])
+    def test_a_directory_input_exits_2_naming_it(self, capsys, tmp_path, golden_files, file_format):
+        truth, _ = golden_files
+        status, out, err = run_cli(
+            capsys, "evaluate", "--truth", truth, "--pred", str(tmp_path), "--format", file_format
+        )
+        assert (status, out) == (2, "")
+        assert "Is a directory" in err and str(tmp_path) in err
+
     @pytest.mark.parametrize(
         "file_format, exit_code, message",
         [
@@ -374,9 +393,11 @@ class TestEvaluate:
         assert err == "error: instance '1' appears in more than one cluster\n"
 
     @pytest.mark.parametrize("side", ["--truth", "--pred"])
-    def test_auto_format_refuses_a_pipe_without_opening_it(self, capsys, tmp_path, golden_files, side):
-        # detection would take the pipe's first chunk, and the parse would read only what is left
-        files = dict(zip(("--truth", "--pred"), golden_files))
+    def test_auto_format_reads_a_pipe_once(self, capsys, tmp_path, golden_files, side):
+        # the format is detected on the lines the parse has read, so the pipe is opened once and read whole
+        truth, pred = golden_files
+        expected = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--output", "table")
+        files = {"--truth": truth, "--pred": pred}
         fifo = tmp_path / "in.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_text, args=(Path(files[side]).read_text(),), daemon=True)
@@ -390,14 +411,7 @@ class TestEvaluate:
         watchdog.daemon = True
         watchdog.start()
         pipe_argv = [arg for item in {**files, side: str(fifo)}.items() for arg in item]
-        status, out, err = run_cli(capsys, "evaluate", *pipe_argv)
-        assert (status, out) == (2, "")
-        assert err == f"error: {fifo} is not a regular file, which --format auto reads twice; use --format\n"
-        assert writer.is_alive()  # still waiting for a reader: the pipe was never opened
-        # with the format given, the pipe is read once and gives the file's numbers
-        truth, pred = golden_files
-        expected = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--output", "table")
-        assert run_cli(capsys, "evaluate", *pipe_argv, "--format", "clusters", "--output", "table") == expected
+        assert run_cli(capsys, "evaluate", *pipe_argv, "--format", "auto", "--output", "table") == expected
         watchdog.cancel()
         writer.join(timeout=10)
         assert not writer.is_alive()

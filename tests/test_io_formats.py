@@ -2,9 +2,7 @@
 
 import json
 import math
-import os
 import random
-import tempfile
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -21,9 +19,9 @@ from clustereval.io_formats import (
     MEASURE_ORDER,
     build_report_document,
     parse_clustering,
+    parse_clustering_file,
     raise_first_repeat,
     render_report_document,
-    sniff_format,
     write_clustering,
     write_report,
 )
@@ -132,27 +130,25 @@ class TestFormatDetection:
         clustering = parse_clustering(b"\xef\xbb\xbf1 2\n")
         assert clustering.clusters == (("1", "2"),)
 
-    LINES = ["", " ", "\t", "\u3000", "# c", " # c\ta", "# c\ra\tX", "a", "b c", "a\tX", "\tx", "a\r"]
+    @pytest.mark.parametrize(
+        "data, clusters",
+        [
+            (b"\xef\xbb\xbf\na\tX", (("a",),)),  # a BOM before a blank line
+            (b"# c\ra\tX\r\nb c", (("b", "c"),)),  # a lone CR ends no line, so the TAB is in the comment
+        ],
+    )
+    def test_auto_detection_reads_the_first_data_line(self, data, clusters):
+        assert parse_clustering(data).clusters == clusters
 
-    @given(st.booleans(), st.lists(st.sampled_from(LINES), max_size=5), st.sampled_from(["\n", "\r\n"]), st.booleans())
-    @example(True, ["", "a\tX"], "\n", False)  # a BOM before a blank line
-    @example(False, ["# c\ra\tX", "b c"], "\r\n", False)  # a lone CR ends no line
-    def test_sniffed_format_is_the_parsers_choice(self, bom, lines, newline, invalid):
-        # The sniff reads only up to the first data line; the parser decodes the whole text.
-        data = b"\xef\xbb\xbf" * bom + newline.join(lines).encode() + b"\xff" * invalid
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "clustering.txt")
-            with open(path, "wb") as handle:
-                handle.write(data)
-            sniffed = sniff_format(path)
-
-        def outcome(format):
-            try:
-                return parse_clustering(data, format=format)
-            except ClusterEvalError as exc:
-                return type(exc), str(exc)
-
-        assert outcome(sniffed or FORMAT_AUTO) == outcome(FORMAT_AUTO)
+    @pytest.mark.parametrize(
+        "text, format",
+        [("a b\n", FORMAT_CLUSTER_LINES), ("# c\na\tX\n", FORMAT_MEMBERSHIP_PAIRS), ("# c\n\n", None)],
+    )
+    def test_a_file_is_parsed_with_the_format_it_was_read_in(self, tmp_path, text, format):
+        path = tmp_path / "clustering.txt"
+        path.write_text(text)
+        assert parse_clustering_file(path) == (parse_clustering(text), format)
+        assert parse_clustering_file(path, format=FORMAT_CLUSTER_LINES)[1] == FORMAT_CLUSTER_LINES
 
 
 def reference_parse(data: bytes, format: str) -> tuple[tuple, tuple]:
@@ -265,6 +261,9 @@ class TestClusteringRoundTrip:
             (FORMAT_MEMBERSHIP_PAIRS, [("#a",), ("b",)]),
             (FORMAT_MEMBERSHIP_PAIRS, [(" a",)]),  # would read back as "a"
             (FORMAT_MEMBERSHIP_PAIRS, [("a ",)]),
+            # the file would start with U+FEFF, which reads back as a BOM and is dropped
+            (FORMAT_CLUSTER_LINES, [("\ufeffa", "b"), ("c",)]),
+            (FORMAT_MEMBERSHIP_PAIRS, [("\ufeffa", "b"), ("c",)]),
         ]:
             with pytest.raises(ValueError):
                 write_clustering(Clustering.from_clusters(clusters), format=format)
@@ -274,6 +273,7 @@ class TestClusteringRoundTrip:
         [
             (FORMAT_CLUSTER_LINES, [("a", "#b"), ("c",)]),  # only a line's first token can open a comment
             (FORMAT_MEMBERSHIP_PAIRS, [("a#",), ("b c",)]),
+            (FORMAT_MEMBERSHIP_PAIRS, [("a",), ("\ufeffb",)]),  # only the file's first character can be a BOM
         ],
     )
     def test_ids_that_read_back_are_written(self, format, clusters):
