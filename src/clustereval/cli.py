@@ -4,7 +4,7 @@ Subcommands:
   evaluate  score a predicted clustering file against a truth file
   check     run both engines and compare their reports (files or random trials)
   gen       write a seeded synthetic truth/predicted file pair
-  bench     time the engines on synthetic workloads of given sizes
+  bench     time the engines on a truth/predicted file pair
 
 Exit codes: 0 success, 2 parse or usage error, 3 validation/config error,
 5 engine divergence (check), 6 pair budget exceeded.
@@ -69,7 +69,7 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
             if not os.path.isfile(path):
                 break
             with open(path, "rb") as handle:
-                raise_first_repeat(handle.read(), file_format or FORMAT_AUTO)
+                raise_first_repeat(handle.read(), file_format)
         raise
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
     singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
@@ -192,42 +192,33 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
+    pair, _ = _load_pair(args)  # reading and validating stay outside the timers
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
     rows = []
-    for n in args.sizes:
-        config = SynthConfig(
-            n_instances=n,
-            n_truth_clusters=max(1, round(n / args.cluster_ratio)),
-            size_skew=args.skew,
-            split_rate=args.split,
-            merge_rate=args.merge,
-            seed=args.seed,
-        )
-        pair = generate(config)  # generation and parsing stay outside the timers
-        for engine in engines:
-            if engine == "oracle":
-                demand = oracle.pair_demand(pair)
-                if demand > args.pair_budget:
-                    raise PairBudgetExceeded(demand, args.pair_budget)
-                calls = {
-                    "cluster_f": lambda p=pair: oracle.cluster_f(p),
-                    "k_metric": lambda p=pair: oracle.k_metric(p),
-                    "b_cubed": lambda p=pair: oracle.b_cubed(p),
-                    "se_le": lambda p=pair: oracle.split_lump(p),
-                    "pairwise": lambda p=pair: oracle.pairwise_f(p, pair_budget=args.pair_budget),
-                    "all_in_one": lambda p=pair: oracle.evaluate_all(p, pair_budget=args.pair_budget),
-                }
-            else:
-                # the single-pass engine computes all five measures in one pass, so it gets one row
-                calls = {"all_in_one": lambda p=pair: single_pass.evaluate_all(p)}
-            for name, fn in calls.items():
-                best, mean, std = _time_call(fn, args.repeats)
-                rows.append((n, engine, name, best, mean, std))
+    for engine in engines:
+        if engine == "oracle":
+            demand = oracle.pair_demand(pair)
+            if demand > args.pair_budget:
+                raise PairBudgetExceeded(demand, args.pair_budget)
+            calls = {
+                "cluster_f": lambda: oracle.cluster_f(pair),
+                "k_metric": lambda: oracle.k_metric(pair),
+                "b_cubed": lambda: oracle.b_cubed(pair),
+                "se_le": lambda: oracle.split_lump(pair),
+                "pairwise": lambda: oracle.pairwise_f(pair, pair_budget=args.pair_budget),
+                "all_in_one": lambda: oracle.evaluate_all(pair, pair_budget=args.pair_budget),
+            }
+        else:
+            # the single-pass engine computes all five measures in one pass, so it gets one row
+            calls = {"all_in_one": lambda: single_pass.evaluate_all(pair)}
+        for name, fn in calls.items():
+            best, mean, std = _time_call(fn, args.repeats)
+            rows.append((engine, name, best, mean, std))
 
     header = f"{'N':>9}  {'engine':<12}{'measure':<12}{'best_s':>12}{'mean_s':>12}{'std_s':>12}"
     sys.stdout.write(header + "\n")
-    for n, engine, name, best, mean, std in rows:
-        sys.stdout.write(f"{n:>9}  {engine:<12}{name:<12}{best:>12.6f}{mean:>12.6f}{std:>12.6f}\n")
+    for engine, name, best, mean, std in rows:
+        sys.stdout.write(f"{pair.n_instances:>9}  {engine:<12}{name:<12}{best:>12.6f}{mean:>12.6f}{std:>12.6f}\n")
     return EXIT_OK
 
 
@@ -242,26 +233,6 @@ def _int_at_least(minimum: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value" messages
     return parse
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:  # NaN fails this too
-        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
-    return value
-
-
-_positive_float.__name__ = "float"
-
-
-def _sizes(text: str) -> list[int]:
-    try:
-        sizes = [_int_at_least(1)(item) for item in text.split(",") if item]
-    except ValueError:
-        sizes = []
-    if not sizes:
-        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text}")
-    return sizes
 
 
 def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -309,19 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--format", choices=("clusters", "pairs"), default="clusters")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="time the engines on synthetic workloads")
-    p_bench.add_argument("--sizes", type=_sizes, required=True, help="comma-separated instance counts")
+    p_bench = sub.add_parser("bench", help="time the engines on a truth/predicted file pair")
+    _add_input_options(p_bench, required=True)
     p_bench.add_argument("--engine", choices=("single_pass", "oracle", "both"), default="single_pass")
     p_bench.add_argument(
         "--repeats", type=_int_at_least(1), default=10, help="trials per measurement; best is reported"
     )
-    p_bench.add_argument(
-        "--cluster-ratio", type=_positive_float, default=78.0, help="instances per truth cluster"
-    )
-    p_bench.add_argument("--skew", type=float, default=1.0)
-    p_bench.add_argument("--split", type=float, default=0.2)
-    p_bench.add_argument("--merge", type=float, default=0.2)
-    p_bench.add_argument("--seed", type=int, default=20240501)
     p_bench.add_argument("--pair-budget", type=_int_at_least(0), default=oracle.DEFAULT_PAIR_BUDGET)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -40,27 +40,27 @@ class EmptyClustering(ValidationError):
     """A clustering with no clusters cannot be evaluated."""
 
 
+def _listed(ids: list) -> str:
+    """The first five of the sorted ``ids`` as reprs, and the total when there are more."""
+    shown = ", ".join(repr(x) for x in ids[:5])
+    return shown if len(ids) <= 5 else f"{shown}, ... ({len(ids)} total)"
+
+
 class MissingFromPredicted(ValidationError):
     """A truth instance does not occur anywhere in the predicted clustering."""
 
     def __init__(self, missing):
-        missing = sorted(missing, key=str)
-        self.missing = missing
-        shown = ", ".join(repr(x) for x in missing[:5])
-        tail = "" if len(missing) <= 5 else f", ... ({len(missing)} total)"
-        super().__init__(f"truth instance(s) absent from predicted clustering: {shown}{tail}")
+        self.missing = sorted(missing, key=str)
+        super().__init__(f"truth instance(s) absent from predicted clustering: {_listed(self.missing)}")
 
 
 class ExtraInPredicted(ValidationError):
     """A predicted instance does not occur in the truth clustering (strict mode)."""
 
     def __init__(self, extra):
-        extra = sorted(extra, key=str)
-        self.extra = extra
-        shown = ", ".join(repr(x) for x in extra[:5])
-        tail = "" if len(extra) <= 5 else f", ... ({len(extra)} total)"
+        self.extra = sorted(extra, key=str)
         super().__init__(
-            f"predicted instance(s) absent from truth clustering: {shown}{tail} "
+            f"predicted instance(s) absent from truth clustering: {_listed(self.extra)} "
             "(use lenient coverage to accept them)"
         )
 

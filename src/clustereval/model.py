@@ -13,6 +13,7 @@ consume.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -132,8 +133,8 @@ class Clustering:
     ``ids`` lists every instance in cluster order and ``sizes`` the cluster
     lengths, so cluster ``k`` is the ``sizes[k]`` ids after the first
     ``sum(sizes[:k])``. The constructor stores both as tuples and checks the
-    shape: no cluster is empty and the sizes partition the ids. That the ids
-    are distinct, so the clusters are disjoint, is checked by
+    shape: no cluster is empty and the integer sizes partition the ids. That
+    the ids are distinct, so the clusters are disjoint, is checked by
     :func:`validate`, in the one table it builds for the pair. Cluster and
     instance order are kept as given, which makes everything downstream
     deterministic.
@@ -149,7 +150,11 @@ class Clustering:
         object.__setattr__(self, "sizes", sizes := tuple(self.sizes))
         if 0 in sizes:
             raise ValidationError(f"{self.role} cluster at position {sizes.index(0)} is empty")
-        if sum(sizes) != len(ids) or min(sizes, default=1) < 0:
+        try:  # a float, Fraction or Decimal size makes the sum non-integral, which has no index
+            partitions = operator.index(sum(sizes)) == len(ids) and min(sizes, default=1) >= 0
+        except TypeError:
+            partitions = False
+        if not partitions:
             raise ValidationError(f"{self.role} cluster sizes do not partition its {len(ids)} ids")
 
     @property

@@ -637,13 +637,13 @@ class TestNumericOptions:
         [
             (("check", "--trials", "3", "--max-n", "0"), "--max-n"),
             (("check", "--trials", "-2"), "--trials"),
-            (("bench", "--sizes", "100", "--repeats", "0"), "--repeats"),
-            (("bench", "--sizes", "100", "--cluster-ratio", "0"), "--cluster-ratio"),
-            (("bench", "--sizes", "100,abc"), "--sizes"),
-            (("bench", "--sizes", ","), "--sizes"),
+            (("bench", "--truth", "t", "--pred", "p", "--repeats", "0"), "--repeats"),
+            (("check", "--truth", "t", "--pred", "p", "--pair-budget", "-1"), "--pair-budget"),
+            (("check", "--trials", "1", "--max-n", "-1"), "--max-n"),
+            (("bench", "--truth", "t", "--pred", "p", "--engine", "both", "--repeats", "-1"), "--repeats"),
             (("evaluate", "--truth", "t", "--pred", "p", "--pair-budget", "-5"), "--pair-budget"),
             (("check", "--trials", "1", "--pair-budget", "-1"), "--pair-budget"),
-            (("bench", "--sizes", "100", "--pair-budget", "-1"), "--pair-budget"),
+            (("bench", "--truth", "t", "--pred", "p", "--pair-budget", "-1"), "--pair-budget"),
             (("check", "--trials", "0"), "--trials"),
             (("check", "--trials", "0", "--truth", "t", "--pred", "p"), "--trials"),
         ],
@@ -673,23 +673,44 @@ class TestNumericOptions:
 
 
 class TestBench:
-    def test_smoke(self, capsys):
-        status, out, _ = run_cli(
-            capsys, "bench", "--sizes", "2000", "--repeats", "2", "--engine", "single_pass"
+    @staticmethod
+    def gen_pair(capsys, folder, n, clusters):
+        """Bench's former in-memory pair: skew 1, split and merge 0.2, seed 20240501, here as files."""
+        truth, pred = folder / f"t{n}.txt", folder / f"p{n}.txt"
+        status, _, _ = run_cli(
+            capsys, "gen", "--n", str(n), "--clusters", str(clusters), "--skew", "1", "--split", "0.2",
+            "--merge", "0.2", "--seed", "20240501", "--out-truth", str(truth), "--out-pred", str(pred),
         )
         assert status == 0
+        return "--truth", str(truth), "--pred", str(pred)
+
+    def test_smoke(self, capsys, tmp_path):
+        files = self.gen_pair(capsys, tmp_path, 2000, 26)
+        status, out, _ = run_cli(capsys, "bench", *files, "--repeats", "2", "--engine", "single_pass")
+        assert status == 0
         assert "all_in_one" in out and "cluster_f" not in out
-        status, out, _ = run_cli(capsys, "bench", "--sizes", "300", "--repeats", "1", "--engine", "oracle")
+        files = self.gen_pair(capsys, tmp_path, 300, 4)
+        status, out, _ = run_cli(capsys, "bench", *files, "--repeats", "1", "--engine", "oracle")
         assert status == 0
         assert "all_in_one" in out and "cluster_f" in out
 
-    def test_oracle_budget_guard(self, capsys):
+    def test_oracle_budget_guard(self, capsys, tmp_path):
+        files = self.gen_pair(capsys, tmp_path, 5000, 64)
         status, _, err = run_cli(
-            capsys, "bench", "--sizes", "5000", "--repeats", "1", "--engine", "oracle",
-            "--pair-budget", "10",
+            capsys, "bench", *files, "--repeats", "1", "--engine", "oracle", "--pair-budget", "10"
         )
         assert status == 6
         assert err.startswith("error: pair enumeration needs ")
+
+    def test_a_repeated_id_exits_3_naming_both_lines(self, capsys, tmp_path):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        truth.write_text("1 2\n# note\n3 2\n")
+        pred.write_text("3 1\n2\n")
+        status, out, err = run_cli(
+            capsys, "bench", "--truth", str(truth), "--pred", str(pred), "--repeats", "1"
+        )
+        assert status == 3 and out == ""
+        assert err == "error: instance '2' appears in more than one cluster (lines 1 and 3)\n"
 
 
 # ids and every byte the readers treat specially: field and line separators, comments,

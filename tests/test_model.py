@@ -74,7 +74,10 @@ class TestClustering:
         with pytest.raises(ValidationError, match="truth cluster at position 2 is empty"):
             Clustering(("1", "2", "3"), (2, 1, 0, 0))
 
-    @pytest.mark.parametrize("ids, sizes", [(("1", "2", "3"), (2,)), (("1",), (1, 1)), (("1", "2"), (3, -1))])
+    @pytest.mark.parametrize(
+        "ids, sizes",
+        [(("1", "2", "3"), (2,)), (("1",), (1, 1)), (("1", "2"), (3, -1)), (("1", "2", "3"), (1.5, 1.5))],
+    )
     def test_sizes_must_partition_the_ids(self, ids, sizes):
         with pytest.raises(ValidationError, match="predicted cluster sizes do not partition"):
             Clustering(ids, sizes, "predicted")
