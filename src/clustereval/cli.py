@@ -192,7 +192,7 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    pair, _ = _load_pair(args)  # reading and validating stay outside the timers
+    pair, read_flags = _load_pair(args)  # reading and validating stay outside the timers
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
     rows = []
     for engine in engines:
@@ -219,6 +219,7 @@ def cmd_bench(args) -> int:
     sys.stdout.write(header + "\n")
     for engine, name, best, mean, std in rows:
         sys.stdout.write(f"{pair.n_instances:>9}  {engine:<12}{name:<12}{best:>12.6f}{mean:>12.6f}{std:>12.6f}\n")
+    sys.stdout.writelines(f"flag: {flag}\n" for flag in read_flags)
     return EXIT_OK
 
 

@@ -10,11 +10,16 @@ and ``#`` comment lines ignored:
 
 Auto-detection picks ``membership_pairs`` when the first data line contains
 a TAB, else ``cluster_lines``. It runs inside the parse, on the lines the
-parse has already split, so each file is read once:
+parse has already read, so each file is read once:
 :func:`parse_clustering_file` returns the format it read the file in.
 
 The parser fills the two columns of a :class:`Clustering` (ids in cluster
-order, cluster sizes) in one pass over the file's lines. It does not look
+order, cluster sizes) in one pass over the file's lines. Bytes are decoded
+and split into lines in batches of about 1 MiB, each ending at a line end,
+so no list of all the lines is ever built; the lines, their numbers and
+every error message are those of decoding the whole file and splitting it
+on LF. An invalid byte anywhere in the file is reported before a malformed
+row, as it would be if the whole file were decoded first. It does not look
 for repeated ids: :func:`~clustereval.model.validate` finds them in the one
 table it builds for the pair, and :func:`raise_first_repeat` then rescans
 the text to name the first repeat in file order with both line numbers. A
@@ -31,6 +36,7 @@ non-finite value raises ``ValueError``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import chain
 
@@ -39,6 +45,8 @@ from .errors import DuplicateInstance, ParseError
 from .model import Clustering, FullReport
 
 SCHEMA_VERSION = 1
+
+_BATCH = 1 << 20  # bytes decoded at a time: each batch runs on to the next LF
 
 FORMAT_AUTO = "auto"
 FORMAT_CLUSTER_LINES = "cluster_lines"
@@ -70,15 +78,39 @@ def _text(source: str | bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _lines_and_format(text: str, format: str) -> tuple[list[str], str | None]:
-    """The lines of ``text`` and the format to read them in: ``format``, or the one detected from
-    the first data line, None when auto-detection finds no data line."""
+def _batches(data: bytes) -> Iterator[list[str]]:
+    """The lines of ``_text(data).split("\n")``, one list per batch of about ``_BATCH`` bytes."""
+    # A batch ends just before an LF, which is never part of a multi-byte sequence, so the batches decode
+    # to exactly the characters of the whole file, and only the first can start with a BOM.
+    start, encoding = 0, "utf-8-sig"
+    while True:
+        end = data.find(b"\n", start + _BATCH)
+        try:
+            yield data[start : end if end >= 0 else len(data)].decode(encoding).split("\n")
+        except UnicodeDecodeError:
+            _text(data)  # raises a ParseError that gives the byte position in the whole file
+            raise
+        if end < 0:
+            return
+        start, encoding = end + 1, "utf-8"
+
+
+def _lines_and_format(source: str | bytes, format: str) -> tuple[Iterator[str], str | None]:
+    """The lines of ``source``, read as they are consumed, and the format to read them in: ``format``,
+    or the one detected from the first data line, None when auto-detection finds no data line."""
     if format not in FORMATS:
         raise ValueError(f"unknown clustering format {format!r}")
-    rows = text.split("\n")
+    rows = iter(source.split("\n")) if isinstance(source, str) else chain.from_iterable(_batches(source))
     if format == FORMAT_AUTO:
-        first = next(filter(_is_data_line, rows), None)
-        format = None if first is None else FORMAT_MEMBERSHIP_PAIRS if "\t" in first else FORMAT_CLUSTER_LINES
+        head = []  # the lines detection reads, given back in front of the rest
+        for line in rows:
+            head.append(line)
+            if _is_data_line(line):
+                format = FORMAT_MEMBERSHIP_PAIRS if "\t" in line else FORMAT_CLUSTER_LINES
+                break
+        else:
+            format = None
+        rows = chain(head, rows)
     return rows, format
 
 
@@ -92,11 +124,8 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str =
 
 def _parse(source: str | bytes, format: str, role: str) -> tuple[Clustering, str | None]:
     """:func:`parse_clustering`, and the format it read ``source`` in (None: no data lines)."""
-    # Each step drops the reference to the input it consumed, so the bytes parse_clustering_file read
-    # are freed once decoded and the text once split: at most two copies of the file are alive at once.
-    source = _text(source)
+    # Besides the columns, only the file's bytes and the lines of one decoded batch are alive at once.
     rows, format = _lines_and_format(source, format)
-    del source
 
     if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
         ids, sizes = [], []
@@ -106,8 +135,10 @@ def _parse(source: str | bytes, format: str, role: str) -> tuple[Clustering, str
             if tokens and tokens[0][0] != "#":
                 ids += tokens
                 sizes.append(len(tokens))
-    else:
-        groups: dict[str, list[str]] = {}
+        return Clustering(tuple(ids), tuple(sizes), role), format
+
+    groups: dict[str, list[str]] = {}
+    try:
         for number, line in enumerate(rows, 1):
             if not (head := line.lstrip()) or head[0] == "#":  # _is_data_line, inlined: a call costs ~8% here
                 continue
@@ -124,10 +155,11 @@ def _parse(source: str | bytes, format: str, role: str) -> tuple[Clustering, str
             if not label:
                 raise ParseError("empty cluster label", line=number, column=len(fields[0]) + 2)
             groups.setdefault(label, []).append(instance)
-        ids = list(chain.from_iterable(groups.values()))
-        sizes = list(map(len, groups.values()))
-    del rows  # freed before the columns are copied into tuples
-    return Clustering(tuple(ids), tuple(sizes), role), format
+    except ParseError:
+        _text(source)  # an invalid byte in a batch not yet decoded is reported first
+        raise
+    ids = tuple(chain.from_iterable(groups.values()))
+    return Clustering(ids, tuple(map(len, groups.values())), role), format
 
 
 def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
@@ -136,7 +168,7 @@ def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
     Returns when no id repeats. ``source`` is text that :func:`parse_clustering`
     reads in ``format`` without error.
     """
-    rows, format = _lines_and_format(_text(source), format)
+    rows, format = _lines_and_format(source, format)
     first_seen: dict[str, int] = {}
     for number, line in enumerate(rows, 1):
         if not _is_data_line(line):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustereval import oracle
+from clustereval import io_formats, oracle
 from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
 from clustereval.io_formats import MEASURE_ORDER
 from clustereval.model import FLAG_EXTRA_IN_PREDICTED, EvalPair
@@ -416,6 +416,11 @@ class TestEvaluate:
         writer.join(timeout=10)
         assert not writer.is_alive()
 
+    @pytest.mark.parametrize("side", ["--truth", "--pred"])
+    def test_auto_format_reads_a_pipe_of_many_batches_once(self, monkeypatch, capsys, tmp_path, golden_files, side):
+        monkeypatch.setattr(io_formats, "_BATCH", 1)  # a batch per line
+        self.test_auto_format_reads_a_pipe_once(capsys, tmp_path, golden_files, side)
+
     def test_malformed_predicted_file_wins_over_a_truth_repeat(self, capsys, tmp_path):
         # both files are parsed before any id is checked
         truth = tmp_path / "t.txt"
@@ -711,6 +716,16 @@ class TestBench:
         )
         assert status == 3 and out == ""
         assert err == "error: instance '2' appears in more than one cluster (lines 1 and 3)\n"
+
+    def test_tab_separated_cluster_lines_are_flagged(self, capsys, tmp_path):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        truth.write_text("a\tb\n")
+        pred.write_text("a\tb\n")
+        status, out, _ = run_cli(capsys, "bench", "--truth", str(truth), "--pred", str(pred), "--repeats", "1")
+        assert status == 0
+        rows = out.splitlines()
+        assert rows[1].split()[:3] == ["1", "single_pass", "all_in_one"]
+        assert rows[2:] == [f"flag: {FLAG_AUTO_PAIRS_SINGLETONS}"]  # as evaluate and check print it
 
 
 # ids and every byte the readers treat specially: field and line separators, comments,

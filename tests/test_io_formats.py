@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from clustereval import oracle, single_pass
+from clustereval import io_formats, oracle, single_pass
 from clustereval.errors import ClusterEvalError, DuplicateInstance, ParseError
 from clustereval.io_formats import (
     FORMAT_AUTO,
@@ -26,6 +27,7 @@ from clustereval.io_formats import (
     write_report,
 )
 from clustereval.model import COVERAGE_MODES, Clustering, FullReport, validate
+from clustereval.synth import SynthConfig, generate
 
 from helpers import (
     GOLDEN_PRED_TEXT,
@@ -222,6 +224,16 @@ class TestOnePassParser:
 
         assert outcome(parse_then_rescan) == outcome(lambda: reference_parse(data, format))
 
+    @pytest.mark.parametrize("batch", [1, 7])  # batches cut between almost every pair of lines
+    @given(
+        st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+        st.sampled_from([FORMAT_AUTO, FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS]),
+    )
+    def test_matches_the_reference_in_small_batches(self, batch, text, format):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(io_formats, "_BATCH", batch)
+            type(self).test_matches_the_line_by_line_reference.hypothesis.inner_test(self, text, format)
+
     @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
     def test_evaluating_a_parsed_pair_builds_no_cluster_tuples(self, format):
         original = golden_pair()
@@ -232,6 +244,46 @@ class TestOnePassParser:
         single_pass.evaluate_all(validate(truth, predicted))
         assert "clusters" not in truth.__dict__
         assert "clusters" not in predicted.__dict__
+
+
+class TestBatchedReading:
+    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    def test_an_invalid_byte_in_a_later_batch_gives_the_whole_file_message(self, monkeypatch, format):
+        monkeypatch.setattr(io_formats, "_BATCH", 4)
+        # after a BOM, which shifts the position, and a row with three fields, which must not be reported first
+        data = b"\xef\xbb\xbfa\tX\nb\tY\tZ\n" + b"c\tX\n" * 5 + b"d\xff\tX\ne\tX\n"
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8-sig")
+        with pytest.raises(ParseError) as err:
+            parse_clustering(data, format=format)
+        assert str(err.value) == f"input is not valid UTF-8: {whole.value}"
+        assert "position 31" in str(err.value)
+
+    def test_a_bom_is_dropped_only_at_the_start_of_the_file(self, monkeypatch):
+        monkeypatch.setattr(io_formats, "_BATCH", 1)
+        # the second batch starts with U+FEFF, which is part of its first id
+        assert parse_clustering(b"\xef\xbb\xbfa b\n\xef\xbb\xbfc d\n").clusters == (("a", "b"), ("\ufeffc", "d"))
+
+    def test_detection_reads_past_a_batch_of_comments(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(io_formats, "_BATCH", 64)
+        path = tmp_path / "clustering.tsv"
+        path.write_bytes(b"# note\n" * 30 + b"\n" + b"a\tX\nb\tX\nc\tY\n")
+        clustering, format = parse_clustering_file(path)
+        assert (clustering.clusters, format) == ((("a", "b"), ("c",)), FORMAT_MEMBERSHIP_PAIRS)
+
+    def test_no_list_of_all_the_lines_is_built(self, monkeypatch):
+        # What the parse allocates and frees again is about one batch and the groups, not a str per line.
+        monkeypatch.setattr(io_formats, "_BATCH", 1 << 16)
+        config = SynthConfig(100_000, 3_000, size_skew=1.0, split_rate=0.2, merge_rate=0.2, seed=20240501)
+        data = write_clustering(generate(config).truth, format=FORMAT_MEMBERSHIP_PAIRS).encode()
+        tracemalloc.start()
+        try:
+            clustering = parse_clustering(data)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert clustering.n_instances == 100_000
+        assert peak - held < 2 * len(data)
 
 
 class TestClusteringRoundTrip:
