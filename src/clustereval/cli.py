@@ -6,8 +6,9 @@ Subcommands:
   gen       write a seeded synthetic truth/predicted file pair
   bench     time the engines on a truth/predicted file pair
 
-Exit codes: 0 success, 2 parse or usage error, 3 validation/config error,
-5 engine divergence (check), 6 pair budget exceeded.
+Exit codes: 0 success, 2 parse or usage error (an input that cannot be read
+included), 3 validation/config error, 4 failed write (stdout or gen's output
+files), 5 engine divergence (check), 6 pair budget exceeded.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .io_formats import (
     build_report_document,
     parse_clustering_file,
     raise_first_repeat,
-    render_report_document,
     write_clustering,
     write_report,
 )
@@ -40,6 +40,7 @@ from .synth import SynthConfig, generate
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_WRITE = 4
 EXIT_DIVERGENCE = 5
 EXIT_PAIR_BUDGET = 6
 
@@ -55,8 +56,11 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files, and the flags on how they were read."""
     # Each file is read once, in the given format or the one detected from its own first data line.
     requested = _FILE_FORMATS[args.format]
-    truth, truth_format = parse_clustering_file(args.truth, format=requested, role="truth")
-    predicted, pred_format = parse_clustering_file(args.pred, format=requested, role="predicted")
+    try:
+        truth, truth_format = parse_clustering_file(args.truth, format=requested, role="truth")
+        predicted, pred_format = parse_clustering_file(args.pred, format=requested, role="predicted")
+    except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
+        raise ParseError(str(exc)) from None
     # A file without data lines (format None) agrees with either format.
     if truth_format and pred_format and truth_format != pred_format:
         raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
@@ -88,9 +92,7 @@ def cmd_evaluate(args) -> int:
     elapsed = time.perf_counter() - start
     report = dataclasses.replace(report, flags=report.flags + read_flags)
     measures = MEASURE_ORDER if args.measure == "all" else (args.measure,)
-    sys.stdout.write(
-        write_report(report, style=args.output, engine=args.engine, timing_seconds=elapsed, measures=measures)
-    )
+    sys.stdout.write(write_report(build_report_document(report, args.engine, elapsed, measures), args.output))
     return EXIT_OK
 
 
@@ -114,8 +116,8 @@ def _check_one(pair: EvalPair, pair_budget: int, label: str) -> int:
     sys.stderr.write(f"divergence on {label}:\n")
     for line in divergent:
         sys.stderr.write(f"  {line}\n")
-    sys.stdout.write(render_report_document(fast))
-    sys.stdout.write(render_report_document(slow))
+    sys.stdout.write(write_report(fast))
+    sys.stdout.write(write_report(slow))
     return EXIT_DIVERGENCE
 
 
@@ -296,10 +298,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, OSError) as exc:
+        status = args.func(args)
+        sys.stdout.flush()  # a failed write to stdout surfaces here, where it is caught, not at exit
+        return status
+    except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    except OSError as exc:  # _load_pair turns a failed read into a ParseError, so this is a failed write
+        sys.stderr.write(f"error: {exc}\n")
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed: what it still holds goes to the null device, not to a second error at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_WRITE
     except (ValidationError, InfeasibleConfig) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

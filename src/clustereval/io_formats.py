@@ -26,9 +26,11 @@ the text to name the first repeat in file order with both line numbers. A
 malformed row anywhere in either file is therefore reported before any
 repeat.
 
-Machine reports are JSON whose keys follow the report dataclasses' fields,
-with every float printed as its shortest round-trip repr, so ``json.loads``
-gives back exactly the engine's doubles and rendering what it reads back is
+:func:`build_report_document` builds a report's one document, and
+:func:`write_report` renders that document in either style. Machine reports
+are JSON whose keys follow the report dataclasses' fields, with every float
+printed as its shortest round-trip repr, so ``json.loads`` gives back
+exactly the engine's doubles and rendering what it reads back is
 byte-identical. Values below 1e-4 may be printed with an exponent; a
 non-finite value raises ``ValueError``.
 """
@@ -236,10 +238,6 @@ def build_report_document(
     return doc
 
 
-def render_report_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-
-
 def _render_table(doc: dict) -> str:
     measures = doc["measures"]
     lines = [f"{'Measure':<12}{'Recall':>9}{'Precision':>11}{'F':>9}"]
@@ -263,18 +261,10 @@ def _render_table(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(
-    report: FullReport,
-    style: str = "machine",
-    engine: str = "single_pass",
-    timing_seconds: float | None = None,
-    measures: tuple[str, ...] = MEASURE_ORDER,
-) -> str:
-    """Render a report, machine (stable JSON) or human table style, keeping only ``measures``.
-
-    Both styles render the one document :func:`build_report_document` builds.
-    """
-    if style not in ("machine", "table"):
-        raise ValueError(f"unknown report style {style!r}")
-    doc = build_report_document(report, engine, timing_seconds, measures)
-    return render_report_document(doc) if style == "machine" else _render_table(doc)
+def write_report(doc: dict, style: str = "machine") -> str:
+    """Render a document :func:`build_report_document` built: stable JSON (machine) or a human table."""
+    if style == "machine":
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    if style == "table":
+        return _render_table(doc)
+    raise ValueError(f"unknown report style {style!r}")

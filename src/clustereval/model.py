@@ -7,7 +7,8 @@ with a predicted one and, when built, checks every id once in one table:
 predicted id to predicted cluster. Popping each truth id from it labels the
 truth instances, finds repeats and missing ids, and leaves the
 predicted-only extras. :func:`validate` builds the pair that all evaluators
-consume.
+consume; it holds the two clusterings, the coverage mode and the labels,
+and each engine forms its own flags from them.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ class EvalPair:
     """A validated (truth, predicted) pair as one flat list of predicted labels.
 
     The constructor checks the ids of both clusterings and labels each truth
-    instance itself, so ``assignments`` and ``flags`` are not arguments and
-    always match the clusterings. ``assignments[d]`` is the predicted cluster
+    instance itself, so ``assignments`` is not an argument and always
+    matches the clusterings. ``assignments[d]`` is the predicted cluster
     index of the ``d``-th truth instance in cluster order, so each truth
     cluster is a slice of it.
 
@@ -215,7 +216,7 @@ class EvalPair:
     :class:`DuplicateInstance` (truth checked first). Strict mode requires
     identical instance sets. Lenient mode lets the predicted clustering carry
     extra instances (they stay in the predicted cluster sizes and pair
-    totals, and are reported in ``flags``); truth instances missing from
+    totals, and each engine flags them); truth instances missing from
     predicted are fatal in both modes.
     """
 
@@ -223,7 +224,6 @@ class EvalPair:
     predicted: Clustering
     coverage_mode: str
     assignments: list[int] = field(init=False)
-    flags: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         truth, predicted, mode = self.truth, self.predicted, self.coverage_mode
@@ -247,13 +247,9 @@ class EvalPair:
         except KeyError:  # a truth id is missing from predicted, or repeats in truth
             raise _id_error(truth, predicted) from None
         # Every truth id was popped once, so the ids left are the predicted-only extras.
-        flags: tuple[str, ...] = ()
-        if label_of:
-            if mode == "strict":
-                raise ExtraInPredicted(label_of)
-            flags = (FLAG_EXTRA_IN_PREDICTED.format(len(label_of)),)
+        if label_of and mode == "strict":
+            raise ExtraInPredicted(label_of)
         object.__setattr__(self, "assignments", assignments)
-        object.__setattr__(self, "flags", flags)
 
     @property
     def n_instances(self) -> int:

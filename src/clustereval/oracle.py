@@ -165,7 +165,7 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
 
     Pair statistics come from the materialized pair sets, not from any
     closed form, and the predicted-only extras from a set difference, not
-    from the pair's flags, keeping the report fully independent of the
+    from the instance counts, keeping the report fully independent of the
     single-pass engine.
     """
     shared, truth_total, predicted_total = _pair_counts(pair, pair_budget)

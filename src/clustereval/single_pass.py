@@ -6,7 +6,8 @@ how each truth cluster, a slice of that list, spreads over predicted
 clusters: a slice with one label throughout is a single cell, and only the
 others are counted. One loop over those cells feeds all five measures.
 Tallies are exact integers, and each ratio one ``Fraction`` rounded to a
-float once.
+float once. The engine forms the report's flags itself: the pair holds only
+the clusterings and their labels.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from .model import (
     FLAG_DEGENERATE_PRECISION,
     FLAG_DEGENERATE_RECALL,
+    FLAG_EXTRA_IN_PREDICTED,
     EvalPair,
     FullReport,
     MetricTriple,
@@ -44,7 +46,8 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     they divide by.
     SE&LE measures against the best match: the largest overlap, ties going
     to the smaller predicted cluster (which of several equal-sized ones wins
-    changes no number). A side with no pairs has its pairwise ratio 1, flagged.
+    changes no number). A side with no pairs has its pairwise ratio 1, flagged,
+    after the flag counting predicted-only ids (lenient coverage).
     """
     sizes = pair.predicted.sizes
     aap_squares = [0] * (max(pair.truth.sizes) + 1)  # by truth size
@@ -89,7 +92,10 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     # Each cell's overlap v holds v*(v-1)/2 shared pairs, and the overlaps sum to N.
     shared_pair_total = (sum(aap_squares) - instance_total) // 2
     predicted_pair_total = sum(k * (k - 1) // 2 for k in sizes)
-    flags = list(pair.flags)
+    # Validation popped each truth id once from the predicted ids, none repeating and none missing, so
+    # the predicted ids beyond truth's count are the predicted-only ones.
+    extra = pair.predicted.n_instances - instance_total
+    flags = [FLAG_EXTRA_IN_PREDICTED.format(extra)] if extra else []
     if not truth_pair_total:
         flags.append(FLAG_DEGENERATE_RECALL)
     if not predicted_pair_total:

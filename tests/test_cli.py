@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from clustereval import io_formats, oracle
 from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
 from clustereval.io_formats import MEASURE_ORDER
-from clustereval.model import FLAG_EXTRA_IN_PREDICTED, EvalPair
+from clustereval.model import Clustering, EvalPair
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT
 
@@ -537,24 +537,30 @@ class TestCheck:
         assert "flags" in err and "measures." not in err
 
     def test_a_wrong_extra_count_exits_5(self, capsys, monkeypatch, tmp_path):
-        # the oracle counts the predicted-only extras itself, so a miscounting pair shows
+        # each engine counts the predicted-only extras its own way, so a single-pass miscount shows
         truth = tmp_path / "t.txt"
         pred = tmp_path / "p.txt"
         truth.write_text("1 2\n3\n")
         pred.write_text("1 2 3 x\n")
         args = ("check", "--truth", str(truth), "--pred", str(pred), "--coverage", "lenient")
         assert run_cli(capsys, *args)[0] == 0
-        counted = EvalPair.__post_init__
+        validated = EvalPair.__post_init__
+
+        class OneTooMany(Clustering):
+            n_instances = property(lambda self: len(self.ids) + 1)
 
         def miscounted(pair):
-            counted(pair)
-            object.__setattr__(pair, "flags", (FLAG_EXTRA_IN_PREDICTED.format(2),))
+            # after validation the predicted side counts one id too many, which only the single-pass count reads
+            validated(pair)
+            predicted = pair.predicted
+            object.__setattr__(pair, "predicted", OneTooMany(predicted.ids, predicted.sizes, predicted.role))
 
         monkeypatch.setattr(EvalPair, "__post_init__", miscounted)
         status, _, err = run_cli(capsys, *args)
         assert status == 5
         assert "flags: single_pass=['extra_in_predicted: 2 " in err
         assert "oracle=['extra_in_predicted: 1 " in err
+        assert "measures." not in err and "stats" not in err
 
     def test_one_ulp_divergence_shows_in_the_printed_documents(self, capsys, monkeypatch, golden_files):
         truth, pred = golden_files
@@ -627,6 +633,15 @@ class TestGen:
         assert "\t" in out_t.read_text()
         status, _, _ = run_cli(capsys, "evaluate", "--truth", str(out_t), "--pred", str(out_p))
         assert status == 0
+
+    def test_an_unwritable_output_file_exits_4(self, capsys, tmp_path):
+        absent = tmp_path / "absent" / "t.txt"
+        status, out, err = run_cli(
+            capsys, "gen", "--n", "30", "--clusters", "3", "--seed", "1",
+            "--out-truth", str(absent), "--out-pred", str(tmp_path / "p.txt"),
+        )
+        assert (status, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(absent) in err
 
     def test_infeasible_config_exits_3(self, capsys, tmp_path):
         status, _, err = run_cli(
@@ -750,6 +765,50 @@ def test_arbitrary_bytes_give_documented_exit_codes(tmp_path_factory, truth_byte
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     status = main(argv)
                 assert status in (0, 2, 3), (argv, truth_bytes, pred_bytes)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestFailedWrite:
+    """A failed write exits 4 with one error line, and nothing is printed at interpreter exit; a failed read
+    still exits 2. Buffered stdout fails at the flush, unbuffered stdout at the write."""
+
+    @staticmethod
+    def run(unbuffered, argv, stdout):
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        cmd = [sys.executable, "-m", "clustereval", *argv]
+        return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+    @staticmethod
+    def assert_one_error_line(result, status):
+        assert result.returncode == status, result.stderr
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_stdout_on_a_full_device_exits_4(self, golden_files, unbuffered):
+        truth, pred = golden_files
+        with open("/dev/full", "w") as full:
+            result = self.run(unbuffered, ["evaluate", "--truth", truth, "--pred", pred], full)
+        self.assert_one_error_line(result, 4)
+
+    def test_stdout_into_a_pipe_without_reader_exits_4(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = self.run(unbuffered, ["check", "--trials", "3"], write_end)
+        finally:
+            os.close(write_end)
+        self.assert_one_error_line(result, 4)
+
+    def test_a_missing_truth_file_exits_2(self, tmp_path, golden_files, unbuffered):
+        _, pred = golden_files
+        absent = str(tmp_path / "absent.txt")
+        result = self.run(unbuffered, ["evaluate", "--truth", absent, "--pred", pred], subprocess.PIPE)
+        self.assert_one_error_line(result, 2)
+        assert absent in result.stderr and result.stdout == ""
 
 
 def test_module_entry_point(golden_files):

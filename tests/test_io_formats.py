@@ -22,7 +22,6 @@ from clustereval.io_formats import (
     parse_clustering,
     parse_clustering_file,
     raise_first_repeat,
-    render_report_document,
     write_clustering,
     write_report,
 )
@@ -382,10 +381,10 @@ class TestDuplicateError:
 class TestReportDocument:
     def test_round_trip_is_byte_identical(self):
         report = single_pass.evaluate_all(golden_pair())
-        rendered = write_report(report, style="machine", timing_seconds=0.00123)
+        rendered = write_report(build_report_document(report, timing_seconds=0.00123), style="machine")
         reparsed = json.loads(rendered)
-        assert render_report_document(reparsed) == rendered
-        assert rendered.encode("utf-8") == render_report_document(reparsed).encode("utf-8")
+        assert write_report(reparsed) == rendered
+        assert rendered.encode("utf-8") == write_report(reparsed).encode("utf-8")
 
     @pytest.mark.parametrize("mode", COVERAGE_MODES)
     @pytest.mark.parametrize("engine", ["single_pass", "oracle"])
@@ -394,7 +393,7 @@ class TestReportDocument:
         rng = random.Random(20261019)
         for _ in range(100):
             report = evaluate_all(random_synth_pair_in_mode(rng, mode))
-            doc = json.loads(write_report(report, style="machine", engine=engine))
+            doc = json.loads(write_report(build_report_document(report, engine=engine), style="machine"))
             assert doc["measures"] == {name: asdict(getattr(report, name)) for name in MEASURE_ORDER}
             assert doc["stats"] == asdict(report.stats)
 
@@ -403,7 +402,7 @@ class TestReportDocument:
         truth = Clustering.from_clusters([(i,) for i in range(20_001)], role="truth")
         predicted = Clustering.from_clusters([(0,), tuple(range(1, 20_001))], role="predicted")
         report = single_pass.evaluate_all(validate(truth, predicted))
-        rendered = write_report(report, style="machine")
+        rendered = write_report(build_report_document(report), style="machine")
         assert '"recall": 4.999750012499375e-05' in rendered
         assert json.loads(rendered)["measures"]["cluster_f"]["recall"] == float(Fraction(1, 20_001))
 
@@ -412,7 +411,7 @@ class TestReportDocument:
         doc = build_report_document(single_pass.evaluate_all(golden_pair()))
         doc["measures"]["pairwise"]["recall"] = value
         with pytest.raises(ValueError):
-            render_report_document(doc)
+            write_report(doc)
 
     def test_required_fields(self):
         report = single_pass.evaluate_all(golden_pair())
@@ -439,14 +438,14 @@ class TestReportDocument:
 
     def test_stats_are_integers_after_round_trip(self):
         report = single_pass.evaluate_all(golden_pair())
-        doc = json.loads(write_report(report, style="machine"))
+        doc = json.loads(write_report(build_report_document(report), style="machine"))
         assert all(isinstance(v, int) for v in doc["stats"].values())
 
 
 class TestTableStyle:
     def test_golden_rows(self):
         report = single_pass.evaluate_all(golden_pair())
-        table = write_report(report, style="table")
+        table = write_report(build_report_document(report), style="table")
         for fragment in ("0.3333", "0.5000", "0.4000", "0.8367", "0.6154", "0.7619", "0.5385", "0.7000", "0.8235"):
             assert fragment in table
         assert table.index("Cluster-F") < table.index("K-metric") < table.index("SE&LE")
@@ -454,11 +453,11 @@ class TestTableStyle:
 
     def test_perfect_prediction_rows(self):
         report = single_pass.evaluate_all(pair_from_labels([0, 0, 1], [0, 0, 1]))
-        table = write_report(report, style="table")
+        table = write_report(build_report_document(report), style="table")
         assert table.count("1.0000") >= 15
 
     def test_flags_are_listed(self):
         labels = list(range(5))
         report = single_pass.evaluate_all(pair_from_labels(labels, labels))
-        table = write_report(report, style="table")
+        table = write_report(build_report_document(report), style="table")
         assert "degenerate_pairwise_recall" in table

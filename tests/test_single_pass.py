@@ -462,7 +462,8 @@ def size_vs_quantity_moves(draw):
 
 @pytest.mark.parametrize("engine", [evaluate_all, oracle.evaluate_all], ids=["single_pass", "oracle"])
 class TestAmigoConstraints:
-    """Amigó et al. (2009) formal constraints that B-cubed and the K-metric strictly satisfy."""
+    """Amigó et al. (2009) formal constraints: each one a measure satisfies is a property here, and each one
+    it violates a pinned counter-example. B-cubed and the K-metric strictly satisfy all four."""
 
     @given(homogeneity_moves())
     @settings(deadline=None)
@@ -519,3 +520,100 @@ class TestAmigoConstraints:
         halves = engine(pair_from_labels(truth, list("aaa") + ["b1", "b2", "c1", "c2"]))
         assert (one_off.pairwise.recall, one_off.pairwise.precision) == (3 / 5, 1.0)
         assert one_off.pairwise == halves.pairwise
+
+    @given(homogeneity_moves())
+    @settings(deadline=None)
+    def test_pairwise_cluster_homogeneity(self, engine, move):
+        # the split drops only cross-category pairs, none of them shared: recall stays, precision never falls,
+        # and it rises once a pair is shared
+        before, after = map(engine, move)
+        assert after.pairwise.recall == before.pairwise.recall
+        assert after.pairwise.precision >= before.pairwise.precision
+        assert after.pairwise.combined >= before.pairwise.combined
+        if before.stats.pair_int_sum:
+            assert after.pairwise.precision > before.pairwise.precision
+            assert after.pairwise.combined > before.pairwise.combined
+
+    def test_pairwise_homogeneity_needs_a_shared_pair(self, engine):
+        # truth {a1, a2}, {b}; the mixed {a1, b} split into {a1}, {b}: precision 0 -> 1, but recall stays 0
+        truth = list("aab")
+        mixed = engine(pair_from_labels(truth, ["mixed", "a", "mixed"]))
+        split = engine(pair_from_labels(truth, ["first", "a", "second"]))
+        assert (mixed.pairwise.precision, split.pairwise.precision) == (0.0, 1.0)
+        assert mixed.pairwise.combined == split.pairwise.combined == 0.0
+
+    @given(completeness_moves())
+    @settings(deadline=None)
+    def test_pairwise_cluster_completeness(self, engine, move):
+        # the merge adds only shared pairs: recall rises, precision never falls
+        before, after = map(engine, move)
+        assert after.pairwise.recall > before.pairwise.recall
+        assert after.pairwise.precision >= before.pairwise.precision
+        assert after.pairwise.combined > before.pairwise.combined
+
+    @given(size_vs_quantity_moves())
+    @settings(deadline=None)
+    def test_cluster_f_size_vs_quantity(self, engine, move):
+        # one_off keeps the n small clusters as matches, halves only the big one, with fewer clusters
+        one_off, halves = map(engine, move)
+        assert one_off.cluster_f.recall > halves.cluster_f.recall
+        assert one_off.cluster_f.precision > halves.cluster_f.precision
+        assert one_off.cluster_f.combined > halves.cluster_f.combined
+
+    def test_cluster_f_violates_cluster_homogeneity(self, engine):
+        # truth {a1, a2}, {b1, b2}, {c}; the mixed {a1, b1} split into {a1}, {b1} adds a cluster and no match
+        truth = list("aabbc")
+        mixed = engine(pair_from_labels(truth, ["mixed", "a", "mixed", "b", "c"]))
+        split = engine(pair_from_labels(truth, ["first", "a", "second", "b", "c"]))
+        assert (mixed.cluster_f.precision, split.cluster_f.precision) == (1 / 4, 1 / 5)
+        assert split.cluster_f.combined < mixed.cluster_f.combined
+
+    def test_cluster_f_violates_cluster_completeness(self, engine):
+        # truth {a1, a2, a3}; {a1}, {a2}, {a3} merged to {a1, a2}, {a3}: still no cluster matches
+        truth = list("aaa")
+        apart = engine(pair_from_labels(truth, ["first", "second", "a3"]))
+        merged = engine(pair_from_labels(truth, ["merged", "merged", "a3"]))
+        assert apart.cluster_f == merged.cluster_f
+        assert merged.cluster_f.combined == 0.0
+
+    def test_cluster_f_violates_rag_bag(self, engine):
+        # truth {a1, a2, a3} plus singletons b, c, x; x joins the clean {a1, a2} or the rag bag {b, c}
+        truth = list("aaabcx")
+        to_clean = engine(pair_from_labels(truth, ["clean", "clean", "a3", "rag bag", "rag bag", "clean"]))
+        to_rag_bag = engine(pair_from_labels(truth, ["clean", "clean", "a3", "rag bag", "rag bag", "rag bag"]))
+        assert to_clean.cluster_f == to_rag_bag.cluster_f
+        assert to_clean.cluster_f.combined == 0.0
+
+    @given(size_vs_quantity_moves())
+    @settings(deadline=None)
+    def test_se_le_size_vs_quantity(self, engine, move):
+        # one_off splits one instance off, halves one off each of n >= 2 small clusters; no lump either way
+        one_off, halves = map(engine, move)
+        assert one_off.se_le.recall > halves.se_le.recall
+        assert one_off.se_le.precision >= halves.se_le.precision
+        assert one_off.se_le.combined > halves.se_le.combined
+
+    def test_se_le_violates_cluster_homogeneity(self, engine):
+        # truth {a1, a2}, {b1, b2}; the mixed {a2, b2} split into {a2}, {b2}: every best match was a singleton
+        truth = list("aabb")
+        mixed = engine(pair_from_labels(truth, ["a1", "mixed", "b1", "mixed"]))
+        split = engine(pair_from_labels(truth, ["a1", "first", "b1", "second"]))
+        assert mixed.se_le == split.se_le
+        assert (mixed.se_le.se, mixed.se_le.le) == (0.5, 0.0)
+
+    def test_se_le_violates_cluster_completeness(self, engine):
+        # truth {a1, a2, a3, a4}; {a1}, {a2} merged: {a3, a4} stays a best match of the same overlap
+        truth = list("aaaa")
+        apart = engine(pair_from_labels(truth, ["first", "second", "rest", "rest"]))
+        merged = engine(pair_from_labels(truth, ["merged", "merged", "rest", "rest"]))
+        assert apart.se_le == merged.se_le
+        assert (apart.se_le.se, apart.se_le.le) == (0.5, 0.0)
+
+    def test_se_le_violates_rag_bag(self, engine):
+        # truth {a1, a2} plus singletons b, c, x; x in the rag bag {b, c} lumps b, c and x into a larger best match
+        truth = list("aabcx")
+        to_clean = engine(pair_from_labels(truth, ["clean", "clean", "rag bag", "rag bag", "clean"]))
+        to_rag_bag = engine(pair_from_labels(truth, ["clean", "clean", "rag bag", "rag bag", "rag bag"]))
+        assert to_clean.se_le.se == to_rag_bag.se_le.se == 0.0
+        assert (to_clean.se_le.le, to_rag_bag.se_le.le) == (5 / 10, 6 / 11)
+        assert to_rag_bag.se_le.combined < to_clean.se_le.combined
