@@ -27,6 +27,7 @@ from .io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
     FORMAT_MEMBERSHIP_PAIRS,
+    FORMATS,
     MEASURE_ORDER,
     build_report_document,
     parse_clustering_file,
@@ -49,16 +50,12 @@ FLAG_AUTO_PAIRS_SINGLETONS = (
     "if they are tab-separated cluster lines, use --format clusters"
 )
 
-_FILE_FORMATS = {"auto": FORMAT_AUTO, "clusters": FORMAT_CLUSTER_LINES, "pairs": FORMAT_MEMBERSHIP_PAIRS}
-
-
 def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files, and the flags on how they were read."""
     # Each file is read once, in the given format or the one detected from its own first data line.
-    requested = _FILE_FORMATS[args.format]
     try:
-        truth, truth_format = parse_clustering_file(args.truth, format=requested, role="truth")
-        predicted, pred_format = parse_clustering_file(args.pred, format=requested, role="predicted")
+        truth, truth_format = parse_clustering_file(args.truth, format=args.format, role="truth")
+        predicted, pred_format = parse_clustering_file(args.pred, format=args.format, role="predicted")
     except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
         raise ParseError(str(exc)) from None
     # A file without data lines (format None) agrees with either format.
@@ -170,11 +167,10 @@ def cmd_gen(args) -> int:
         seed=args.seed,
     )
     pair = generate(config)
-    file_format = FORMAT_MEMBERSHIP_PAIRS if args.format == "pairs" else FORMAT_CLUSTER_LINES
     with open(args.out_truth, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(write_clustering(pair.truth, format=file_format))
+        handle.write(write_clustering(pair.truth, format=args.format))
     with open(args.out_pred, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(write_clustering(pair.predicted, format=file_format))
+        handle.write(write_clustering(pair.predicted, format=args.format))
     sys.stderr.write(
         f"gen: wrote {pair.n_instances} instances, {len(pair.truth.sizes)} truth / "
         f"{len(pair.predicted.sizes)} predicted clusters\n"
@@ -242,7 +238,7 @@ def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--truth", required=required, help="truth clustering file")
     parser.add_argument("--pred", required=required, help="predicted clustering file")
     parser.add_argument("--coverage", choices=("strict", "lenient"), default="strict")
-    parser.add_argument("--format", choices=tuple(_FILE_FORMATS), default="auto", help="input file format")
+    parser.add_argument("--format", choices=FORMATS, default=FORMAT_AUTO, help="input file format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-truth", required=True)
     p_gen.add_argument("--out-pred", required=True)
-    p_gen.add_argument("--format", choices=("clusters", "pairs"), default="clusters")
+    p_gen.add_argument("--format", choices=FORMATS[1:], default=FORMAT_CLUSTER_LINES)  # the two concrete formats
     p_gen.set_defaults(func=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="time the engines on a truth/predicted file pair")
@@ -296,8 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # after --help or --version: a failed write to stdout surfaces here, where it is caught
+            sys.stdout.flush()
+            raise
         status = args.func(args)
         sys.stdout.flush()  # a failed write to stdout surfaces here, where it is caught, not at exit
         return status

@@ -1,26 +1,26 @@
 """Clustering file parsing and report serialization.
 
-Two clustering formats, both UTF-8 with LF or CRLF line endings, blank lines
-and ``#`` comment lines ignored:
+Two clustering formats, both UTF-8 with lines ending where
+:meth:`str.splitlines` ends them (LF, CRLF, a lone CR, VT, FF,
+U+001C–U+001E, NEL, U+2028 or U+2029), blank and ``#`` comment lines ignored:
 
-* ``cluster_lines`` — one cluster per line, instance ids separated by
-  horizontal whitespace.
-* ``membership_pairs`` — one ``instance_id<TAB>cluster_label`` row per line;
-  clusters are the groups of equal labels.
+* ``clusters`` — one cluster per line, instance ids separated by whitespace.
+* ``pairs`` — one ``instance_id<TAB>cluster_label`` row per line; clusters
+  are the groups of equal labels.
 
-Auto-detection picks ``membership_pairs`` when the first data line contains
-a TAB, else ``cluster_lines``. It runs inside the parse, on the lines the
-parse has already read, so each file is read once:
-:func:`parse_clustering_file` returns the format it read the file in.
+Auto-detection picks ``pairs`` when the first data line contains a TAB,
+else ``clusters``. It runs inside the parse, on the lines the parse has
+already read, so each file is read once: :func:`parse_clustering_file`
+returns the format it read the file in.
 
 The parser fills the two columns of a :class:`Clustering` (ids in cluster
 order, cluster sizes) in one pass over the file's lines. Bytes are decoded
-and split into lines in batches of about 1 MiB, each ending at a line end,
+and cut into lines in batches of about 1 MiB, each running through an LF,
 so no list of all the lines is ever built; the lines, their numbers and
-every error message are those of decoding the whole file and splitting it
-on LF. An invalid byte anywhere in the file is reported before a malformed
-row, as it would be if the whole file were decoded first. It does not look
-for repeated ids: :func:`~clustereval.model.validate` finds them in the one
+every error message are those of the whole file's ``splitlines()``. An
+invalid byte anywhere in the file is reported before a malformed row, as
+it would be if the whole file were decoded first. It does not look for
+repeated ids: :func:`~clustereval.model.validate` finds them in the one
 table it builds for the pair, and :func:`raise_first_repeat` then rescans
 the text to name the first repeat in file order with both line numbers. A
 malformed row anywhere in either file is therefore reported before any
@@ -51,8 +51,8 @@ SCHEMA_VERSION = 1
 _BATCH = 1 << 20  # bytes decoded at a time: each batch runs on to the next LF
 
 FORMAT_AUTO = "auto"
-FORMAT_CLUSTER_LINES = "cluster_lines"
-FORMAT_MEMBERSHIP_PAIRS = "membership_pairs"
+FORMAT_CLUSTER_LINES = "clusters"
+FORMAT_MEMBERSHIP_PAIRS = "pairs"
 FORMATS = (FORMAT_AUTO, FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS)
 
 MEASURE_ORDER = ("cluster_f", "k_metric", "se_le", "pairwise", "b_cubed")
@@ -66,43 +66,38 @@ TABLE_LABELS = {
 
 
 def _is_data_line(line: str) -> bool:
-    # A CRLF line keeps its CR: every later step strips or splits on whitespace, which includes it.
     return bool(head := line.lstrip()) and head[0] != "#"
 
 
-def _text(source: str | bytes) -> str:
-    """``source`` as text: bytes are decoded as UTF-8, a BOM dropped."""
-    if isinstance(source, str):
-        return source
+def _text(data: bytes) -> str:
+    """``data`` decoded as UTF-8, a BOM dropped."""
     try:
-        return source.decode("utf-8-sig")  # tolerate a Windows BOM
+        return data.decode("utf-8-sig")  # tolerate a Windows BOM
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
 
 def _batches(data: bytes) -> Iterator[list[str]]:
-    """The lines of ``_text(data).split("\n")``, one list per batch of about ``_BATCH`` bytes."""
-    # A batch ends just before an LF, which is never part of a multi-byte sequence, so the batches decode
-    # to exactly the characters of the whole file, and only the first can start with a BOM.
+    """The lines of ``_text(data).splitlines()``, one list per batch of about ``_BATCH`` bytes."""
+    # A batch runs through an LF, which is never inside a multi-byte sequence nor the first half of a CRLF, so
+    # the batches' lines are exactly those of the whole file, and only the first batch can start with a BOM.
     start, encoding = 0, "utf-8-sig"
-    while True:
-        end = data.find(b"\n", start + _BATCH)
+    while start < len(data):
+        end = data.find(b"\n", start + _BATCH) + 1 or len(data)  # past the closing LF; find's -1 + 1 is 0
         try:
-            yield data[start : end if end >= 0 else len(data)].decode(encoding).split("\n")
+            yield data[start:end].decode(encoding).splitlines()
         except UnicodeDecodeError:
             _text(data)  # raises a ParseError that gives the byte position in the whole file
             raise
-        if end < 0:
-            return
-        start, encoding = end + 1, "utf-8"
+        start, encoding = end, "utf-8"
 
 
-def _lines_and_format(source: str | bytes, format: str) -> tuple[Iterator[str], str | None]:
-    """The lines of ``source``, read as they are consumed, and the format to read them in: ``format``,
+def _lines_and_format(data: bytes, format: str) -> tuple[Iterator[str], str | None]:
+    """The lines of ``data``, read as they are consumed, and the format to read them in: ``format``,
     or the one detected from the first data line, None when auto-detection finds no data line."""
     if format not in FORMATS:
         raise ValueError(f"unknown clustering format {format!r}")
-    rows = iter(source.split("\n")) if isinstance(source, str) else chain.from_iterable(_batches(source))
+    rows = chain.from_iterable(_batches(data))
     if format == FORMAT_AUTO:
         head = []  # the lines detection reads, given back in front of the rest
         for line in rows:
@@ -119,15 +114,17 @@ def _lines_and_format(source: str | bytes, format: str) -> tuple[Iterator[str], 
 def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
     """Parse one clustering from text or bytes in either file format, in one pass over its lines.
 
+    Text is read as its UTF-8 bytes, as a file would be; an unpaired surrogate there is invalid UTF-8.
     Repeated ids are read as they are; :func:`~clustereval.model.validate` rejects them.
     """
+    source = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
     return _parse(source, format, role)[0]
 
 
-def _parse(source: str | bytes, format: str, role: str) -> tuple[Clustering, str | None]:
-    """:func:`parse_clustering`, and the format it read ``source`` in (None: no data lines)."""
+def _parse(data: bytes, format: str, role: str) -> tuple[Clustering, str | None]:
+    """:func:`parse_clustering`, and the format it read ``data`` in (None: no data lines)."""
     # Besides the columns, only the file's bytes and the lines of one decoded batch are alive at once.
-    rows, format = _lines_and_format(source, format)
+    rows, format = _lines_and_format(data, format)
 
     if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
         ids, sizes = [], []
@@ -158,7 +155,7 @@ def _parse(source: str | bytes, format: str, role: str) -> tuple[Clustering, str
                 raise ParseError("empty cluster label", line=number, column=len(fields[0]) + 2)
             groups.setdefault(label, []).append(instance)
     except ParseError:
-        _text(source)  # an invalid byte in a batch not yet decoded is reported first
+        _text(data)  # an invalid byte in a batch not yet decoded is reported first
         raise
     ids = tuple(chain.from_iterable(groups.values()))
     return Clustering(ids, tuple(map(len, groups.values())), role), format
@@ -170,6 +167,7 @@ def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
     Returns when no id repeats. ``source`` is text that :func:`parse_clustering`
     reads in ``format`` without error.
     """
+    source = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
     rows, format = _lines_and_format(source, format)
     first_seen: dict[str, int] = {}
     for number, line in enumerate(rows, 1):
@@ -207,7 +205,7 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
         for index, cluster in enumerate(clustering.clusters):
             for instance in cluster:
                 text = str(instance)
-                if not text or text[0] == "#" or text.strip() != text or any(ch in text for ch in "\t\n\r"):
+                if not text or text[0] == "#" or text.strip() != text or "\t" in text or text.splitlines() != [text]:
                     raise ValueError(f"instance id {text!r} cannot be written in membership_pairs format")
                 rows.append(f"{text}\tc{index}")
         return "\n".join(rows) + "\n"

@@ -282,6 +282,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("truth_text, pred_text", [("a\n", "a\tx\n"), ("a\tx\n", "a\n")])
     def test_mixed_formats_exit_2_naming_both(self, capsys, tmp_path, truth_text, pred_text):
+        name = {"a\n": "clusters", "a\tx\n": "pairs"}  # each format as --format takes it
         truth = tmp_path / "t.txt"
         pred = tmp_path / "p.txt"
         truth.write_text(truth_text)
@@ -291,7 +292,7 @@ class TestEvaluate:
                 capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--coverage", coverage
             )
             assert (status, out) == (2, "")
-            assert "cluster_lines" in err and "membership_pairs" in err
+            assert err == f"error: {truth} reads as {name[truth_text]} but {pred} as {name[pred_text]}; use --format\n"
 
     def test_a_malformed_row_in_a_files_own_format_wins_over_a_mismatch(self, capsys, tmp_path):
         # each file is parsed in the format of its own first data line before the two formats are compared
@@ -391,6 +392,21 @@ class TestEvaluate:
         writer.join(timeout=10)
         assert status == 3
         assert err == "error: instance '1' appears in more than one cluster\n"
+
+    def test_a_pairs_repeat_in_a_pipe_is_the_first_in_cluster_order(self, capsys, tmp_path):
+        # Without a second read, the repeat named is validate's: the first in the order rows are grouped by label.
+        text = "a\tX\nb\tY\nb\tY\na\tX\n"
+        regular, fifo, pred = tmp_path / "t.tsv", tmp_path / "t.fifo", tmp_path / "p.tsv"
+        regular.write_text(text)
+        os.mkfifo(fifo)
+        pred.write_text("a\tX\nb\tX\n")
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(regular), "--pred", str(pred))
+        assert (status, err) == (3, "error: instance 'b' appears in more than one cluster (lines 2 and 3)\n")
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(fifo), "--pred", str(pred))
+        writer.join(timeout=10)
+        assert (status, err) == (3, "error: instance 'a' appears in more than one cluster\n")
 
     @pytest.mark.parametrize("side", ["--truth", "--pred"])
     def test_auto_format_reads_a_pipe_once(self, capsys, tmp_path, golden_files, side):
@@ -809,6 +825,15 @@ class TestFailedWrite:
         result = self.run(unbuffered, ["evaluate", "--truth", absent, "--pred", pred], subprocess.PIPE)
         self.assert_one_error_line(result, 2)
         assert absent in result.stderr and result.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_on_a_full_device_exit_4(flag):
+    # Buffered only: unbuffered, argparse itself discards the failed write and exits 0.
+    with open("/dev/full", "w") as full:
+        result = TestFailedWrite.run(False, [flag], full)
+    TestFailedWrite.assert_one_error_line(result, 4)
 
 
 def test_module_entry_point(golden_files):

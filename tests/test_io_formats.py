@@ -8,7 +8,7 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from clustereval import io_formats, oracle, single_pass
@@ -36,6 +36,10 @@ from helpers import (
     pair_from_labels,
     random_synth_pair_in_mode,
 )
+
+# Test ids name the two concrete formats after their constants.
+FORMAT_IDS = {FORMAT_CLUSTER_LINES: "cluster_lines", FORMAT_MEMBERSHIP_PAIRS: "membership_pairs"}
+BOTH_FORMATS = [pytest.param(value, id=name) for value, name in FORMAT_IDS.items()]
 
 
 class TestParseClusterLines:
@@ -126,16 +130,19 @@ class TestFormatDetection:
     def test_invalid_utf8(self):
         with pytest.raises(ParseError):
             parse_clustering(b"\xff\xfe broken")
+        with pytest.raises(ParseError, match="not valid UTF-8"):  # text is read as its UTF-8 bytes
+            parse_clustering("a \ud800\n")
 
     def test_utf8_bom_is_stripped(self):
         clustering = parse_clustering(b"\xef\xbb\xbf1 2\n")
         assert clustering.clusters == (("1", "2"),)
+        assert parse_clustering("\ufeff1 2\n") == clustering  # text is read as its UTF-8 bytes, as a file is
 
     @pytest.mark.parametrize(
         "data, clusters",
         [
             (b"\xef\xbb\xbf\na\tX", (("a",),)),  # a BOM before a blank line
-            (b"# c\ra\tX\r\nb c", (("b", "c"),)),  # a lone CR ends no line, so the TAB is in the comment
+            (b"# c\ra\tX\r\nb\tY", (("a",), ("b",))),  # a lone CR ends the comment, so the TAB is on a data line
         ],
     )
     def test_auto_detection_reads_the_first_data_line(self, data, clusters):
@@ -163,7 +170,7 @@ def reference_parse(data: bytes, format: str) -> tuple[tuple, tuple]:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
-    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if (head := line.lstrip()) and head[0] != "#"]
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if (head := line.lstrip()) and head[0] != "#"]
     if format == FORMAT_AUTO:
         format = FORMAT_MEMBERSHIP_PAIRS if lines and "\t" in lines[0][1] else FORMAT_CLUSTER_LINES
     rows = []  # (line number, instance ids on it)
@@ -194,8 +201,8 @@ def reference_parse(data: bytes, format: str) -> tuple[tuple, tuple]:
 
 
 class TestOnePassParser:
-    # Ids, both field separators, both line ends, comments, Unicode whitespace that
-    # splits words but not lines (NEL, U+001C), a BOM anywhere and blank lines.
+    # Ids, both field separators, line ends (LF, CRLF, a lone CR, and NEL and U+001C, which
+    # str.splitlines() also breaks on), comments, a BOM anywhere and blank lines.
     PIECES = ["a", "b", "c1", "\t", " ", "\r", "\n", "#", "\x85", "\x1c", "\ufeff", "\n\n"]
 
     @given(
@@ -233,7 +240,7 @@ class TestOnePassParser:
             monkeypatch.setattr(io_formats, "_BATCH", batch)
             type(self).test_matches_the_line_by_line_reference.hypothesis.inner_test(self, text, format)
 
-    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
     def test_evaluating_a_parsed_pair_builds_no_cluster_tuples(self, format):
         original = golden_pair()
         truth, predicted = (
@@ -246,7 +253,7 @@ class TestOnePassParser:
 
 
 class TestBatchedReading:
-    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
     def test_an_invalid_byte_in_a_later_batch_gives_the_whole_file_message(self, monkeypatch, format):
         monkeypatch.setattr(io_formats, "_BATCH", 4)
         # after a BOM, which shifts the position, and a row with three fields, which must not be reported first
@@ -286,14 +293,14 @@ class TestBatchedReading:
 
 
 class TestClusteringRoundTrip:
-    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
     def test_round_trip_preserves_partition(self, format):
         original = parse_clustering(GOLDEN_PRED_TEXT)
         text = write_clustering(original, format=format)
         reparsed = parse_clustering(text, format=format)
         assert reparsed.partition() == original.partition()
 
-    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
     @given(data=st.data())
     def test_parser_builds_what_the_checked_constructor_builds(self, format, data):
         ids = data.draw(st.lists(st.text("abc019:/.-_", min_size=1, max_size=5), min_size=1, max_size=30, unique=True))
@@ -309,6 +316,7 @@ class TestClusteringRoundTrip:
             (FORMAT_CLUSTER_LINES, [("a b",)]),
             (FORMAT_CLUSTER_LINES, [("#a", "b"), ("c",)]),  # would read back as a comment line
             (FORMAT_MEMBERSHIP_PAIRS, [("a\tb",)]),
+            (FORMAT_MEMBERSHIP_PAIRS, [("a\x85b",)]),  # NEL ends a line, like every str.splitlines() break
             (FORMAT_MEMBERSHIP_PAIRS, [("#a",), ("b",)]),
             (FORMAT_MEMBERSHIP_PAIRS, [(" a",)]),  # would read back as "a"
             (FORMAT_MEMBERSHIP_PAIRS, [("a ",)]),
@@ -326,14 +334,32 @@ class TestClusteringRoundTrip:
             (FORMAT_MEMBERSHIP_PAIRS, [("a#",), ("b c",)]),
             (FORMAT_MEMBERSHIP_PAIRS, [("a",), ("\ufeffb",)]),  # only the file's first character can be a BOM
         ],
+        ids=lambda value: FORMAT_IDS.get(value) if isinstance(value, str) else None,
     )
     def test_ids_that_read_back_are_written(self, format, clusters):
         original = Clustering.from_clusters(clusters)
         assert parse_clustering(write_clustering(original, format=format), format=format) == original
 
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
+    @given(data=st.data())
+    def test_any_line_break_reads_as_the_lf_it_replaces(self, format, data):
+        # The reader cuts lines where str.splitlines() does, so every one of its line breaks ends a line.
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=12, unique=True))
+        labels = data.draw(st.lists(st.integers(0, 4), min_size=len(ids), max_size=len(ids)))
+        original = Clustering.from_clusters([tuple(ids[i] for i in c) for c in clusters_from_labels(labels)])
+        try:
+            text = write_clustering(original, format=format)
+        except ValueError:
+            reject()
+        at = data.draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+        line_break = data.draw(st.sampled_from("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+        text = text[:at] + line_break + text[at + 1 :]
+        for read_as in (format, FORMAT_AUTO):
+            assert parse_clustering(text, format=read_as).partition() == original.partition()
+
 
 class TestDuplicateError:
-    @pytest.mark.parametrize("format", [FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS])
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
     @given(data=st.data())
     def test_names_the_first_repeat_in_file_order(self, format, data):
         pool = data.draw(st.lists(st.text("abc019", min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
