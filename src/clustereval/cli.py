@@ -31,7 +31,7 @@ from .io_formats import (
     MEASURE_ORDER,
     build_report_document,
     parse_clustering_file,
-    raise_first_repeat,
+    raise_repeat,
     write_clustering,
     write_report,
 )
@@ -53,25 +53,33 @@ FLAG_AUTO_PAIRS_SINGLETONS = (
 def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files, and the flags on how they were read."""
     # Each file is read once, in the given format or the one detected from its own first data line.
+    path = args.truth  # the file being read, whose path begins a parse error
     try:
-        truth, truth_format = parse_clustering_file(args.truth, format=args.format, role="truth")
-        predicted, pred_format = parse_clustering_file(args.pred, format=args.format, role="predicted")
+        truth, truth_format = parse_clustering_file(path, format=args.format, role="truth")
+        path = args.pred
+        predicted, pred_format = parse_clustering_file(path, format=args.format, role="predicted")
     except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
         raise ParseError(str(exc)) from None
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
+        raise
     # A file without data lines (format None) agrees with either format.
     if truth_format and pred_format and truth_format != pred_format:
         raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
     try:
         pair = validate(truth, predicted, args.coverage)
-    except DuplicateInstance:
-        # Name the repeat with the lines of both occurrences, in validate's order: truth first. The
-        # files are read again, which a pipe cannot be; from one on, the error goes without lines.
-        for path, file_format in ((args.truth, truth_format), (args.pred, pred_format)):
-            if not os.path.isfile(path):
-                break
+    except DuplicateInstance as exc:
+        # validate names the repeat, the first in cluster order, truth first. Only its file is read again, to
+        # add its lines, and only a regular file: a second read of a pipe would block, or find nothing.
+        path, file_format = (args.truth, truth_format) if truth.ids.count(exc.instance) > 1 else (args.pred, pred_format)
+        if os.path.isfile(path):
             with open(path, "rb") as handle:
-                raise_first_repeat(handle.read(), file_format)
-        raise
+                try:
+                    raise_repeat(handle.read(), file_format, exc.instance)
+                except DuplicateInstance as with_lines:
+                    exc = with_lines
+        exc.args = (f"{path}: {exc}",)
+        raise exc
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
     singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
     if args.format == "auto" and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:

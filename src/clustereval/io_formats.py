@@ -20,11 +20,10 @@ so no list of all the lines is ever built; the lines, their numbers and
 every error message are those of the whole file's ``splitlines()``. An
 invalid byte anywhere in the file is reported before a malformed row, as
 it would be if the whole file were decoded first. It does not look for
-repeated ids: :func:`~clustereval.model.validate` finds them in the one
-table it builds for the pair, and :func:`raise_first_repeat` then rescans
-the text to name the first repeat in file order with both line numbers. A
-malformed row anywhere in either file is therefore reported before any
-repeat.
+repeated ids: :func:`~clustereval.model.validate` names one from the table
+it builds for the pair, and :func:`raise_repeat` rescans a file for that
+id's lines. A malformed row anywhere in either file is therefore reported
+before any repeat.
 
 :func:`build_report_document` builds a report's one document, and
 :func:`write_report` renders that document in either style. Machine reports
@@ -161,22 +160,20 @@ def _parse(data: bytes, format: str, role: str) -> tuple[Clustering, str | None]
     return Clustering(ids, tuple(map(len, groups.values())), role), format
 
 
-def raise_first_repeat(source: str | bytes, format: str = FORMAT_AUTO) -> None:
-    """Raise :class:`DuplicateInstance` for the first id repeated in file order, naming both lines.
+def raise_repeat(data: bytes, format: str, instance) -> None:
+    """Raise :class:`DuplicateInstance` at the second occurrence of ``instance``, naming both lines.
 
-    Returns when no id repeats. ``source`` is text that :func:`parse_clustering`
-    reads in ``format`` without error.
+    Returns when ``instance`` occurs at most once. ``data`` is a file that :func:`parse_clustering`
+    reads without error in ``format``, one of the two concrete formats.
     """
-    source = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
-    rows, format = _lines_and_format(source, format)
-    first_seen: dict[str, int] = {}
+    rows, format = _lines_and_format(data, format)
+    lines = []  # the number of each line ``instance`` occurs on, once per occurrence
     for number, line in enumerate(rows, 1):
-        if not _is_data_line(line):
-            continue
-        for token in line.split() if format == FORMAT_CLUSTER_LINES else (line.split("\t")[0].strip(),):
-            if token in first_seen:
-                raise DuplicateInstance(token, first_seen[token], number)
-            first_seen[token] = number
+        if _is_data_line(line):
+            tokens = line.split() if format == FORMAT_CLUSTER_LINES else [line.split("\t")[0].strip()]
+            lines += [number] * tokens.count(instance)
+            if len(lines) > 1:
+                raise DuplicateInstance(instance, lines[0], lines[1])
 
 
 def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> tuple[Clustering, str | None]:

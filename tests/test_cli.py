@@ -302,7 +302,7 @@ class TestEvaluate:
         pred.write_text("a\tx\nb\ty\tz\n")
         status, out, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
         assert (status, out) == (2, "")
-        assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n"
+        assert err == f"error: {pred}: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n"
 
     @pytest.mark.parametrize("file_format", ["auto", "clusters"])
     def test_a_directory_input_exits_2_naming_it(self, capsys, tmp_path, golden_files, file_format):
@@ -329,6 +329,8 @@ class TestEvaluate:
             capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--format", file_format
         )
         assert status == exit_code
+        if exit_code == 2:  # a parse error begins with its file's path, and the truth file's row fails first
+            message = message.replace("error: ", f"error: {truth}: ", 1)
         assert err.startswith(message)
 
     def test_tab_separated_cluster_lines_read_as_singletons_are_flagged(self, capsys, tmp_path):
@@ -356,7 +358,7 @@ class TestEvaluate:
         pred.write_text("1\tA\n# note\n2\tB\n1\tB\n")
         status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
         assert status == 3
-        assert err == "error: instance '1' appears in more than one cluster (lines 1 and 4)\n"
+        assert err == f"error: {pred}: instance '1' appears in more than one cluster (lines 1 and 4)\n"
 
     @pytest.mark.parametrize(
         "truth_text, pred_text, lines",
@@ -391,22 +393,35 @@ class TestEvaluate:
         )
         writer.join(timeout=10)
         assert status == 3
-        assert err == "error: instance '1' appears in more than one cluster\n"
+        assert err == f"error: {truth}: instance '1' appears in more than one cluster\n"
 
-    def test_a_pairs_repeat_in_a_pipe_is_the_first_in_cluster_order(self, capsys, tmp_path):
-        # Without a second read, the repeat named is validate's: the first in the order rows are grouped by label.
+    def test_a_pairs_repeat_is_the_first_in_cluster_order_from_a_file_or_a_pipe(self, capsys, tmp_path):
+        # validate names the repeat, the first in the order rows are grouped by label; a second read adds its lines.
         text = "a\tX\nb\tY\nb\tY\na\tX\n"
         regular, fifo, pred = tmp_path / "t.tsv", tmp_path / "t.fifo", tmp_path / "p.tsv"
         regular.write_text(text)
         os.mkfifo(fifo)
         pred.write_text("a\tX\nb\tX\n")
         status, _, err = run_cli(capsys, "evaluate", "--truth", str(regular), "--pred", str(pred))
-        assert (status, err) == (3, "error: instance 'b' appears in more than one cluster (lines 2 and 3)\n")
+        assert status == 3
+        assert err == f"error: {regular}: instance 'a' appears in more than one cluster (lines 1 and 4)\n"
         writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
         writer.start()
         status, _, err = run_cli(capsys, "evaluate", "--truth", str(fifo), "--pred", str(pred))
         writer.join(timeout=10)
-        assert (status, err) == (3, "error: instance 'a' appears in more than one cluster\n")
+        assert (status, err) == (3, f"error: {fifo}: instance 'a' appears in more than one cluster\n")
+
+    def test_a_predicted_repeat_behind_a_piped_truth_file_names_its_lines(self, capsys, tmp_path):
+        # only the file that holds the repeat is read again, and a pipe before it does not stop that
+        truth, pred = tmp_path / "t.fifo", tmp_path / "p.tsv"
+        os.mkfifo(truth)
+        pred.write_text("a\tX\n# note\nb\tX\nb\tY\n")
+        writer = threading.Thread(target=truth.write_text, args=("a\tX\nb\tY\n",), daemon=True)
+        writer.start()
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (status, err) == (3, f"error: {pred}: instance 'b' appears in more than one cluster (lines 3 and 4)\n")
 
     @pytest.mark.parametrize("side", ["--truth", "--pred"])
     def test_auto_format_reads_a_pipe_once(self, capsys, tmp_path, golden_files, side):
@@ -445,7 +460,7 @@ class TestEvaluate:
         pred.write_text("1\tA\n2\tB\tC\n")
         status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
         assert status == 2
-        assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n"
+        assert err == f"error: {pred}: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n"
 
     def test_malformed_row_after_a_duplicate_exits_2(self, capsys, tmp_path):
         # the whole file is read before the duplicate check, so the malformed row wins
@@ -455,7 +470,7 @@ class TestEvaluate:
         pred.write_text("1\tA\n# note\n2\tB\n1\tB\n3\tC\tD\n")
         status, _, err = run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred))
         assert status == 2
-        assert err == "error: expected 'instance<TAB>label', found 3 tab-separated fields (line 5)\n"
+        assert err == f"error: {pred}: expected 'instance<TAB>label', found 3 tab-separated fields (line 5)\n"
 
     def test_unreadable_file_exits_2(self, capsys, tmp_path):
         status, _, err = run_cli(
@@ -746,7 +761,7 @@ class TestBench:
             capsys, "bench", "--truth", str(truth), "--pred", str(pred), "--repeats", "1"
         )
         assert status == 3 and out == ""
-        assert err == "error: instance '2' appears in more than one cluster (lines 1 and 3)\n"
+        assert err == f"error: {truth}: instance '2' appears in more than one cluster (lines 1 and 3)\n"
 
     def test_tab_separated_cluster_lines_are_flagged(self, capsys, tmp_path):
         truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"

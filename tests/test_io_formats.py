@@ -21,7 +21,7 @@ from clustereval.io_formats import (
     build_report_document,
     parse_clustering,
     parse_clustering_file,
-    raise_first_repeat,
+    raise_repeat,
     write_clustering,
     write_report,
 )
@@ -52,7 +52,7 @@ class TestParseClusterLines:
     def test_duplicate_reports_both_lines(self):
         assert parse_clustering("1 2\n2 3\n").ids == ("1", "2", "2", "3")  # validate rejects the repeat
         with pytest.raises(DuplicateInstance) as err:
-            raise_first_repeat("1 2\n2 3\n")
+            raise_repeat(b"1 2\n2 3\n", FORMAT_CLUSTER_LINES, "2")
         assert err.value.instance == "2"
         assert (err.value.first_line, err.value.second_line) == (1, 2)
 
@@ -220,15 +220,21 @@ class TestOnePassParser:
         def outcome(parse):
             try:
                 return parse()
+            except DuplicateInstance as exc:
+                return DuplicateInstance, exc.instance, exc.first_line, exc.second_line
             except ClusterEvalError as exc:
                 return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
+        expected = outcome(lambda: reference_parse(data, format))
+
         def parse_then_rescan():
+            # The parse reads repeats as they are; for the id the reference names, the rescan adds the lines.
             clustering = parse_clustering(data, format=format)
-            raise_first_repeat(data, format=format)
+            if expected[0] is DuplicateInstance:
+                raise_repeat(data, io_formats._parse(data, format, "truth")[1], expected[1])
             return clustering.ids, clustering.sizes
 
-        assert outcome(parse_then_rescan) == outcome(lambda: reference_parse(data, format))
+        assert outcome(parse_then_rescan) == expected
 
     @pytest.mark.parametrize("batch", [1, 7])  # batches cut between almost every pair of lines
     @given(
@@ -290,6 +296,20 @@ class TestBatchedReading:
             tracemalloc.stop()
         assert clustering.n_instances == 100_000
         assert peak - held < 2 * len(data)
+
+    def test_the_rescan_for_a_repeat_holds_about_one_batch(self, monkeypatch):
+        # It compares each id with the one it looks for, and keeps no table of the ids it has read.
+        monkeypatch.setattr(io_formats, "_BATCH", 1 << 16)
+        data = b"".join(b"%d\tc%d\n" % (i, i % 3_000) for i in range(100_000)) + b"17\tc0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DuplicateInstance) as err:
+                raise_repeat(data, FORMAT_MEMBERSHIP_PAIRS, "17")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.first_line, err.value.second_line) == (18, 100_001)
+        assert peak < len(data)
 
 
 class TestClusteringRoundTrip:
@@ -361,22 +381,15 @@ class TestClusteringRoundTrip:
 class TestDuplicateError:
     @pytest.mark.parametrize("format", BOTH_FORMATS)
     @given(data=st.data())
-    def test_names_the_first_repeat_in_file_order(self, format, data):
+    def test_names_the_lines_of_an_ids_first_two_occurrences(self, format, data):
         pool = data.draw(st.lists(st.text("abc019", min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
         if format == FORMAT_CLUSTER_LINES:
             row = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
             rows = data.draw(st.lists(row, min_size=1, max_size=10))
         else:
             rows = [[token] for token in data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=15))]
-        if data.draw(st.booleans()):  # inject a repeat; in cluster lines possibly on the same line
-            token = data.draw(st.sampled_from([t for row in rows for t in row]))
-            if format == FORMAT_CLUSTER_LINES:
-                row = data.draw(st.sampled_from(rows))
-                row.insert(data.draw(st.integers(0, len(row))), token)
-            else:
-                rows.insert(data.draw(st.integers(0, len(rows))), [token])
 
-        lines, expected, first_seen = [], None, {}
+        lines, occurrences = [], {token: [] for token in pool}  # the line of each occurrence, in file order
         for row in rows:
             for filler in data.draw(st.lists(st.sampled_from(["", "  ", "# note", " # a b"]), max_size=2)):
                 lines.append(filler)
@@ -385,22 +398,21 @@ class TestDuplicateError:
             else:
                 lines.append(f"{row[0]}\t{data.draw(st.sampled_from(['X', 'Y', ' Z ']))}")
             for token in row:
-                if expected is None and token in first_seen:
-                    expected = (token, first_seen[token], len(lines))
-                first_seen.setdefault(token, len(lines))
-        text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+                occurrences[token].append(len(lines))
+        text = "".join(line + data.draw(st.sampled_from(["\n", "\r\n"])) for line in lines).encode()
 
-        if expected is None:
-            assert parse_clustering(text, format=format).n_instances == len(first_seen)
-            assert raise_first_repeat(text, format=format) is None
-        else:
-            with pytest.raises(DuplicateInstance) as err:
-                raise_first_repeat(text, format=format)
-            assert (err.value.instance, err.value.first_line, err.value.second_line) == expected
+        assert parse_clustering(text, format=format).n_instances == sum(map(len, rows))
+        for token, found in occurrences.items():
+            if len(found) < 2:  # once, or not at all
+                assert raise_repeat(text, format, token) is None
+            else:
+                with pytest.raises(DuplicateInstance) as err:
+                    raise_repeat(text, format, token)
+                assert (err.value.instance, err.value.first_line, err.value.second_line) == (token, *found[:2])
 
     def test_repeat_on_the_same_line(self):
         with pytest.raises(DuplicateInstance) as err:
-            raise_first_repeat("# ids\r\n1 2\r\n\r\n3 4 3 2\r\n", format=FORMAT_CLUSTER_LINES)
+            raise_repeat(b"# ids\r\n1 2\r\n\r\n3 4 3 2\r\n", FORMAT_CLUSTER_LINES, "3")
         assert (err.value.instance, err.value.first_line, err.value.second_line) == ("3", 4, 4)
 
 
