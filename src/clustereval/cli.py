@@ -35,7 +35,7 @@ from .io_formats import (
     write_clustering,
     write_report,
 )
-from .model import EvalPair, validate
+from .model import COVERAGE_MODES, EvalPair, validate
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -55,9 +55,9 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     # Each file is read once, in the given format or the one detected from its own first data line.
     path = args.truth  # the file being read, whose path begins a parse error
     try:
-        truth, truth_format = parse_clustering_file(path, format=args.format, role="truth")
+        truth, truth_format = parse_clustering_file(path, format=args.format)
         path = args.pred
-        predicted, pred_format = parse_clustering_file(path, format=args.format, role="predicted")
+        predicted, pred_format = parse_clustering_file(path, format=args.format)
     except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
         raise ParseError(str(exc)) from None
     except ParseError as exc:
@@ -82,7 +82,7 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
         raise exc
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
     singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
-    if args.format == "auto" and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:
+    if args.format == FORMAT_AUTO and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:
         return pair, (FLAG_AUTO_PAIRS_SINGLETONS,)
     return pair, ()
 
@@ -156,7 +156,7 @@ def cmd_check(args) -> int:
     if not (args.truth and args.pred):
         raise ParseError("check needs --truth and --pred, or --trials for randomized mode")
     # A file check takes evaluate's defaults.
-    vars(args).update(coverage=args.coverage or "strict", format=args.format or "auto")
+    vars(args).update(coverage=args.coverage or "strict", format=args.format or FORMAT_AUTO)
     pair, read_flags = _load_pair(args)
     status = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
@@ -200,12 +200,11 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 def cmd_bench(args) -> int:
     pair, read_flags = _load_pair(args)  # reading and validating stay outside the timers
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
+    if "oracle" in engines and (demand := oracle.pair_demand(pair)) > args.pair_budget:
+        raise PairBudgetExceeded(demand, args.pair_budget)  # before any engine is timed
     rows = []
     for engine in engines:
         if engine == "oracle":
-            demand = oracle.pair_demand(pair)
-            if demand > args.pair_budget:
-                raise PairBudgetExceeded(demand, args.pair_budget)
             calls = {
                 "cluster_f": lambda: oracle.cluster_f(pair),
                 "k_metric": lambda: oracle.k_metric(pair),
@@ -245,7 +244,7 @@ def _int_at_least(minimum: int):
 def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--truth", required=required, help="truth clustering file")
     parser.add_argument("--pred", required=required, help="predicted clustering file")
-    parser.add_argument("--coverage", choices=("strict", "lenient"), default="strict")
+    parser.add_argument("--coverage", choices=COVERAGE_MODES, default="strict")
     parser.add_argument("--format", choices=FORMATS, default=FORMAT_AUTO, help="input file format")
 
 

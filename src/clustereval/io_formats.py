@@ -110,17 +110,17 @@ def _lines_and_format(data: bytes, format: str) -> tuple[Iterator[str], str | No
     return rows, format
 
 
-def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO, role: str = "truth") -> Clustering:
+def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO) -> Clustering:
     """Parse one clustering from text or bytes in either file format, in one pass over its lines.
 
     Text is read as its UTF-8 bytes, as a file would be; an unpaired surrogate there is invalid UTF-8.
     Repeated ids are read as they are; :func:`~clustereval.model.validate` rejects them.
     """
     source = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
-    return _parse(source, format, role)[0]
+    return _parse(source, format)[0]
 
 
-def _parse(data: bytes, format: str, role: str) -> tuple[Clustering, str | None]:
+def _parse(data: bytes, format: str) -> tuple[Clustering, str | None]:
     """:func:`parse_clustering`, and the format it read ``data`` in (None: no data lines)."""
     # Besides the columns, only the file's bytes and the lines of one decoded batch are alive at once.
     rows, format = _lines_and_format(data, format)
@@ -133,7 +133,7 @@ def _parse(data: bytes, format: str, role: str) -> tuple[Clustering, str | None]
             if tokens and tokens[0][0] != "#":
                 ids += tokens
                 sizes.append(len(tokens))
-        return Clustering(tuple(ids), tuple(sizes), role), format
+        return Clustering(tuple(ids), tuple(sizes)), format
 
     groups: dict[str, list[str]] = {}
     try:
@@ -157,7 +157,7 @@ def _parse(data: bytes, format: str, role: str) -> tuple[Clustering, str | None]
         _text(data)  # an invalid byte in a batch not yet decoded is reported first
         raise
     ids = tuple(chain.from_iterable(groups.values()))
-    return Clustering(ids, tuple(map(len, groups.values())), role), format
+    return Clustering(ids, tuple(map(len, groups.values()))), format
 
 
 def raise_repeat(data: bytes, format: str, instance) -> None:
@@ -176,10 +176,10 @@ def raise_repeat(data: bytes, format: str, instance) -> None:
                 raise DuplicateInstance(instance, lines[0], lines[1])
 
 
-def parse_clustering_file(path, format: str = FORMAT_AUTO, role: str = "truth") -> tuple[Clustering, str | None]:
+def parse_clustering_file(path, format: str = FORMAT_AUTO) -> tuple[Clustering, str | None]:
     """The clustering in the file at ``path``, read once, and the format it was read in (None: no data lines)."""
     with open(path, "rb") as handle:
-        return _parse(handle.read(), format, role)
+        return _parse(handle.read(), format)
 
 
 def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES) -> str:
@@ -192,9 +192,9 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
             ids = [str(x) for x in cluster]
             for text in ids:
                 if not text or any(ch.isspace() for ch in text):
-                    raise ValueError(f"instance id {text!r} cannot be written in cluster_lines format")
+                    raise ValueError(f"instance id {text!r} cannot be written in {FORMAT_CLUSTER_LINES} format")
             if ids[0].startswith("#"):
-                raise ValueError(f"instance id {ids[0]!r} would start a comment line in cluster_lines format")
+                raise ValueError(f"instance id {ids[0]!r} would start a comment line in {FORMAT_CLUSTER_LINES} format")
             rows.append(" ".join(ids))
         return "\n".join(rows) + "\n"
     if format == FORMAT_MEMBERSHIP_PAIRS:
@@ -203,7 +203,7 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
             for instance in cluster:
                 text = str(instance)
                 if not text or text[0] == "#" or text.strip() != text or "\t" in text or text.splitlines() != [text]:
-                    raise ValueError(f"instance id {text!r} cannot be written in membership_pairs format")
+                    raise ValueError(f"instance id {text!r} cannot be written in {FORMAT_MEMBERSHIP_PAIRS} format")
                 rows.append(f"{text}\tc{index}")
         return "\n".join(rows) + "\n"
     raise ValueError(f"unknown clustering format {format!r}")

@@ -138,25 +138,25 @@ class Clustering:
     the ids are distinct, so the clusters are disjoint, is checked by
     :func:`validate`, in the one table it builds for the pair. Cluster and
     instance order are kept as given, which makes everything downstream
-    deterministic.
+    deterministic. Clusterings with equal columns compare and hash equal;
+    :meth:`partition` is the order-insensitive view.
     """
 
     ids: tuple[Hashable, ...]
     sizes: tuple[int, ...]
-    role: str = "truth"  # "truth" | "predicted"
 
     def __post_init__(self):
-        # Stored as tuples whatever sequences were passed, so equal partitions compare equal.
+        # Stored as tuples whatever sequences were passed, so equal columns compare and hash equal.
         object.__setattr__(self, "ids", ids := tuple(self.ids))
         object.__setattr__(self, "sizes", sizes := tuple(self.sizes))
         if 0 in sizes:
-            raise ValidationError(f"{self.role} cluster at position {sizes.index(0)} is empty")
+            raise ValidationError(f"cluster at position {sizes.index(0)} is empty")
         try:  # a float, Fraction or Decimal size makes the sum non-integral, which has no index
             partitions = operator.index(sum(sizes)) == len(ids) and min(sizes, default=1) >= 0
         except TypeError:
             partitions = False
         if not partitions:
-            raise ValidationError(f"{self.role} cluster sizes do not partition its {len(ids)} ids")
+            raise ValidationError(f"cluster sizes do not partition the {len(ids)} ids")
 
     @property
     def n_instances(self) -> int:
@@ -169,13 +169,10 @@ class Clustering:
         return tuple(ids[start:stop] for start, stop in pairwise(accumulate(self.sizes, initial=0)))
 
     @classmethod
-    def from_clusters(cls, clusters: Iterable[Iterable[Hashable]], role: str = "truth") -> "Clustering":
+    def from_clusters(cls, clusters: Iterable[Iterable[Hashable]]) -> "Clustering":
         """Build from any iterables; sets are canonicalized by sorting on ``str``."""
         canon = [tuple(sorted(c, key=str)) if isinstance(c, (set, frozenset)) else tuple(c) for c in clusters]
-        return cls(tuple(chain.from_iterable(canon)), tuple(map(len, canon)), role)
-
-    def instance_set(self) -> set:
-        return set(self.ids)
+        return cls(tuple(chain.from_iterable(canon)), tuple(map(len, canon)))
 
     def partition(self) -> frozenset:
         """Order-insensitive view, for partition-equality comparisons."""
@@ -195,7 +192,7 @@ def _id_error(truth: Clustering, predicted: Clustering) -> ValidationError:
             if instance in seen:
                 return DuplicateInstance(instance)
             seen.add(instance)
-    return MissingFromPredicted(truth.instance_set() - predicted.instance_set())
+    return MissingFromPredicted(set(truth.ids) - set(predicted.ids))
 
 
 @dataclass(frozen=True)

@@ -172,7 +172,7 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
     truth_sets, predicted_sets = _dense_clusters(pair)
 
     flags = []
-    if extra := pair.predicted.instance_set() - pair.truth.instance_set():
+    if extra := set(pair.predicted.ids) - set(pair.truth.ids):
         flags.append(FLAG_EXTRA_IN_PREDICTED.format(len(extra)))
     if not truth_total:
         flags.append(FLAG_DEGENERATE_RECALL)

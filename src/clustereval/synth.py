@@ -113,6 +113,6 @@ def generate(config: SynthConfig) -> EvalPair:
     predicted_clusters = _split(rng, truth_clusters, config.split_rate)
     predicted_clusters = _merge(rng, predicted_clusters, config.merge_rate)
 
-    truth = Clustering.from_clusters(truth_clusters, role="truth")
-    predicted = Clustering.from_clusters(predicted_clusters, role="predicted")
+    truth = Clustering.from_clusters(truth_clusters)
+    predicted = Clustering.from_clusters(predicted_clusters)
     return validate(truth, predicted, "strict")

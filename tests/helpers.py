@@ -20,8 +20,8 @@ GOLDEN_PRED_TEXT = "1 2 3\n4 5 6 7 8\n"
 
 
 def golden_pair() -> EvalPair:
-    truth = Clustering.from_clusters(GOLDEN_TRUTH, role="truth")
-    predicted = Clustering.from_clusters(GOLDEN_PRED, role="predicted")
+    truth = Clustering.from_clusters(GOLDEN_TRUTH)
+    predicted = Clustering.from_clusters(GOLDEN_PRED)
     return validate(truth, predicted)
 
 
@@ -52,8 +52,8 @@ def clusters_from_labels(labels) -> list[tuple[int, ...]]:
 
 
 def pair_from_labels(truth_labels, predicted_labels, mode: str = "strict") -> EvalPair:
-    truth = Clustering.from_clusters(clusters_from_labels(truth_labels), role="truth")
-    predicted = Clustering.from_clusters(clusters_from_labels(predicted_labels), role="predicted")
+    truth = Clustering.from_clusters(clusters_from_labels(truth_labels))
+    predicted = Clustering.from_clusters(clusters_from_labels(predicted_labels))
     return validate(truth, predicted, mode)
 
 
@@ -92,7 +92,7 @@ def random_synth_pair_in_mode(rng: random.Random, mode: str) -> EvalPair:
             if k == len(predicted):
                 predicted.append([])
             predicted[k].append(extra)
-    return validate(pair.truth, Clustering.from_clusters(predicted, role="predicted"), mode)
+    return validate(pair.truth, Clustering.from_clusters(predicted), mode)
 
 
 @st.composite

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustereval import io_formats, oracle
+from clustereval import io_formats, oracle, single_pass
 from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
 from clustereval.io_formats import MEASURE_ORDER
 from clustereval.model import Clustering, EvalPair
@@ -584,7 +584,7 @@ class TestCheck:
             # after validation the predicted side counts one id too many, which only the single-pass count reads
             validated(pair)
             predicted = pair.predicted
-            object.__setattr__(pair, "predicted", OneTooMany(predicted.ids, predicted.sizes, predicted.role))
+            object.__setattr__(pair, "predicted", OneTooMany(predicted.ids, predicted.sizes))
 
         monkeypatch.setattr(EvalPair, "__post_init__", miscounted)
         status, _, err = run_cli(capsys, *args)
@@ -745,12 +745,23 @@ class TestBench:
         assert status == 0
         assert "all_in_one" in out and "cluster_f" in out
 
-    def test_oracle_budget_guard(self, capsys, tmp_path):
+    def test_oracle_budget_guard(self, capsys, tmp_path, monkeypatch):
         files = self.gen_pair(capsys, tmp_path, 5000, 64)
         status, _, err = run_cli(
             capsys, "bench", *files, "--repeats", "1", "--engine", "oracle", "--pair-budget", "10"
         )
         assert status == 6
+        assert err.startswith("error: pair enumeration needs ")
+
+        # with both engines, the budget is checked before the single-pass engine is timed
+        def timed(pair):
+            raise AssertionError("single_pass timed before the budget check")
+
+        monkeypatch.setattr(single_pass, "evaluate_all", timed)
+        status, out, err = run_cli(
+            capsys, "bench", *files, "--repeats", "1", "--engine", "both", "--pair-budget", "10"
+        )
+        assert status == 6 and out == ""
         assert err.startswith("error: pair enumeration needs ")
 
     def test_a_repeated_id_exits_3_naming_both_lines(self, capsys, tmp_path):

@@ -82,12 +82,12 @@ class TestParseMembershipPairs:
 
     def test_duplicate_instance_across_labels(self):
         with pytest.raises(DuplicateInstance) as err:
-            validate(parse_clustering("a\tX\na\tY\n"), parse_clustering("a\tX\n", role="predicted"))
+            validate(parse_clustering("a\tX\na\tY\n"), parse_clustering("a\tX\n"))
         assert err.value.instance == "a"
 
     def test_duplicate_instance_same_label(self):
         with pytest.raises(DuplicateInstance) as err:
-            validate(parse_clustering("a\tX\na\tX\n"), parse_clustering("a\tX\n", role="predicted"))
+            validate(parse_clustering("a\tX\na\tX\n"), parse_clustering("a\tX\n"))
         assert err.value.instance == "a"
 
     def test_wrong_field_count(self):
@@ -231,7 +231,7 @@ class TestOnePassParser:
             # The parse reads repeats as they are; for the id the reference names, the rescan adds the lines.
             clustering = parse_clustering(data, format=format)
             if expected[0] is DuplicateInstance:
-                raise_repeat(data, io_formats._parse(data, format, "truth")[1], expected[1])
+                raise_repeat(data, io_formats._parse(data, format)[1], expected[1])
             return clustering.ids, clustering.sizes
 
         assert outcome(parse_then_rescan) == expected
@@ -250,7 +250,7 @@ class TestOnePassParser:
     def test_evaluating_a_parsed_pair_builds_no_cluster_tuples(self, format):
         original = golden_pair()
         truth, predicted = (
-            parse_clustering(write_clustering(c, format=format), format=format, role=c.role)
+            parse_clustering(write_clustering(c, format=format), format=format)
             for c in (original.truth, original.predicted)
         )
         single_pass.evaluate_all(validate(truth, predicted))
@@ -325,10 +325,8 @@ class TestClusteringRoundTrip:
     def test_parser_builds_what_the_checked_constructor_builds(self, format, data):
         ids = data.draw(st.lists(st.text("abc019:/.-_", min_size=1, max_size=5), min_size=1, max_size=30, unique=True))
         labels = data.draw(st.lists(st.integers(0, 6), min_size=len(ids), max_size=len(ids)))
-        original = Clustering.from_clusters(
-            [tuple(ids[i] for i in c) for c in clusters_from_labels(labels)], role="predicted"
-        )
-        parsed = parse_clustering(write_clustering(original, format=format), format=format, role="predicted")
+        original = Clustering.from_clusters([tuple(ids[i] for i in c) for c in clusters_from_labels(labels)])
+        parsed = parse_clustering(write_clustering(original, format=format), format=format)
         assert parsed == original
 
     def test_unwritable_ids_rejected(self):
@@ -340,12 +338,13 @@ class TestClusteringRoundTrip:
             (FORMAT_MEMBERSHIP_PAIRS, [("#a",), ("b",)]),
             (FORMAT_MEMBERSHIP_PAIRS, [(" a",)]),  # would read back as "a"
             (FORMAT_MEMBERSHIP_PAIRS, [("a ",)]),
-            # the file would start with U+FEFF, which reads back as a BOM and is dropped
-            (FORMAT_CLUSTER_LINES, [("\ufeffa", "b"), ("c",)]),
-            (FORMAT_MEMBERSHIP_PAIRS, [("\ufeffa", "b"), ("c",)]),
         ]:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"in {format} format"):  # the name --format takes
                 write_clustering(Clustering.from_clusters(clusters), format=format)
+        # the file would start with U+FEFF, which reads back as a BOM and is dropped
+        for format in (FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS):
+            with pytest.raises(ValueError, match="as a BOM"):
+                write_clustering(Clustering.from_clusters([("\ufeffa", "b"), ("c",)]), format=format)
 
     @pytest.mark.parametrize(
         "format, clusters",
@@ -437,8 +436,8 @@ class TestReportDocument:
 
     def test_score_below_1e_4_reads_back_exactly(self):
         # one truth singleton kept, the other 20 000 merged: one of 20 001 truth clusters is matched
-        truth = Clustering.from_clusters([(i,) for i in range(20_001)], role="truth")
-        predicted = Clustering.from_clusters([(0,), tuple(range(1, 20_001))], role="predicted")
+        truth = Clustering.from_clusters([(i,) for i in range(20_001)])
+        predicted = Clustering.from_clusters([(0,), tuple(range(1, 20_001))])
         report = single_pass.evaluate_all(validate(truth, predicted))
         rendered = write_report(build_report_document(report), style="machine")
         assert '"recall": 4.999750012499375e-05' in rendered

@@ -171,11 +171,11 @@ class TestEngineAgreement:
         ids = [1, "1", (2,), None, 3.5, b"1"]
         with pytest.raises(TypeError):
             sorted(ids)
-        truth = Clustering.from_clusters([(1, "1", None), ((2,), 3.5, b"1")], role="truth")
+        truth = Clustering.from_clusters([(1, "1", None), ((2,), 3.5, b"1")])
         predicted = [(1, (2,)), ("1", None, b"1"), (3.5,)]
         if mode == "lenient":
             predicted[2] += (frozenset({"extra"}),)
-        pair = validate(truth, Clustering.from_clusters(predicted, role="predicted"), mode)
+        pair = validate(truth, Clustering.from_clusters(predicted), mode)
         fast = build_report_document(single_pass.evaluate_all(pair))
         assert build_report_document(oracle.evaluate_all(pair)) == fast
         assert fast["stats"]["pair_int_sum"] == 1 and len(fast["flags"]) == (mode == "lenient")
@@ -194,8 +194,8 @@ class TestEngineAgreement:
             for idx, label in enumerate(predicted_labels):
                 predicted_clusters.setdefault(label, []).append(idx)
             pair = validate(
-                Clustering.from_clusters([tuple(c) for c in truth_clusters.values()], role="truth"),
-                Clustering.from_clusters([tuple(c) for c in predicted_clusters.values()], role="predicted"),
+                Clustering.from_clusters([tuple(c) for c in truth_clusters.values()]),
+                Clustering.from_clusters([tuple(c) for c in predicted_clusters.values()]),
                 "lenient",
             )
             assert oracle.evaluate_all(pair) == single_pass.evaluate_all(pair)

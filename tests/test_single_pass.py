@@ -267,8 +267,8 @@ class TestEvaluateAll:
         assert matches <= min(stats.n_truth_clusters, stats.n_predicted_clusters)
 
     def test_lenient_extras_enter_precision_denominators(self):
-        truth = Clustering.from_clusters([("1", "2")], role="truth")
-        predicted = Clustering.from_clusters([("1", "2", "x"), ("y",)], role="predicted")
+        truth = Clustering.from_clusters([("1", "2")])
+        predicted = Clustering.from_clusters([("1", "2", "x"), ("y",)])
         pair = validate(truth, predicted, "lenient")
         report = evaluate_all(pair)
         # predicted pairs include the extra instance: C(3,2) = 3
@@ -336,7 +336,7 @@ class TestRuntimeLinearity:
         # A tally that scans the cluster once per distinct label would scale 16x here.
         def shattered_time(n):
             ids = tuple(range(n))
-            return best_time(validate(Clustering(ids, (n,), "truth"), Clustering(ids, (1,) * n, "predicted")))
+            return best_time(validate(Clustering(ids, (n,)), Clustering(ids, (1,) * n)))
 
         small = shattered_time(10_000)
         large = shattered_time(40_000)
@@ -348,8 +348,8 @@ class TestSwapDuality:
     @settings(deadline=None)
     def test_swapping_inputs_swaps_recall_and_precision(self, pair):
         swapped = validate(
-            Clustering.from_clusters(pair.predicted.clusters, role="truth"),
-            Clustering.from_clusters(pair.truth.clusters, role="predicted"),
+            Clustering.from_clusters(pair.predicted.clusters),
+            Clustering.from_clusters(pair.truth.clusters),
         )
         fwd, rev = evaluate_all(pair), evaluate_all(swapped)
         # integer-ratio measures swap exactly
@@ -370,8 +370,8 @@ class TestMonotonicDegradation:
     def test_splitting_off_a_singleton_never_helps(self, pair, rng):
         # start from a perfect prediction, then exile one instance
         perfect = validate(
-            Clustering.from_clusters(pair.truth.clusters, role="truth"),
-            Clustering.from_clusters(pair.truth.clusters, role="predicted"),
+            Clustering.from_clusters(pair.truth.clusters),
+            Clustering.from_clusters(pair.truth.clusters),
         )
         donors = [c for c in perfect.truth.clusters if len(c) >= 2]
         if not donors:
@@ -382,7 +382,7 @@ class TestMonotonicDegradation:
         new_predicted.append((exile,))
         degraded = validate(
             perfect.truth,
-            Clustering.from_clusters(new_predicted, role="predicted"),
+            Clustering.from_clusters(new_predicted),
         )
         before, after = evaluate_all(perfect), evaluate_all(degraded)
         assert after.pairwise.recall <= before.pairwise.recall

@@ -42,7 +42,7 @@ class TestSoundness:
     def test_generated_pairs_are_strict(self):
         pair = generate(SynthConfig(321, 17, size_skew=0.7, split_rate=0.9, merge_rate=0.9, seed=11))
         assert pair.coverage_mode == "strict"
-        assert pair.truth.instance_set() == pair.predicted.instance_set()
+        assert set(pair.truth.ids) == set(pair.predicted.ids)
 
     def test_worked_example_shape_is_reachable(self):
         # sizes (3,3,2) with one intact cluster and the other two merged:
