@@ -1,19 +1,20 @@
 """Brute-force reference implementations of the five measures.
 
 These follow each measure's definition literally: nested cluster-by-cluster
-set intersections, per-instance cluster lookups, and materialized pair sets.
-They are intentionally slow, number the ids themselves, and read nothing of
-the pair but its two clusterings, so agreement between the two engines is a
-meaningful correctness check: each ratio is a ``Fraction`` rounded once, so
-the reports must be equal. Use them on small inputs only; pair enumeration
-is capped by a budget.
+set intersections, per-instance cluster lookups, and every same-cluster pair
+enumerated and counted, none kept. They are intentionally slow, number the
+ids themselves, and read nothing of the pair but its two clusterings, so
+agreement between the two engines is a meaningful correctness check: each
+ratio is a ``Fraction`` rounded once, so the reports must be equal. Use them
+on small inputs only; pair enumeration is capped by a budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Iterable, Iterator
+from itertools import combinations, starmap
+from operator import countOf, eq
+from typing import Iterator
 
 from .errors import PairBudgetExceeded
 from .model import (
@@ -28,16 +29,6 @@ from .model import (
 )
 
 DEFAULT_PAIR_BUDGET = 100_000_000
-
-
-def iter_pairs(cluster: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """All unordered instance pairs of one cluster, smaller id first."""
-    return combinations(sorted(cluster), 2)
-
-
-def pair_set(clusters: Iterable[Iterable[int]]) -> frozenset:
-    """The set of unordered same-cluster instance pairs of a clustering."""
-    return frozenset(chain.from_iterable(map(iter_pairs, clusters)))
 
 
 def _dense_clusters(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
@@ -128,20 +119,33 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
 
 
 def pair_demand(pair: EvalPair) -> int:
-    """Pairs that enumerating both sides materializes, checked against the budget."""
+    """Pairs that enumerating both sides visits, checked against the budget."""
     return sum(k * (k - 1) // 2 for k in pair.truth.sizes + pair.predicted.sizes)
 
 
-def _pair_counts(pair: EvalPair, pair_budget: int) -> tuple[int, int, int]:
-    """Shared, truth and predicted pairs of both pair sets; :class:`PairBudgetExceeded` past ``pair_budget``.
+def _count(pairs: Iterator[tuple]) -> int:
+    """How many pairs an iterator yields, each walked and none kept: every pair has two items."""
+    return countOf(map(len, pairs), 2)
 
-    The sets die on return: while alive, each full garbage collection walks every pair in them.
+
+def _pair_counts(pair: EvalPair, pair_budget: int) -> tuple[int, int, int]:
+    """Shared, truth and predicted pairs, counted while enumerating them; :class:`PairBudgetExceeded` past ``pair_budget``.
+
+    Every pair of every cluster is walked, and nothing of it outlives its
+    count. A truth pair is shared when its two ids are in the same predicted
+    cluster, looked up in a dict of the oracle's own numbering, which covers
+    the predicted-only ids too.
     """
     needed = pair_demand(pair)
     if needed > pair_budget:
         raise PairBudgetExceeded(needed, pair_budget)
-    truth_pairs, predicted_pairs = map(pair_set, _dense_clusters(pair))
-    return len(truth_pairs & predicted_pairs), len(truth_pairs), len(predicted_pairs)
+    truth_sets, predicted_sets = _dense_clusters(pair)
+    predicted_of = {x: idx for idx, p in enumerate(predicted_sets) for x in p}
+    shared = truth_total = 0
+    for t in truth_sets:
+        truth_total += _count(combinations(t, 2))
+        shared += countOf(starmap(eq, combinations(map(predicted_of.__getitem__, t), 2)), True)
+    return shared, truth_total, sum(_count(combinations(p, 2)) for p in predicted_sets)
 
 
 def _pairwise(shared: int, truth_total: int, predicted_total: int) -> MetricTriple:
@@ -151,9 +155,9 @@ def _pairwise(shared: int, truth_total: int, predicted_total: int) -> MetricTrip
 
 
 def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
-    """Materialize both pair sets and intersect them.
+    """Enumerate both sides' same-cluster pairs and count the truth pairs that predicted shares.
 
-    Raises :class:`PairBudgetExceeded` when enumeration would produce more
+    Raises :class:`PairBudgetExceeded` when enumeration would visit more
     pairs than ``pair_budget``; the zero-pair sides are defined as 1.0 like
     in the single-pass engine.
     """
@@ -163,7 +167,7 @@ def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Metric
 def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FullReport:
     """Full report from the five brute-force measures.
 
-    Pair statistics come from the materialized pair sets, not from any
+    Pair statistics come from enumerating every pair, not from any
     closed form, and the predicted-only extras from a set difference, not
     from the instance counts, keeping the report fully independent of the
     single-pass engine.

@@ -1,7 +1,8 @@
-"""Brute-force oracles: definitional values, pair sets, engine agreement."""
+"""Brute-force oracles: definitional values, enumerated pair counts, engine agreement."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,29 +12,59 @@ from hypothesis import strategies as st
 from clustereval import oracle, single_pass
 from clustereval.errors import PairBudgetExceeded
 from clustereval.io_formats import build_report_document
-from clustereval.model import COVERAGE_MODES, Clustering, validate
-from clustereval.oracle import iter_pairs, pair_set
+from clustereval.model import COVERAGE_MODES, FLAG_EXTRA_IN_PREDICTED, Clustering, validate
 
 from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair, random_synth_pair_in_mode
 
 
+def pair_counts(truth_clusters, predicted_clusters, mode="strict"):
+    """The oracle's (shared, truth, predicted) pair counts for two lists of clusters."""
+    pair = validate(Clustering.from_clusters(truth_clusters), Clustering.from_clusters(predicted_clusters), mode)
+    return oracle._pair_counts(pair, oracle.DEFAULT_PAIR_BUDGET)
+
+
 class TestPairSet:
+    """A clustering's set of unordered same-cluster pairs, which the oracle counts without building it."""
+
     def test_canonical_orientation_and_no_self_pairs(self):
-        pairs = pair_set([(3, 1, 2)])
-        assert isinstance(pairs, frozenset)
-        assert pairs == {(1, 2), (1, 3), (2, 3)}
-        assert all(a < b for a, b in pairs)
+        # (3, 1, 2) has the pairs {1, 2}, {1, 3} and {2, 3}: no (a, a), and (a, b) is (b, a)
+        assert pair_counts([(3, 1, 2)], [(1, 2, 3)]) == (3, 3, 3)
+        # only {1, 2} is shared, listed in the opposite order on each side
+        assert pair_counts([(3, 1, 2)], [(2, 1), (3,)]) == (1, 3, 1)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 57])
     def test_size_matches_closed_form(self, k):
-        clusters = [tuple(range(k))] if k else []
-        assert len(pair_set(clusters)) == k * (k - 1) // 2
+        # the singleton keeps the clustering non-empty at k = 0 and adds no pair
+        clusters = [tuple(range(k)), ("solo",)] if k else [("solo",)]
+        assert pair_counts(clusters, clusters) == (k * (k - 1) // 2,) * 3
 
     def test_large_cluster_pair_count(self):
-        # a 3,964-instance cluster yields 7,854,666 enumerated pairs
-        count = sum(1 for _ in iter_pairs(range(3964)))
-        assert count == 7_854_666
-        assert count == 3964 * 3963 // 2
+        # a 3,964-instance cluster yields 7,854,666 enumerated pairs; its two halves 3,926,342
+        ids = range(3964)
+        counts = pair_counts([ids], [ids[:1982], ids[1982:]])
+        assert counts == (3_926_342, 7_854_666, 3_926_342)
+        assert counts[1] == 3964 * 3963 // 2 and counts[2] == 2 * (1982 * 1981 // 2)
+
+    def test_lenient_extra_makes_predicted_pairs_only(self):
+        # x is in predicted only: {a, x} and {b, x} are predicted pairs, and no truth pair has x
+        pair = validate(Clustering.from_clusters([("a", "b")]), Clustering.from_clusters([("a", "b", "x")]), "lenient")
+        assert oracle._pair_counts(pair, oracle.DEFAULT_PAIR_BUDGET) == (1, 1, 3)
+        slow, fast = oracle.evaluate_all(pair), single_pass.evaluate_all(pair)
+        assert (slow.stats.pair_int_sum, slow.stats.pair_tr_sum, slow.stats.pair_pr_sum) == (1, 1, 3)
+        assert slow.flags == (FLAG_EXTRA_IN_PREDICTED.format(1),)
+        assert (slow.stats, slow.flags) == (fast.stats, fast.flags)
+
+    def test_counting_keeps_no_pairs(self):
+        # 2,000 ids in one cluster make 1,999,000 pairs a side; as sets of tuples they take hundreds of MB
+        pair = pair_from_labels([0] * 2000, [0] * 2000)
+        tracemalloc.start()
+        try:
+            triple = oracle.pairwise_f(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (triple.recall, triple.precision) == (1.0, 1.0)
+        assert peak < 4 * 2**20, f"pairwise_f peaked at {peak} traced bytes"
 
 
 class TestOracleValues:
@@ -93,9 +124,7 @@ class TestOracleValues:
 
     def test_pairwise_golden_intersection(self):
         pair = golden_pair()
-        truth_pairs = pair_set(pair.truth.clusters)
-        predicted_pairs = pair_set(pair.predicted.clusters)
-        assert len(truth_pairs & predicted_pairs) == 7
+        assert oracle._pair_counts(pair, oracle.DEFAULT_PAIR_BUDGET) == (7, 7, 13)
         triple = oracle.pairwise_f(pair)
         assert triple.recall == 1.0
         assert triple.precision == float(Fraction(7, 13))
