@@ -1,12 +1,16 @@
 """Brute-force reference implementations of the five measures.
 
-These follow each measure's definition literally: nested cluster-by-cluster
-set intersections, per-instance cluster lookups, and every same-cluster pair
-enumerated and counted, none kept. They are intentionally slow, number the
-ids themselves, and read nothing of the pair but its two clusterings, so
-agreement between the two engines is a meaningful correctness check: each
-ratio is a ``Fraction`` rounded once, so the reports must be equal. Use them
-on small inputs only; pair enumeration is capped by a budget.
+These follow each measure's definition literally: explicit set operations on
+every pair of clusters, per-instance cluster lookups, and every same-cluster
+pair enumerated and counted, none kept. Each truth/predicted cluster pair
+gets one disjointness test, and each pair that meets is intersected once per
+report, into a sparse overlap table that K-metric, SE/LE and B-cubed read;
+Cluster-F compares the clusters by set equality. The oracle is
+intentionally slow, numbers the ids itself, and reads nothing of the pair
+but its two clusterings, so agreement between the two engines is a
+meaningful correctness check: each ratio is a ``Fraction`` rounded once, so
+the reports must be equal. Use it on small inputs only; pair enumeration is
+capped by a budget.
 """
 
 from __future__ import annotations
@@ -36,86 +40,119 @@ def _dense_clusters(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
 
     One dict numbers the ids, truth ids in cluster order and then the
     predicted-only extras, so an id is the same int on both sides. Raw ids
-    need not be orderable against each other; the ints are.
+    need not be orderable against each other.
     """
     dense: dict = {}
     sides = (pair.truth.clusters, pair.predicted.clusters)
     return tuple([frozenset([dense.setdefault(x, len(dense)) for x in c]) for c in side] for side in sides)
 
 
-def cluster_f(pair: EvalPair) -> MetricTriple:
-    """Count predicted clusters that equal a truth cluster, by set equality."""
+def _overlap_table(truth_sets: list[frozenset], predicted_sets: list[frozenset]) -> list[dict[int, int]]:
+    """For each truth cluster, predicted index -> overlap size, over the predicted clusters it meets.
+
+    Every (truth, predicted) pair gets one disjointness test, and only the
+    pairs that meet are intersected, each once. That is still
+    ``O(|T|·|P|)`` set operations, with no index that skips a pair, but the
+    table holds only the nonzero cells, one per contingency cell.
+    """
+    return [{j: len(t & p) for j, p in enumerate(predicted_sets) if not t.isdisjoint(p)} for t in truth_sets]
+
+
+def _tables(pair: EvalPair) -> tuple[list[frozenset], list[frozenset], list[dict[int, int]]]:
+    """Both sides' dense clusters and their overlap table, the arguments of the per-measure helpers."""
     truth_sets, predicted_sets = _dense_clusters(pair)
-    matches = 0
-    for p in predicted_sets:
-        for t in truth_sets:
-            if p == t:
-                matches += 1
+    return truth_sets, predicted_sets, _overlap_table(truth_sets, predicted_sets)
+
+
+def _cluster_f(truth_sets: list[frozenset], predicted_sets: list[frozenset]) -> MetricTriple:
+    matches = sum(map(truth_sets.count, predicted_sets))
     return MetricTriple.harmonic(Fraction(matches, len(truth_sets)), Fraction(matches, len(predicted_sets)))
 
 
-def k_metric(pair: EvalPair) -> MetricTriple:
-    """Purity sums via explicit intersections, in the definitional orders.
+def cluster_f(pair: EvalPair) -> MetricTriple:
+    """Count predicted clusters that equal a truth cluster, comparing every pair of clusters by set equality."""
+    return _cluster_f(*_dense_clusters(pair))
 
-    The recall sum walks truth clusters against predicted ones; the
-    precision sum walks predicted clusters against truth ones, one exact
-    ratio per cluster.
-    """
-    truth_sets, predicted_sets = _dense_clusters(pair)
-    n = sum(len(t) for t in truth_sets)
-    aap = sum(Fraction(sum(len(t & p) ** 2 for p in predicted_sets), len(t)) for t in truth_sets)
-    acp = sum(Fraction(sum(len(p & t) ** 2 for t in truth_sets), len(p)) for p in predicted_sets)
+
+def _k_metric(
+    truth_sets: list[frozenset], predicted_sets: list[frozenset], overlaps: list[dict[int, int]]
+) -> MetricTriple:
+    n = sum(map(len, truth_sets))
+    aap = sum(Fraction(sum(v * v for v in row.values()), len(t)) for t, row in zip(truth_sets, overlaps))
+    columns = [0] * len(predicted_sets)
+    for row in overlaps:
+        for j, v in row.items():
+            columns[j] += v * v
+    acp = sum(Fraction(column, len(p)) for column, p in zip(columns, predicted_sets))
     return MetricTriple.geometric(aap / n, acp / n)
 
 
-def b_cubed(pair: EvalPair) -> MetricTriple:
-    """Instance-level recall/precision, one lookup and intersection per instance.
+def k_metric(pair: EvalPair) -> MetricTriple:
+    """Purity sums of squared overlaps, one exact ratio per cluster.
 
-    Overlaps are summed per truth (recall) and predicted (precision) cluster, then divided by its size.
+    The recall sum adds each truth cluster's row of the overlap table; the
+    precision sum adds each predicted cluster's column. A predicted cluster
+    that meets no truth cluster has an empty column and adds 0.
     """
-    truth_sets, predicted_sets = _dense_clusters(pair)
+    return _k_metric(*_tables(pair))
+
+
+def _b_cubed(
+    truth_sets: list[frozenset], predicted_sets: list[frozenset], overlaps: list[dict[int, int]]
+) -> MetricTriple:
+    predicted_of = {x: j for j, p in enumerate(predicted_sets) for x in p}
     n = 0
     recall_sum = 0
-    precision_numerators = dict.fromkeys(predicted_sets, 0)
-    for truth_cluster in truth_sets:
+    precision_numerators = [0] * len(predicted_sets)
+    for truth_cluster, row in zip(truth_sets, overlaps):
         recall_numerator = 0
-        for t in sorted(truth_cluster):
+        for x in truth_cluster:
             n += 1
-            own_predicted = next(c for c in predicted_sets if t in c)
-            overlap = len(own_predicted & truth_cluster)
+            own_predicted = predicted_of[x]
+            overlap = row[own_predicted]
             recall_numerator += overlap
             precision_numerators[own_predicted] += overlap
         recall_sum += Fraction(recall_numerator, len(truth_cluster))
-    precision_sum = sum(Fraction(numerator, len(p)) for p, numerator in precision_numerators.items())
+    precision_sum = sum(Fraction(numerator, len(p)) for numerator, p in zip(precision_numerators, predicted_sets))
     return MetricTriple.harmonic(recall_sum / n, precision_sum / n)
+
+
+def b_cubed(pair: EvalPair) -> MetricTriple:
+    """Instance-level recall/precision, one lookup per instance.
+
+    Each truth instance finds its predicted cluster in a dict from id to
+    predicted index and reads the overlap of its two clusters from the
+    table. Overlaps are summed per truth (recall) and predicted (precision)
+    cluster, then divided by its size.
+    """
+    return _b_cubed(*_tables(pair))
+
+
+def _split_lump(
+    truth_sets: list[frozenset], predicted_sets: list[frozenset], overlaps: list[dict[int, int]]
+) -> SplitLumpResult:
+    split_instances = lumped_instances = matched_instances = 0
+    for t, row in zip(truth_sets, overlaps):
+        _, _, best = min((-overlap, len(predicted_sets[j]), j) for j, overlap in row.items())
+        matched = predicted_sets[best]
+        split_instances += len(t - matched)
+        lumped_instances += len(matched - t)
+        matched_instances += len(matched)
+    se = Fraction(split_instances, sum(map(len, truth_sets)))
+    le = Fraction(lumped_instances, matched_instances)
+    return SplitLumpResult.from_rates(se, le)
 
 
 def split_lump(pair: EvalPair) -> SplitLumpResult:
     """Splitting/lumping errors via explicit set differences.
 
     The best-matching predicted cluster for a truth cluster is the one with
-    the largest overlap; ties prefer the smaller cluster, then the smaller
-    index, which changes no number but makes the choice definite.
+    the largest overlap in its row of the table; ties prefer the smaller
+    cluster, then the smaller index, which changes no number but makes the
+    choice definite. Every truth cluster meets some predicted cluster, so
+    its row is never empty.
     """
-    truth_sets, predicted_sets = _dense_clusters(pair)
-    split_instances = 0
-    truth_instances = 0
-    lumped_instances = 0
-    matched_instances = 0
-    for t in truth_sets:
-        best = None
-        for idx, p in enumerate(predicted_sets):
-            rank = (-len(t & p), len(p), idx)
-            if best is None or rank < best:
-                best = rank
-        matched = predicted_sets[best[2]]
-        split_instances += len(t - matched)
-        lumped_instances += len(matched - t)
-        truth_instances += len(t)
-        matched_instances += len(matched)
-    se = Fraction(split_instances, truth_instances)
-    le = Fraction(lumped_instances, matched_instances)
-    return SplitLumpResult.from_rates(se, le)
+    return _split_lump(*_tables(pair))
 
 
 def pair_demand(pair: EvalPair) -> int:
@@ -128,18 +165,26 @@ def _count(pairs: Iterator[tuple]) -> int:
     return countOf(map(len, pairs), 2)
 
 
+def _check_budget(pair: EvalPair, pair_budget: int) -> None:
+    """:class:`PairBudgetExceeded` when enumerating ``pair`` would visit more than ``pair_budget`` pairs."""
+    if (needed := pair_demand(pair)) > pair_budget:
+        raise PairBudgetExceeded(needed, pair_budget)
+
+
 def _pair_counts(pair: EvalPair, pair_budget: int) -> tuple[int, int, int]:
-    """Shared, truth and predicted pairs, counted while enumerating them; :class:`PairBudgetExceeded` past ``pair_budget``.
+    """Shared, truth and predicted pairs of ``pair``; :class:`PairBudgetExceeded` past ``pair_budget``."""
+    _check_budget(pair, pair_budget)
+    return _count_pairs(*_dense_clusters(pair))
+
+
+def _count_pairs(truth_sets: list[frozenset], predicted_sets: list[frozenset]) -> tuple[int, int, int]:
+    """Shared, truth and predicted pairs, counted while enumerating them.
 
     Every pair of every cluster is walked, and nothing of it outlives its
     count. A truth pair is shared when its two ids are in the same predicted
     cluster, looked up in a dict of the oracle's own numbering, which covers
     the predicted-only ids too.
     """
-    needed = pair_demand(pair)
-    if needed > pair_budget:
-        raise PairBudgetExceeded(needed, pair_budget)
-    truth_sets, predicted_sets = _dense_clusters(pair)
     predicted_of = {x: idx for idx, p in enumerate(predicted_sets) for x in p}
     shared = truth_total = 0
     for t in truth_sets:
@@ -167,13 +212,16 @@ def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Metric
 def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FullReport:
     """Full report from the five brute-force measures.
 
-    Pair statistics come from enumerating every pair, not from any
-    closed form, and the predicted-only extras from a set difference, not
-    from the instance counts, keeping the report fully independent of the
-    single-pass engine.
+    The ids are numbered once and the overlap table built once, and every
+    measure but Pairwise-F reads them. Pair statistics come from enumerating
+    every pair, not from any closed form, and the predicted-only extras from
+    a set difference, not from the instance counts, keeping the report
+    fully independent of the single-pass engine.
     """
-    shared, truth_total, predicted_total = _pair_counts(pair, pair_budget)
+    _check_budget(pair, pair_budget)
     truth_sets, predicted_sets = _dense_clusters(pair)
+    overlaps = _overlap_table(truth_sets, predicted_sets)
+    shared, truth_total, predicted_total = _count_pairs(truth_sets, predicted_sets)
 
     flags = []
     if extra := set(pair.predicted.ids) - set(pair.truth.ids):
@@ -184,11 +232,11 @@ def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> Full
         flags.append(FLAG_DEGENERATE_PRECISION)
 
     return FullReport(
-        cluster_f=cluster_f(pair),
-        k_metric=k_metric(pair),
-        se_le=split_lump(pair),
+        cluster_f=_cluster_f(truth_sets, predicted_sets),
+        k_metric=_k_metric(truth_sets, predicted_sets, overlaps),
+        se_le=_split_lump(truth_sets, predicted_sets, overlaps),
         pairwise=_pairwise(shared, truth_total, predicted_total),
-        b_cubed=b_cubed(pair),
+        b_cubed=_b_cubed(truth_sets, predicted_sets, overlaps),
         stats=ReportStats(
             n_truth_clusters=len(truth_sets),
             n_predicted_clusters=len(predicted_sets),

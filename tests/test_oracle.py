@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,80 @@ class TestOracleValues:
     def test_pairwise_perfect(self):
         triple = oracle.pairwise_f(pair_from_labels([0, 0, 1], [0, 0, 1]))
         assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
+
+
+class TestOverlapTable:
+    """The ids are numbered and the cluster pairs intersected once per report, into a sparse table."""
+
+    def test_evaluate_all_builds_each_table_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("_dense_clusters", "_overlap_table"):
+            def counted(*args, _build=getattr(oracle, name), _name=name):
+                calls[_name] += 1
+                return _build(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        oracle.evaluate_all(random_synth_pair_in_mode(random.Random(7), "lenient"))
+        assert calls == {"_dense_clusters": 1, "_overlap_table": 1}
+
+    @pytest.mark.parametrize("mode", COVERAGE_MODES)
+    def test_each_measure_is_its_field_of_the_report(self, mode):
+        rng = random.Random(20261020)
+        for _ in range(150):
+            pair = random_synth_pair_in_mode(rng, mode)
+            report = oracle.evaluate_all(pair)
+            assert oracle.cluster_f(pair) == report.cluster_f
+            assert oracle.k_metric(pair) == report.k_metric
+            assert oracle.b_cubed(pair) == report.b_cubed
+            assert oracle.split_lump(pair) == report.se_le
+            assert oracle.pairwise_f(pair) == report.pairwise
+
+    def test_split_lump_tie_goes_to_the_smaller_cluster(self):
+        # truth {1, 2} meets predicted {1, 3, 4} and {2} by one instance each. The smaller {2} wins
+        # although it is listed later: SE = (1 + 1)/5 and LE = (0 + 1)/(1 + 3). Matching {1, 3, 4}
+        # instead would make LE (2 + 1)/(3 + 3) = 1/2.
+        pair = validate(Clustering.from_clusters([(1, 2), (3, 4, 5)]), Clustering.from_clusters([(1, 3, 4), (2,), (5,)]))
+        truth_sets, predicted_sets = oracle._dense_clusters(pair)
+        assert oracle._overlap_table(truth_sets, predicted_sets) == [{0: 1, 1: 1}, {0: 2, 2: 1}]
+        result = oracle.split_lump(pair)
+        assert (result.se, result.le) == (float(Fraction(2, 5)), 0.25)
+        assert (result.recall, result.precision, result.combined) == (0.6, 0.75, float(Fraction(2, 3)))
+        assert result == single_pass.evaluate_all(pair).se_le
+
+    def test_predicted_cluster_of_extras_only_meets_no_truth_row(self):
+        # {x, y} is predicted-only: it is one of the 3 predicted clusters for Cluster-F, and it adds 0
+        # to the precision numerators, so ACP = (2² + 1²)/3 + 1²/1 + 0/2 = 8/3 over 4 instances
+        pair = validate(
+            Clustering.from_clusters([("a", "b"), ("c",), ("d",)]),
+            Clustering.from_clusters([("a", "b", "c"), ("d",), ("x", "y")]),
+            "lenient",
+        )
+        truth_sets, predicted_sets = oracle._dense_clusters(pair)
+        assert oracle._overlap_table(truth_sets, predicted_sets) == [{0: 2}, {0: 1}, {1: 1}]
+        report = oracle.evaluate_all(pair)
+        third = float(Fraction(1, 3))
+        assert (report.cluster_f.recall, report.cluster_f.precision, report.cluster_f.combined) == (third, third, third)
+        assert (report.k_metric.recall, report.k_metric.precision) == (1.0, float(Fraction(2, 3)))
+        assert report.k_metric.combined == math.sqrt(float(Fraction(2, 3)))
+        assert (report.b_cubed.recall, report.b_cubed.precision, report.b_cubed.combined) == (1.0, float(Fraction(2, 3)), 0.8)
+        assert (report.se_le.se, report.se_le.le) == (0.0, float(Fraction(3, 7)))
+        assert (report.pairwise.recall, report.pairwise.precision, report.pairwise.combined) == (1.0, 0.25, 0.4)
+        assert report.flags == (FLAG_EXTRA_IN_PREDICTED.format(2),)
+        assert report == single_pass.evaluate_all(pair)
+
+    def test_table_keeps_no_dense_matrix(self):
+        # 3,000 truth pairs against 3,001 predicted clusters, each truth cluster meeting two of them:
+        # a dense T x P table of 8-byte cells would take 72 MB, the sparse one holds 6,000 cells
+        n = 6000
+        pair = pair_from_labels([i // 2 for i in range(n)], [(i + 1) // 2 for i in range(n)])
+        dense_bytes = 8 * len(pair.truth.sizes) * len(pair.predicted.sizes)
+        tracemalloc.start()
+        try:
+            report = oracle.evaluate_all(pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == single_pass.evaluate_all(pair)
+        assert peak < dense_bytes / 8, f"evaluate_all peaked at {peak} traced bytes; a dense table takes {dense_bytes}"
 
 
 class TestPairBudget:
