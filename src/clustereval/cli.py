@@ -30,12 +30,13 @@ from .io_formats import (
     FORMATS,
     MEASURE_ORDER,
     build_report_document,
+    parse_chunks,
     parse_clustering_file,
     raise_repeat,
     write_clustering,
     write_report,
 )
-from .model import COVERAGE_MODES, EvalPair, validate
+from .model import COVERAGE_MODES, Clustering, EvalPair, validate
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -50,21 +51,39 @@ FLAG_AUTO_PAIRS_SINGLETONS = (
     "if they are tab-separated cluster lines, use --format clusters"
 )
 
-def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
-    """The validated pair of input files, and the flags on how they were read."""
+
+def _formats_agree(truth_format: str | None, pred_format: str | None) -> bool:
+    # A file without data lines (format None) agrees with either format.
+    return not (truth_format and pred_format and truth_format != pred_format)
+
+
+def _read_flags(args, pair: EvalPair, truth_format: str | None, pred_format: str | None) -> tuple[str, ...]:
+    """The flags on how the input files were read."""
+    # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
+    singletons = pair.n_instances == len(pair.truth_sizes) and pair.n_predicted == len(pair.predicted_sizes)
+    if args.format == FORMAT_AUTO and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:
+        return (FLAG_AUTO_PAIRS_SINGLETONS,)
+    return ()
+
+
+def _load_clusterings(args, parse=None) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
+    """Both input files as clusterings, their validated pair, and the flags on how they were read.
+
+    ``parse(path)`` gives a file's clustering and format; by default it reads the file at ``path``.
+    """
+    parse = parse or (lambda path: parse_clustering_file(path, format=args.format))
     # Each file is read once, in the given format or the one detected from its own first data line.
     path = args.truth  # the file being read, whose path begins a parse error
     try:
-        truth, truth_format = parse_clustering_file(path, format=args.format)
+        truth, truth_format = parse(path)
         path = args.pred
-        predicted, pred_format = parse_clustering_file(path, format=args.format)
+        predicted, pred_format = parse(path)
     except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
         raise ParseError(str(exc)) from None
     except ParseError as exc:
         exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
         raise
-    # A file without data lines (format None) agrees with either format.
-    if truth_format and pred_format and truth_format != pred_format:
+    if not _formats_agree(truth_format, pred_format):
         raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
     try:
         pair = validate(truth, predicted, args.coverage)
@@ -80,31 +99,83 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
                     exc = with_lines
         exc.args = (f"{path}: {exc}",)
         raise exc
-    # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
-    singletons = truth.n_instances == len(truth.sizes) and predicted.n_instances == len(predicted.sizes)
-    if args.format == FORMAT_AUTO and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:
-        return pair, (FLAG_AUTO_PAIRS_SINGLETONS,)
-    return pair, ()
+    return truth, predicted, pair, _read_flags(args, pair, truth_format, pred_format)
+
+
+def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
+    """The validated pair of input files as labels, and the flags on how they were read, in one streamed join.
+
+    Each file is read once. Its bytes are parsed batch by batch inside :func:`validate`: the predicted
+    ids fill the label table and the truth ids are popped from it, so no id column is built. When
+    anything in the join fails, :func:`_load_clusterings` runs on the bytes read, in the order that
+    gives each error its precedence, and raises the error it finds there.
+    """
+    try:
+        with open(args.truth, "rb") as handle:
+            truth_data = handle.read()
+    except OSError as exc:  # the truth file is read first, so its read error comes before anything else
+        raise ParseError(str(exc)) from None
+    try:
+        with open(args.pred, "rb") as handle:
+            pred_data = handle.read()
+    except OSError as exc:  # after truth's parse error, if it has one
+        pred_data = exc
+    else:
+        try:
+            truth, truth_format = parse_chunks(truth_data, args.format)
+            predicted, pred_format = parse_chunks(pred_data, args.format)
+            if _formats_agree(truth_format, pred_format):
+                pair = validate(truth, predicted, args.coverage)
+                return pair, _read_flags(args, pair, truth_format, pred_format)
+        except (ParseError, ValidationError):
+            pass
+    held = iter((truth_data, pred_data))  # each side's bytes or read error, in the order parse asks for them
+
+    def parse(path):
+        data = next(held)
+        if isinstance(data, OSError):
+            raise data
+        chunks, file_format = parse_chunks(data, args.format)
+        return Clustering.from_chunks(chunks), file_format
+
+    return _load_clusterings(args, parse)[2:]
+
+
+def _peak_rss_bytes() -> int | None:
+    """The process's peak resident set size so far, or None where ``resource`` is missing (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024  # bytes on macOS, KiB on Linux
 
 
 def cmd_evaluate(args) -> int:
-    pair, read_flags = _load_pair(args)
-    start = time.perf_counter()
-    if args.engine == "oracle":
-        report = oracle.evaluate_all(pair, pair_budget=args.pair_budget)
+    if args.engine == "oracle":  # the oracle numbers the ids itself, so it reads both clusterings
+        truth, predicted, _, read_flags = _load_clusterings(args)
+        start = time.perf_counter()
+        report = oracle.evaluate_all(truth, predicted, pair_budget=args.pair_budget)
     else:
+        pair, read_flags = _load_pair(args)
+        start = time.perf_counter()
         report = single_pass.evaluate_all(pair)
     elapsed = time.perf_counter() - start
     report = dataclasses.replace(report, flags=report.flags + read_flags)
     measures = MEASURE_ORDER if args.measure == "all" else (args.measure,)
-    sys.stdout.write(write_report(build_report_document(report, args.engine, elapsed, measures), args.output))
+    doc = build_report_document(report, args.engine, elapsed, measures, _peak_rss_bytes())
+    sys.stdout.write(write_report(doc, args.output))
     return EXIT_OK
 
 
-def _check_one(pair: EvalPair, pair_budget: int, label: str) -> int:
-    """Compare the two engines' report documents field by field, for exact equality."""
+def _check_one(truth: Clustering, predicted: Clustering, pair: EvalPair, pair_budget: int, label: str) -> int:
+    """Compare the two engines' report documents field by field, for exact equality.
+
+    ``pair`` is the validated pair of ``truth`` and ``predicted``; the oracle's budget is checked first.
+    """
+    oracle.check_budget(truth, predicted, pair_budget)
     fast = build_report_document(single_pass.evaluate_all(pair), engine="single_pass")
-    slow = build_report_document(oracle.evaluate_all(pair, pair_budget=pair_budget), engine="oracle")
+    slow = build_report_document(oracle.evaluate_all(truth, predicted, pair_budget=pair_budget), engine="oracle")
     divergent = [
         f"measures.{name}.{key}: single_pass={value!r} oracle={slow['measures'][name][key]!r}"
         for name, fields in fast["measures"].items()
@@ -144,7 +215,9 @@ def cmd_check(args) -> int:
                 merge_rate=rng.random(),
                 seed=rng.getrandbits(63),
             )
-            status = _check_one(generate(config), args.pair_budget, f"trial {trial} config {config}")
+            truth, predicted = generate(config)
+            pair = validate(truth, predicted, "strict")
+            status = _check_one(truth, predicted, pair, args.pair_budget, f"trial {trial} config {config}")
             if status != EXIT_OK:
                 return status
         sys.stdout.write(f"check: {args.trials} randomized trials agreed exactly\n")
@@ -157,8 +230,8 @@ def cmd_check(args) -> int:
         raise ParseError("check needs --truth and --pred, or --trials for randomized mode")
     # A file check takes evaluate's defaults.
     vars(args).update(coverage=args.coverage or "strict", format=args.format or FORMAT_AUTO)
-    pair, read_flags = _load_pair(args)
-    status = _check_one(pair, args.pair_budget, f"{args.truth} vs {args.pred}")
+    truth, predicted, pair, read_flags = _load_clusterings(args)
+    status = _check_one(truth, predicted, pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
         sys.stdout.write("check: engines agree exactly\n")
     sys.stdout.writelines(f"flag: {flag}\n" for flag in read_flags)
@@ -174,14 +247,14 @@ def cmd_gen(args) -> int:
         merge_rate=args.merge,
         seed=args.seed,
     )
-    pair = generate(config)
+    truth, predicted = generate(config)
     with open(args.out_truth, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(write_clustering(pair.truth, format=args.format))
+        handle.write(write_clustering(truth, format=args.format))
     with open(args.out_pred, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(write_clustering(pair.predicted, format=args.format))
+        handle.write(write_clustering(predicted, format=args.format))
     sys.stderr.write(
-        f"gen: wrote {pair.n_instances} instances, {len(pair.truth.sizes)} truth / "
-        f"{len(pair.predicted.sizes)} predicted clusters\n"
+        f"gen: wrote {truth.n_instances} instances, {len(truth.sizes)} truth / "
+        f"{len(predicted.sizes)} predicted clusters\n"
     )
     return EXIT_OK
 
@@ -198,20 +271,20 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    pair, read_flags = _load_pair(args)  # reading and validating stay outside the timers
+    truth, predicted, pair, read_flags = _load_clusterings(args)  # reading and validating stay outside the timers
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
-    if "oracle" in engines and (demand := oracle.pair_demand(pair)) > args.pair_budget:
-        raise PairBudgetExceeded(demand, args.pair_budget)  # before any engine is timed
+    if "oracle" in engines:
+        oracle.check_budget(truth, predicted, args.pair_budget)  # before any engine is timed
     rows = []
     for engine in engines:
         if engine == "oracle":
             calls = {
-                "cluster_f": lambda: oracle.cluster_f(pair),
-                "k_metric": lambda: oracle.k_metric(pair),
-                "b_cubed": lambda: oracle.b_cubed(pair),
-                "se_le": lambda: oracle.split_lump(pair),
-                "pairwise": lambda: oracle.pairwise_f(pair, pair_budget=args.pair_budget),
-                "all_in_one": lambda: oracle.evaluate_all(pair, pair_budget=args.pair_budget),
+                "cluster_f": lambda: oracle.cluster_f(truth, predicted, args.pair_budget),
+                "k_metric": lambda: oracle.k_metric(truth, predicted, args.pair_budget),
+                "b_cubed": lambda: oracle.b_cubed(truth, predicted, args.pair_budget),
+                "se_le": lambda: oracle.split_lump(truth, predicted, args.pair_budget),
+                "pairwise": lambda: oracle.pairwise_f(truth, predicted, args.pair_budget),
+                "all_in_one": lambda: oracle.evaluate_all(truth, predicted, args.pair_budget),
             }
         else:
             # the single-pass engine computes all five measures in one pass, so it gets one row

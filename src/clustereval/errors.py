@@ -66,14 +66,18 @@ class ExtraInPredicted(ValidationError):
 
 
 class PairBudgetExceeded(ClusterEvalError):
-    """The brute-force pair enumeration would exceed the configured budget."""
+    """The brute-force oracle would visit more pairs than the configured budget.
+
+    It counts the same-cluster instance pairs that Pairwise-F enumerates and
+    the truth × predicted cluster pairs that every other measure tests.
+    """
 
     def __init__(self, needed: int, budget: int):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"pair enumeration needs {needed} pairs, budget is {budget}; "
-            "raise the budget or use the single-pass engine"
+            f"pair enumeration needs {needed} pairs (same-cluster instance pairs and truth x predicted "
+            f"cluster pairs), budget is {budget}; raise the budget or use the single-pass engine"
         )
 
 

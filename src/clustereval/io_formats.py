@@ -13,16 +13,19 @@ else ``clusters``. It runs inside the parse, on the lines the parse has
 already read, so each file is read once: :func:`parse_clustering_file`
 returns the format it read the file in.
 
-The parser fills the two columns of a :class:`Clustering` (ids in cluster
-order, cluster sizes) in one pass over the file's lines. Bytes are decoded
-and cut into lines in batches of about 1 MiB, each running through an LF,
-so no list of all the lines is ever built; the lines, their numbers and
-every error message are those of the whole file's ``splitlines()``. An
-invalid byte anywhere in the file is reported before a malformed row, as
-it would be if the whole file were decoded first. It does not look for
-repeated ids: :func:`~clustereval.model.validate` names one from the table
-it builds for the pair, and :func:`raise_repeat` rescans a file for that
-id's lines. A malformed row anywhere in either file is therefore reported
+The parser, :func:`parse_chunks`, gives a file's two columns (ids in
+cluster order, cluster sizes) as ``(ids, sizes)`` chunks in one pass over
+its lines: :func:`~clustereval.model.validate` joins two files' chunks into
+labels without keeping an id column, and a :class:`Clustering` is its
+chunks collected. Bytes are decoded and cut into lines in batches of about
+1 MiB, each running through an LF, so no list of all the lines is ever
+built; the lines, their numbers and every error message are those of the
+whole file's ``splitlines()``. An invalid byte anywhere in the file is
+reported before a malformed row, as it would be if the whole file were
+decoded first. It does not look for repeated ids:
+:func:`~clustereval.model.validate` names one from the table it builds for
+the pair, and :func:`raise_repeat` rescans a file for that id's lines. A
+malformed row anywhere in either of two parsed files is therefore reported
 before any repeat.
 
 :func:`build_report_document` builds a report's one document, and
@@ -43,7 +46,7 @@ from itertools import chain
 
 from . import __version__
 from .errors import DuplicateInstance, ParseError
-from .model import Clustering, FullReport
+from .model import Chunks, Clustering, FullReport
 
 SCHEMA_VERSION = 1
 
@@ -91,53 +94,58 @@ def _batches(data: bytes) -> Iterator[list[str]]:
         start, encoding = end, "utf-8"
 
 
-def _lines_and_format(data: bytes, format: str) -> tuple[Iterator[str], str | None]:
-    """The lines of ``data``, read as they are consumed, and the format to read them in: ``format``,
+def _batches_and_format(data: bytes, format: str) -> tuple[Iterator[list[str]], str | None]:
+    """The batches of ``data``, decoded as they are consumed, and the format to read them in: ``format``,
     or the one detected from the first data line, None when auto-detection finds no data line."""
     if format not in FORMATS:
         raise ValueError(f"unknown clustering format {format!r}")
-    rows = chain.from_iterable(_batches(data))
+    batches = _batches(data)
     if format == FORMAT_AUTO:
-        head = []  # the lines detection reads, given back in front of the rest
-        for line in rows:
-            head.append(line)
-            if _is_data_line(line):
+        head = []  # the batches detection reads, given back in front of the rest
+        format = None
+        for lines in batches:
+            head.append(lines)
+            if (line := next(filter(_is_data_line, lines), None)) is not None:
                 format = FORMAT_MEMBERSHIP_PAIRS if "\t" in line else FORMAT_CLUSTER_LINES
                 break
-        else:
-            format = None
-        rows = chain(head, rows)
-    return rows, format
+        batches = chain(head, batches)
+    return batches, format
 
 
-def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO) -> Clustering:
-    """Parse one clustering from text or bytes in either file format, in one pass over its lines.
+def parse_chunks(data: bytes, format: str = FORMAT_AUTO) -> tuple[Chunks, str | None]:
+    """The clustering in ``data`` as ``(ids, sizes)`` chunks, parsed as they are consumed, and its format.
 
-    Text is read as its UTF-8 bytes, as a file would be; an unpaired surrogate there is invalid UTF-8.
-    Repeated ids are read as they are; :func:`~clustereval.model.validate` rejects them.
+    The format is ``format``, or the one detected from the first data line (None: no data lines); detection
+    decodes only the batches up to that line. Collected in order, the chunks' ids and sizes are the two
+    columns of :func:`parse_clustering`'s result. A cluster-lines file gives one chunk per batch of about
+    ``_BATCH`` bytes, so only that batch's ids are alive while it is consumed; a membership-pairs file is
+    grouped by label whole before its one chunk, whose ids are an iterator over the groups. A
+    :class:`ParseError` is raised when the chunk that would hold the malformed row or invalid byte is
+    consumed, or at once for an invalid byte in the batches detection reads.
     """
-    source = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
-    return _parse(source, format)[0]
-
-
-def _parse(data: bytes, format: str) -> tuple[Clustering, str | None]:
-    """:func:`parse_clustering`, and the format it read ``data`` in (None: no data lines)."""
-    # Besides the columns, only the file's bytes and the lines of one decoded batch are alive at once.
-    rows, format = _lines_and_format(data, format)
-
+    batches, format = _batches_and_format(data, format)
     if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
-        ids, sizes = [], []
-        for line in rows:
-            # split() and lstrip() share one definition of whitespace, so this is _is_data_line.
-            tokens = line.split()
-            if tokens and tokens[0][0] != "#":
-                ids += tokens
-                sizes.append(len(tokens))
-        return Clustering(tuple(ids), tuple(sizes)), format
+        return map(_cluster_lines, batches), format
+    return _membership_pairs(data, batches), format
 
+
+def _cluster_lines(lines: list[str]) -> tuple[list[str], list[int]]:
+    """The ids and cluster sizes of one batch of cluster lines."""
+    ids, sizes = [], []
+    for line in lines:
+        # split() and lstrip() share one definition of whitespace, so this is _is_data_line.
+        tokens = line.split()
+        if tokens and tokens[0][0] != "#":
+            ids += tokens
+            sizes.append(len(tokens))
+    return ids, sizes
+
+
+def _membership_pairs(data: bytes, batches: Iterator[list[str]]) -> Chunks:
+    """The one chunk of a membership-pairs file: its rows grouped by label, in the order labels first occur."""
     groups: dict[str, list[str]] = {}
     try:
-        for number, line in enumerate(rows, 1):
+        for number, line in enumerate(chain.from_iterable(batches), 1):
             if not (head := line.lstrip()) or head[0] == "#":  # _is_data_line, inlined: a call costs ~8% here
                 continue
             fields = line.split("\t")
@@ -156,8 +164,23 @@ def _parse(data: bytes, format: str) -> tuple[Clustering, str | None]:
     except ParseError:
         _text(data)  # an invalid byte in a batch not yet decoded is reported first
         raise
-    ids = tuple(chain.from_iterable(groups.values()))
-    return Clustering(ids, tuple(map(len, groups.values()))), format
+    yield chain.from_iterable(groups.values()), list(map(len, groups.values()))
+
+
+def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO) -> Clustering:
+    """Parse one clustering from text or bytes in either file format, in one pass over its lines.
+
+    Text is read as its UTF-8 bytes, as a file would be; an unpaired surrogate there is invalid UTF-8.
+    Repeated ids are read as they are; :func:`~clustereval.model.validate` rejects them.
+    """
+    source = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
+    return _parse(source, format)[0]
+
+
+def _parse(data: bytes, format: str) -> tuple[Clustering, str | None]:
+    """:func:`parse_clustering`, and the format it read ``data`` in (None: no data lines): its chunks collected."""
+    chunks, format = parse_chunks(data, format)
+    return Clustering.from_chunks(chunks), format
 
 
 def raise_repeat(data: bytes, format: str, instance) -> None:
@@ -166,9 +189,9 @@ def raise_repeat(data: bytes, format: str, instance) -> None:
     Returns when ``instance`` occurs at most once. ``data`` is a file that :func:`parse_clustering`
     reads without error in ``format``, one of the two concrete formats.
     """
-    rows, format = _lines_and_format(data, format)
+    batches, format = _batches_and_format(data, format)
     lines = []  # the number of each line ``instance`` occurs on, once per occurrence
-    for number, line in enumerate(rows, 1):
+    for number, line in enumerate(chain.from_iterable(batches), 1):
         if _is_data_line(line):
             tokens = line.split() if format == FORMAT_CLUSTER_LINES else [line.split("\t")[0].strip()]
             lines += [number] * tokens.count(instance)
@@ -214,11 +237,13 @@ def build_report_document(
     engine: str = "single_pass",
     timing_seconds: float | None = None,
     measures: tuple[str, ...] = MEASURE_ORDER,
+    peak_rss_bytes: int | None = None,
 ) -> dict:
     """The report's dataclasses as one document, keeping only ``measures``.
 
     Field names and order come from the dataclasses; ``stats`` and ``flags``
-    always describe the whole report.
+    always describe the whole report. ``timing`` holds ``seconds`` and, when
+    given, ``peak_rss_bytes``; it is left out without ``timing_seconds``.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -230,6 +255,8 @@ def build_report_document(
     }
     if timing_seconds is not None:
         doc["timing"] = {"seconds": float(timing_seconds)}
+        if peak_rss_bytes is not None:
+            doc["timing"]["peak_rss_bytes"] = int(peak_rss_bytes)
     return doc
 
 

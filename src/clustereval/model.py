@@ -2,20 +2,23 @@
 
 A :class:`Clustering` is a list of opaque instance ids cut into non-empty
 clusters, stored as a flat id column and a cluster size column whose shape
-is checked at construction. An :class:`EvalPair` pairs a truth clustering
-with a predicted one and, when built, checks every id once in one table:
-predicted id to predicted cluster. Popping each truth id from it labels the
-truth instances, finds repeats and missing ids, and leaves the
-predicted-only extras. :func:`validate` builds the pair that all evaluators
-consume; it holds the two clusterings, the coverage mode and the labels,
-and each engine forms its own flags from them.
+is checked at construction. An :class:`EvalPair` is a validated
+truth/predicted pair as labels only: both sides' cluster sizes, the
+predicted cluster of each truth instance, the predicted instance count and
+the coverage mode. :func:`validate` builds it in one join, checking every
+id once in one table: predicted id to predicted cluster. Popping each truth
+id from it labels the truth instances, finds repeats and missing ids, and
+leaves the predicted-only extras. The join takes either side as a
+:class:`Clustering` or as the chunks a parser yields, so a file pair
+becomes labels without an id column. Each engine forms its own flags; the
+oracle reads the two clusterings instead.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, pairwise, repeat
@@ -31,7 +34,9 @@ from .errors import (
 )
 
 COVERAGE_MODES = ("strict", "lenient")
-_ANY_KEY = object()  # a key that is not a str, see EvalPair.__post_init__
+_ANY_KEY = object()  # a key that is not a str, see validate
+# A clustering's two columns in pieces: collected in order, the pieces' ids and sizes are the columns.
+Chunks = Iterable[tuple[Iterable[Hashable], Iterable[int]]]
 
 FLAG_EXTRA_IN_PREDICTED = "extra_in_predicted: {} instance(s) appear only in the predicted clustering"
 FLAG_DEGENERATE_RECALL = "degenerate_pairwise_recall: no instance pairs in truth clusters; recall defined as 1.0"
@@ -174,18 +179,30 @@ class Clustering:
         canon = [tuple(sorted(c, key=str)) if isinstance(c, (set, frozenset)) else tuple(c) for c in clusters]
         return cls(tuple(chain.from_iterable(canon)), tuple(map(len, canon)))
 
+    @classmethod
+    def from_chunks(cls, chunks: Chunks) -> "Clustering":
+        """Build from ``(ids, sizes)`` chunks, as :func:`~clustereval.io_formats.parse_chunks` gives them."""
+        ids, sizes = [], []
+        for chunk_ids, chunk_sizes in chunks:
+            ids += chunk_ids
+            sizes += chunk_sizes
+        return cls(ids, sizes)
+
     def partition(self) -> frozenset:
         """Order-insensitive view, for partition-equality comparisons."""
         return frozenset(frozenset(c) for c in self.clusters)
 
 
-def _id_error(truth: Clustering, predicted: Clustering) -> ValidationError:
+def _id_error(truth: Clustering | Chunks, predicted: Clustering | Chunks) -> ValidationError:
     """The error for a pair whose ids do not line up, by precedence.
 
     The first id in truth that an earlier one equals, then the same in
     predicted, then the truth ids missing from predicted. Only this error
-    path builds sets.
+    path builds sets. Chunks are spent by then, so a side given as chunks
+    gets an error that names no id.
     """
+    if not (isinstance(truth, Clustering) and isinstance(predicted, Clustering)):
+        return ValidationError("the instance ids of the two clusterings do not line up")
     for clustering in (truth, predicted):
         seen = set()
         for instance in clustering.ids:
@@ -195,65 +212,87 @@ def _id_error(truth: Clustering, predicted: Clustering) -> ValidationError:
     return MissingFromPredicted(set(truth.ids) - set(predicted.ids))
 
 
+def _check_sides(truth_sizes, predicted_sizes) -> None:
+    """:class:`EmptyClustering` for a side with no clusters, truth first."""
+    for side, sizes in (("truth", truth_sizes), ("predicted", predicted_sizes)):
+        if not sizes:
+            raise EmptyClustering(f"{side} clustering has no clusters")
+
+
 @dataclass(frozen=True)
 class EvalPair:
-    """A validated (truth, predicted) pair as one flat list of predicted labels.
+    """A validated (truth, predicted) pair as labels: what every engine but the oracle reads.
 
-    The constructor checks the ids of both clusterings and labels each truth
-    instance itself, so ``assignments`` is not an argument and always
-    matches the clusterings. ``assignments[d]`` is the predicted cluster
-    index of the ``d``-th truth instance in cluster order, so each truth
-    cluster is a slice of it.
-
-    Every id is checked in one table, predicted id to predicted cluster
-    index: a repeated predicted id makes the table shorter than the id
-    column, and each truth id is popped from it, so a truth id that is
-    missing from predicted or repeated in truth finds no entry. What is left
-    are the predicted-only extras. A repeat on either side is a
-    :class:`DuplicateInstance` (truth checked first). Strict mode requires
-    identical instance sets. Lenient mode lets the predicted clustering carry
-    extra instances (they stay in the predicted cluster sizes and pair
-    totals, and each engine flags them); truth instances missing from
-    predicted are fatal in both modes.
+    ``assignments[d]`` is the predicted cluster index of the ``d``-th truth
+    instance in cluster order, so truth cluster ``k`` is the
+    ``truth_sizes[k]`` labels after the first ``sum(truth_sizes[:k])``.
+    ``predicted_sizes`` are the predicted cluster lengths, predicted-only
+    extras included, and ``n_predicted`` is their sum. :func:`validate`
+    builds a pair and checks it; the constructor stores the fields as given.
     """
 
-    truth: Clustering
-    predicted: Clustering
+    truth_sizes: tuple[int, ...]
+    predicted_sizes: tuple[int, ...]
+    assignments: list[int]
+    n_predicted: int
     coverage_mode: str
-    assignments: list[int] = field(init=False)
-
-    def __post_init__(self):
-        truth, predicted, mode = self.truth, self.predicted, self.coverage_mode
-        if mode not in COVERAGE_MODES:
-            raise ValueError(f"unknown coverage mode {mode!r}")
-        if not truth.sizes:
-            raise EmptyClustering("truth clustering has no clusters")
-        if not predicted.sizes:
-            raise EmptyClustering("predicted clustering has no clusters")
-
-        # A dict whose keys are all str stores no hashes, so each resize rereads them from the key
-        # objects, scattered over the heap; one other key for the build keeps the hashes in the table,
-        # which makes building and popping a 1.2M-id table about a fifth faster.
-        label_of = {_ANY_KEY: None}
-        label_of.update(zip(predicted.ids, chain.from_iterable(map(repeat, count(), predicted.sizes))))
-        del label_of[_ANY_KEY]
-        if len(label_of) < predicted.n_instances:  # a predicted id repeats
-            raise _id_error(truth, predicted)
-        try:
-            assignments = list(map(label_of.pop, truth.ids))
-        except KeyError:  # a truth id is missing from predicted, or repeats in truth
-            raise _id_error(truth, predicted) from None
-        # Every truth id was popped once, so the ids left are the predicted-only extras.
-        if label_of and mode == "strict":
-            raise ExtraInPredicted(label_of)
-        object.__setattr__(self, "assignments", assignments)
 
     @property
     def n_instances(self) -> int:
         """N: the number of truth-side instances."""
-        return self.truth.n_instances
+        return len(self.assignments)
 
 
-def validate(truth: Clustering, predicted: Clustering, mode: str = "strict") -> EvalPair:
-    """The :class:`EvalPair` of the two clusterings under coverage ``mode``."""
-    return EvalPair(truth, predicted, mode)
+def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: str = "strict") -> EvalPair:
+    """The :class:`EvalPair` of the two clusterings under coverage ``mode``, in one join.
+
+    Each side is a :class:`Clustering`, or ``(ids, sizes)`` chunks whose
+    ids and sizes, collected in order, are its two columns, as
+    :func:`~clustereval.io_formats.parse_chunks` gives them. The predicted
+    chunks fill one table, predicted id to predicted cluster index, and are
+    then dropped; each truth chunk's ids are popped from it, so a truth id
+    lives only as long as its chunk. A repeated predicted id makes the table
+    shorter than the predicted instance count, and a truth id missing from
+    predicted or repeated in truth finds no entry. What is left are the
+    predicted-only extras. A repeat on either side is a
+    :class:`DuplicateInstance` (truth checked first), and a truth id missing
+    from predicted is fatal in both modes. Strict mode requires identical
+    instance sets; lenient mode lets the predicted clustering carry extra
+    instances, which stay in the predicted cluster sizes and pair totals,
+    and each engine flags them.
+
+    With two clusterings, a side with no clusters is rejected first and an
+    id error names its culprit, as :func:`_id_error` finds it; with chunks,
+    ids that do not line up raise a :class:`ValidationError` that names none,
+    and a caller that still holds the input parses it to find the culprit.
+    """
+    if mode not in COVERAGE_MODES:
+        raise ValueError(f"unknown coverage mode {mode!r}")
+    columns = isinstance(truth, Clustering) and isinstance(predicted, Clustering)
+    if columns:
+        _check_sides(truth.sizes, predicted.sizes)
+
+    # A dict whose keys are all str stores no hashes, so each resize rereads them from the key
+    # objects, scattered over the heap; one other key for the build keeps the hashes in the table,
+    # which makes building and popping a 1.2M-id table about a fifth faster.
+    label_of = {_ANY_KEY: None}
+    predicted_sizes = []
+    for ids, sizes in ((predicted.ids, predicted.sizes),) if columns else predicted:
+        label_of.update(zip(ids, chain.from_iterable(map(repeat, count(len(predicted_sizes)), sizes))))
+        predicted_sizes += sizes
+    del label_of[_ANY_KEY]
+    n_predicted = sum(predicted_sizes)
+    if len(label_of) < n_predicted:  # a predicted id repeats
+        raise _id_error(truth, predicted)
+    truth_sizes, assignments = [], []
+    try:
+        for ids, sizes in ((truth.ids, truth.sizes),) if columns else truth:
+            assignments += map(label_of.pop, ids)
+            truth_sizes += sizes
+    except KeyError:  # a truth id is missing from predicted, or repeats in truth
+        raise _id_error(truth, predicted) from None
+    _check_sides(truth_sizes, predicted_sizes)
+    # Every truth id was popped once, so the ids left are the predicted-only extras.
+    if label_of and mode == "strict":
+        raise ExtraInPredicted(label_of)
+    return EvalPair(tuple(truth_sizes), tuple(predicted_sizes), assignments, n_predicted, mode)

@@ -6,11 +6,14 @@ pair enumerated and counted, none kept. Each truth/predicted cluster pair
 gets one disjointness test, and each pair that meets is intersected once per
 report, into a sparse overlap table that K-metric, SE/LE and B-cubed read;
 Cluster-F compares the clusters by set equality. The oracle is
-intentionally slow, numbers the ids itself, and reads nothing of the pair
-but its two clusterings, so agreement between the two engines is a
-meaningful correctness check: each ratio is a ``Fraction`` rounded once, so
-the reports must be equal. Use it on small inputs only; pair enumeration is
-capped by a budget.
+intentionally slow, numbers the ids itself, and reads the two clusterings,
+never the labels :func:`~clustereval.model.validate` computes, so agreement
+between the two engines is a meaningful correctness check: each ratio is a
+``Fraction`` rounded once, so the reports must be equal. Every function
+takes the two clusterings of a pair that ``validate`` accepts, truth first,
+and checks nothing of them itself. Use it
+on small inputs only: the pairs it visits, same-cluster instance pairs and
+truth × predicted cluster pairs, are capped by a budget.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .model import (
     FLAG_DEGENERATE_PRECISION,
     FLAG_DEGENERATE_RECALL,
     FLAG_EXTRA_IN_PREDICTED,
-    EvalPair,
+    Clustering,
     FullReport,
     MetricTriple,
     ReportStats,
@@ -35,7 +38,7 @@ from .model import (
 DEFAULT_PAIR_BUDGET = 100_000_000
 
 
-def _dense_clusters(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
+def _dense_clusters(truth: Clustering, predicted: Clustering) -> tuple[list[frozenset], list[frozenset]]:
     """Both sides' clusters as sets of ints, numbered here rather than taken from the fast path.
 
     One dict numbers the ids, truth ids in cluster order and then the
@@ -43,7 +46,7 @@ def _dense_clusters(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
     need not be orderable against each other.
     """
     dense: dict = {}
-    sides = (pair.truth.clusters, pair.predicted.clusters)
+    sides = (truth.clusters, predicted.clusters)
     return tuple([frozenset([dense.setdefault(x, len(dense)) for x in c]) for c in side] for side in sides)
 
 
@@ -58,9 +61,15 @@ def _overlap_table(truth_sets: list[frozenset], predicted_sets: list[frozenset])
     return [{j: len(t & p) for j, p in enumerate(predicted_sets) if not t.isdisjoint(p)} for t in truth_sets]
 
 
-def _tables(pair: EvalPair) -> tuple[list[frozenset], list[frozenset], list[dict[int, int]]]:
-    """Both sides' dense clusters and their overlap table, the arguments of the per-measure helpers."""
-    truth_sets, predicted_sets = _dense_clusters(pair)
+def _tables(
+    truth: Clustering, predicted: Clustering, pair_budget: int
+) -> tuple[list[frozenset], list[frozenset], list[dict[int, int]]]:
+    """Both sides' dense clusters and their overlap table, the arguments of the per-measure helpers.
+
+    :class:`PairBudgetExceeded` when the table's cluster pairs alone exceed ``pair_budget``.
+    """
+    _check(_cluster_pairs(truth, predicted), pair_budget)
+    truth_sets, predicted_sets = _dense_clusters(truth, predicted)
     return truth_sets, predicted_sets, _overlap_table(truth_sets, predicted_sets)
 
 
@@ -69,9 +78,10 @@ def _cluster_f(truth_sets: list[frozenset], predicted_sets: list[frozenset]) -> 
     return MetricTriple.harmonic(Fraction(matches, len(truth_sets)), Fraction(matches, len(predicted_sets)))
 
 
-def cluster_f(pair: EvalPair) -> MetricTriple:
+def cluster_f(truth: Clustering, predicted: Clustering, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
     """Count predicted clusters that equal a truth cluster, comparing every pair of clusters by set equality."""
-    return _cluster_f(*_dense_clusters(pair))
+    _check(_cluster_pairs(truth, predicted), pair_budget)
+    return _cluster_f(*_dense_clusters(truth, predicted))
 
 
 def _k_metric(
@@ -87,14 +97,14 @@ def _k_metric(
     return MetricTriple.geometric(aap / n, acp / n)
 
 
-def k_metric(pair: EvalPair) -> MetricTriple:
+def k_metric(truth: Clustering, predicted: Clustering, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
     """Purity sums of squared overlaps, one exact ratio per cluster.
 
     The recall sum adds each truth cluster's row of the overlap table; the
     precision sum adds each predicted cluster's column. A predicted cluster
     that meets no truth cluster has an empty column and adds 0.
     """
-    return _k_metric(*_tables(pair))
+    return _k_metric(*_tables(truth, predicted, pair_budget))
 
 
 def _b_cubed(
@@ -117,7 +127,7 @@ def _b_cubed(
     return MetricTriple.harmonic(recall_sum / n, precision_sum / n)
 
 
-def b_cubed(pair: EvalPair) -> MetricTriple:
+def b_cubed(truth: Clustering, predicted: Clustering, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
     """Instance-level recall/precision, one lookup per instance.
 
     Each truth instance finds its predicted cluster in a dict from id to
@@ -125,7 +135,7 @@ def b_cubed(pair: EvalPair) -> MetricTriple:
     table. Overlaps are summed per truth (recall) and predicted (precision)
     cluster, then divided by its size.
     """
-    return _b_cubed(*_tables(pair))
+    return _b_cubed(*_tables(truth, predicted, pair_budget))
 
 
 def _split_lump(
@@ -143,7 +153,9 @@ def _split_lump(
     return SplitLumpResult.from_rates(se, le)
 
 
-def split_lump(pair: EvalPair) -> SplitLumpResult:
+def split_lump(
+    truth: Clustering, predicted: Clustering, pair_budget: int = DEFAULT_PAIR_BUDGET
+) -> SplitLumpResult:
     """Splitting/lumping errors via explicit set differences.
 
     The best-matching predicted cluster for a truth cluster is the one with
@@ -152,12 +164,27 @@ def split_lump(pair: EvalPair) -> SplitLumpResult:
     choice definite. Every truth cluster meets some predicted cluster, so
     its row is never empty.
     """
-    return _split_lump(*_tables(pair))
+    return _split_lump(*_tables(truth, predicted, pair_budget))
 
 
-def pair_demand(pair: EvalPair) -> int:
-    """Pairs that enumerating both sides visits, checked against the budget."""
-    return sum(k * (k - 1) // 2 for k in pair.truth.sizes + pair.predicted.sizes)
+def _instance_pairs(truth: Clustering, predicted: Clustering) -> int:
+    """The same-cluster instance pairs that enumerating both sides visits."""
+    return sum(k * (k - 1) // 2 for k in truth.sizes + predicted.sizes)
+
+
+def _cluster_pairs(truth: Clustering, predicted: Clustering) -> int:
+    """The truth × predicted cluster pairs that the overlap table and Cluster-F each test."""
+    return len(truth.sizes) * len(predicted.sizes)
+
+
+def pair_demand(truth: Clustering, predicted: Clustering) -> int:
+    """The pairs :func:`evaluate_all` visits, checked against the budget: instance pairs plus cluster pairs."""
+    return _instance_pairs(truth, predicted) + _cluster_pairs(truth, predicted)
+
+
+def check_budget(truth: Clustering, predicted: Clustering, pair_budget: int) -> None:
+    """:class:`PairBudgetExceeded` when :func:`evaluate_all` would visit more than ``pair_budget`` pairs."""
+    _check(pair_demand(truth, predicted), pair_budget)
 
 
 def _count(pairs: Iterator[tuple]) -> int:
@@ -165,16 +192,16 @@ def _count(pairs: Iterator[tuple]) -> int:
     return countOf(map(len, pairs), 2)
 
 
-def _check_budget(pair: EvalPair, pair_budget: int) -> None:
-    """:class:`PairBudgetExceeded` when enumerating ``pair`` would visit more than ``pair_budget`` pairs."""
-    if (needed := pair_demand(pair)) > pair_budget:
+def _check(needed: int, pair_budget: int) -> None:
+    """:class:`PairBudgetExceeded` when ``needed`` pairs are more than ``pair_budget``."""
+    if needed > pair_budget:
         raise PairBudgetExceeded(needed, pair_budget)
 
 
-def _pair_counts(pair: EvalPair, pair_budget: int) -> tuple[int, int, int]:
-    """Shared, truth and predicted pairs of ``pair``; :class:`PairBudgetExceeded` past ``pair_budget``."""
-    _check_budget(pair, pair_budget)
-    return _count_pairs(*_dense_clusters(pair))
+def _pair_counts(truth: Clustering, predicted: Clustering, pair_budget: int) -> tuple[int, int, int]:
+    """Shared, truth and predicted pairs; :class:`PairBudgetExceeded` when there are more than ``pair_budget``."""
+    _check(_instance_pairs(truth, predicted), pair_budget)
+    return _count_pairs(*_dense_clusters(truth, predicted))
 
 
 def _count_pairs(truth_sets: list[frozenset], predicted_sets: list[frozenset]) -> tuple[int, int, int]:
@@ -199,32 +226,33 @@ def _pairwise(shared: int, truth_total: int, predicted_total: int) -> MetricTrip
     return MetricTriple.harmonic(recall, Fraction(shared, predicted_total) if predicted_total else 1)
 
 
-def pairwise_f(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
+def pairwise_f(truth: Clustering, predicted: Clustering, pair_budget: int = DEFAULT_PAIR_BUDGET) -> MetricTriple:
     """Enumerate both sides' same-cluster pairs and count the truth pairs that predicted shares.
 
     Raises :class:`PairBudgetExceeded` when enumeration would visit more
-    pairs than ``pair_budget``; the zero-pair sides are defined as 1.0 like
-    in the single-pass engine.
+    instance pairs than ``pair_budget``; it tests no cluster pairs. The
+    zero-pair sides are defined as 1.0 like in the single-pass engine.
     """
-    return _pairwise(*_pair_counts(pair, pair_budget))
+    return _pairwise(*_pair_counts(truth, predicted, pair_budget))
 
 
-def evaluate_all(pair: EvalPair, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FullReport:
+def evaluate_all(truth: Clustering, predicted: Clustering, pair_budget: int = DEFAULT_PAIR_BUDGET) -> FullReport:
     """Full report from the five brute-force measures.
 
     The ids are numbered once and the overlap table built once, and every
     measure but Pairwise-F reads them. Pair statistics come from enumerating
     every pair, not from any closed form, and the predicted-only extras from
     a set difference, not from the instance counts, keeping the report
-    fully independent of the single-pass engine.
+    fully independent of the single-pass engine. Raises
+    :class:`PairBudgetExceeded` when :func:`pair_demand` exceeds ``pair_budget``.
     """
-    _check_budget(pair, pair_budget)
-    truth_sets, predicted_sets = _dense_clusters(pair)
+    check_budget(truth, predicted, pair_budget)
+    truth_sets, predicted_sets = _dense_clusters(truth, predicted)
     overlaps = _overlap_table(truth_sets, predicted_sets)
     shared, truth_total, predicted_total = _count_pairs(truth_sets, predicted_sets)
 
     flags = []
-    if extra := set(pair.predicted.ids) - set(pair.truth.ids):
+    if extra := set(predicted.ids) - set(truth.ids):
         flags.append(FLAG_EXTRA_IN_PREDICTED.format(len(extra)))
     if not truth_total:
         flags.append(FLAG_DEGENERATE_RECALL)

@@ -7,7 +7,7 @@ clusters: a slice with one label throughout is a single cell, and only the
 others are counted. One loop over those cells feeds all five measures.
 Tallies are exact integers, and each ratio one ``Fraction`` rounded to a
 float once. The engine forms the report's flags itself: the pair holds only
-the clusterings and their labels.
+labels and cluster sizes.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     changes no number). A side with no pairs has its pairwise ratio 1, flagged,
     after the flag counting predicted-only ids (lenient coverage).
     """
-    sizes = pair.predicted.sizes
-    aap_squares = [0] * (max(pair.truth.sizes) + 1)  # by truth size
+    truth_sizes, sizes = pair.truth_sizes, pair.predicted_sizes
+    aap_squares = [0] * (max(truth_sizes) + 1)  # by truth size
     acp_squares = [0] * (max(sizes) + 1)  # by predicted size
 
     matches = 0
@@ -61,7 +61,7 @@ def evaluate_all(pair: EvalPair) -> FullReport:
 
     assignments = pair.assignments
     stop = 0
-    for size in pair.truth.sizes:
+    for size in truth_sizes:
         start, stop = stop, stop + size
         labels = assignments[start:stop]
         first = labels[0]
@@ -84,7 +84,7 @@ def evaluate_all(pair: EvalPair) -> FullReport:
         matched_size_total += max_size
 
     instance_total = pair.n_instances
-    aap = _purity(aap_squares, pair.truth.sizes, instance_total)
+    aap = _purity(aap_squares, truth_sizes, instance_total)
     acp = _purity(acp_squares, sizes, instance_total)
     se = Fraction(split_total, instance_total)
     le = Fraction(lump_total, matched_size_total)
@@ -94,14 +94,14 @@ def evaluate_all(pair: EvalPair) -> FullReport:
     predicted_pair_total = sum(k * (k - 1) // 2 for k in sizes)
     # Validation popped each truth id once from the predicted ids, none repeating and none missing, so
     # the predicted ids beyond truth's count are the predicted-only ones.
-    extra = pair.predicted.n_instances - instance_total
+    extra = pair.n_predicted - instance_total
     flags = [FLAG_EXTRA_IN_PREDICTED.format(extra)] if extra else []
     if not truth_pair_total:
         flags.append(FLAG_DEGENERATE_RECALL)
     if not predicted_pair_total:
         flags.append(FLAG_DEGENERATE_PRECISION)
 
-    n_truth, n_predicted = len(pair.truth.sizes), len(sizes)
+    n_truth, n_predicted = len(truth_sizes), len(sizes)
     return FullReport(
         cluster_f=MetricTriple.harmonic(Fraction(matches, n_truth), Fraction(matches, n_predicted)),
         k_metric=MetricTriple.geometric(aap, acp),

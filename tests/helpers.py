@@ -19,10 +19,13 @@ GOLDEN_TRUTH_TEXT = "1 2 3\n4 5\n6 7 8\n"
 GOLDEN_PRED_TEXT = "1 2 3\n4 5 6 7 8\n"
 
 
+def golden_sides() -> tuple[Clustering, Clustering]:
+    """The worked example's truth and predicted clusterings, which the oracle reads."""
+    return Clustering.from_clusters(GOLDEN_TRUTH), Clustering.from_clusters(GOLDEN_PRED)
+
+
 def golden_pair() -> EvalPair:
-    truth = Clustering.from_clusters(GOLDEN_TRUTH)
-    predicted = Clustering.from_clusters(GOLDEN_PRED)
-    return validate(truth, predicted)
+    return validate(*golden_sides())
 
 
 def reference_id_error(truth: Clustering, predicted: Clustering, mode: str):
@@ -51,23 +54,28 @@ def clusters_from_labels(labels) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
-def pair_from_labels(truth_labels, predicted_labels, mode: str = "strict") -> EvalPair:
+def sides_from_labels(truth_labels, predicted_labels) -> tuple[Clustering, Clustering]:
+    """The truth and predicted clusterings that group instance indices by the two label lists."""
     truth = Clustering.from_clusters(clusters_from_labels(truth_labels))
-    predicted = Clustering.from_clusters(clusters_from_labels(predicted_labels))
-    return validate(truth, predicted, mode)
+    return truth, Clustering.from_clusters(clusters_from_labels(predicted_labels))
 
 
-def random_pair(rng: random.Random, max_n: int = 200) -> EvalPair:
-    """A random strict pair by independent label assignment."""
+def pair_from_labels(truth_labels, predicted_labels, mode: str = "strict") -> EvalPair:
+    return validate(*sides_from_labels(truth_labels, predicted_labels), mode)
+
+
+def random_sides(rng: random.Random, max_n: int = 200) -> tuple[Clustering, Clustering]:
+    """The clusterings of a random strict pair by independent label assignment."""
     n = rng.randint(1, max_n)
     truth_k = rng.randint(1, n)
     predicted_k = rng.randint(1, n)
     truth_labels = [rng.randrange(truth_k) for _ in range(n)]
     predicted_labels = [rng.randrange(predicted_k) for _ in range(n)]
-    return pair_from_labels(truth_labels, predicted_labels)
+    return sides_from_labels(truth_labels, predicted_labels)
 
 
-def random_synth_pair(rng: random.Random, max_n: int = 200) -> EvalPair:
+def random_synth_sides(rng: random.Random, max_n: int = 200) -> tuple[Clustering, Clustering]:
+    """The clusterings of a random synthetic strict pair."""
     n = rng.randint(1, max_n)
     config = SynthConfig(
         n_instances=n,
@@ -80,26 +88,69 @@ def random_synth_pair(rng: random.Random, max_n: int = 200) -> EvalPair:
     return generate(config)
 
 
-def random_synth_pair_in_mode(rng: random.Random, mode: str) -> EvalPair:
-    """A random synth pair under ``mode``; a lenient one gets 1-5 predicted-only extras."""
-    pair = random_synth_pair(rng)
-    predicted = [list(c) for c in pair.predicted.clusters]
+def random_synth_sides_in_mode(rng: random.Random, mode: str) -> tuple[Clustering, Clustering]:
+    """The clusterings of a random synth pair valid under ``mode``; a lenient one gets 1-5 predicted-only extras."""
+    truth, predicted = random_synth_sides(rng)
+    predicted = [list(c) for c in predicted.clusters]
     if mode == "lenient":
         # predicted-only extras, each joining a random cluster or a new one of its own
-        first = max(pair.truth.ids) + 1
+        first = max(truth.ids) + 1
         for extra in range(first, first + rng.randint(1, 5)):
             k = rng.randrange(len(predicted) + 1)
             if k == len(predicted):
                 predicted.append([])
             predicted[k].append(extra)
-    return validate(pair.truth, Clustering.from_clusters(predicted), mode)
+    return truth, Clustering.from_clusters(predicted)
 
 
 @st.composite
-def eval_pairs(draw, max_n: int = 50, max_labels: int = 10):
-    """Strict pairs from two independent random label assignments."""
+def eval_sides(draw, max_n: int = 50, max_labels: int = 10):
+    """The clusterings of strict pairs from two independent random label assignments."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     labels = st.lists(
         st.integers(min_value=0, max_value=max_labels - 1), min_size=n, max_size=n
     )
-    return pair_from_labels(draw(labels), draw(labels))
+    return sides_from_labels(draw(labels), draw(labels))
+
+
+def eval_pairs(max_n: int = 50, max_labels: int = 10):
+    """Strict validated pairs from two independent random label assignments."""
+    return eval_sides(max_n, max_labels).map(lambda sides: validate(*sides))
+
+
+@st.composite
+def file_pairs(draw, max_ids: int = 12):
+    """A truth and a predicted file's bytes in one format, with the format: mostly a valid pair or nearly one.
+
+    Predicted may drop a truth id or add extras, either side may repeat an id or hold a malformed row or an
+    invalid byte, and each file is decorated with comments, blank lines, CRLF line ends or a BOM.
+    """
+    format = draw(st.sampled_from(["clusters", "pairs"]))
+    ids = [f"i{k}" for k in range(draw(st.integers(1, max_ids)))]
+    extras = [f"x{k}" for k in range(draw(st.integers(0, 2)))]
+    # Hypothesis draws the ends of an integer range often, so each rare case is a value inside it.
+    kept = ids[draw(st.integers(0, 4)) == 3 :]  # predicted may drop one truth id
+
+    def render(members):
+        members = list(draw(st.permutations(members)))
+        if draw(st.integers(0, 9)) == 4:  # a repeat
+            members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(ids)))
+        labels = draw(st.lists(st.integers(0, 3), min_size=len(members), max_size=len(members)))
+        if format == "clusters":
+            lines = [" ".join(members[i] for i in c) for c in clusters_from_labels(labels)]
+        else:
+            lines = [f"{x}\tc{label}" for x, label in zip(members, labels)]
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# note", "", "   ", "\t"])))
+        if format == "pairs" and draw(st.integers(0, 9)) == 5:
+            lines.insert(draw(st.integers(0, len(lines))), "a\tb\tc")
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        data = (eol.join(lines) + eol).encode()
+        if draw(st.booleans()):
+            data = b"\xef\xbb\xbf" + data
+        if draw(st.integers(0, 9)) == 6:
+            cut = draw(st.integers(0, len(data)))
+            data = data[:cut] + b"\xff" + data[cut:]
+        return data
+
+    return render(ids), render(kept + extras), format

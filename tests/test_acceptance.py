@@ -13,9 +13,10 @@ import pytest
 
 from clustereval import oracle, single_pass
 from clustereval.cli import main
+from clustereval.model import validate
 from clustereval.synth import SynthConfig, generate
 
-from helpers import golden_pair, pair_from_labels, random_pair, random_synth_pair
+from helpers import golden_pair, pair_from_labels, random_sides, random_synth_sides
 
 TOL_PAPER = 1e-4
 CORPUS_SIZE = 1000
@@ -40,8 +41,8 @@ def corpus_results():
     start = time.perf_counter()
     results = []
     for i in range(CORPUS_SIZE):
-        pair = random_synth_pair(rng, max_n=200) if i % 2 == 0 else random_pair(rng, max_n=200)
-        results.append((pair, single_pass.evaluate_all(pair), oracle.evaluate_all(pair)))
+        sides = random_synth_sides(rng, max_n=200) if i % 2 == 0 else random_sides(rng, max_n=200)
+        results.append((sides, single_pass.evaluate_all(validate(*sides)), oracle.evaluate_all(*sides)))
     return _Corpus(results, time.perf_counter() - start)
 
 
@@ -91,7 +92,7 @@ def test_criterion_1_golden_worked_example():
 
 def test_criterion_2_b_cubed_k_metric_identity(corpus_results):
     start = time.perf_counter()
-    for pair, fast, slow in corpus_results:
+    for _, fast, slow in corpus_results:
         assert slow.b_cubed.recall == slow.k_metric.recall
         assert slow.b_cubed.precision == slow.k_metric.precision
         # the single-pass engine produces both from one computation: identical bits
@@ -106,7 +107,7 @@ def test_criterion_2_b_cubed_k_metric_identity(corpus_results):
 
 def test_criterion_3_oracle_equivalence(corpus_results):
     start = time.perf_counter()
-    for pair, fast, slow in corpus_results:
+    for _, fast, slow in corpus_results:
         assert fast == slow
     elapsed = time.perf_counter() - start + corpus_results.build_seconds
     assert elapsed < 60.0, f"oracle-equivalence sweep took {elapsed:.1f}s, expected under a minute"
@@ -118,12 +119,12 @@ def test_criterion_3_oracle_equivalence(corpus_results):
 
 def test_criterion_4_fusion_identity(corpus_results):
     start = time.perf_counter()
-    for pair, fused, _ in corpus_results:
-        assert fused.cluster_f == oracle.cluster_f(pair)
-        assert fused.k_metric == oracle.k_metric(pair)
-        assert fused.b_cubed == oracle.b_cubed(pair)
-        assert fused.se_le == oracle.split_lump(pair)
-        assert fused.pairwise == oracle.pairwise_f(pair)
+    for sides, fused, _ in corpus_results:
+        assert fused.cluster_f == oracle.cluster_f(*sides)
+        assert fused.k_metric == oracle.k_metric(*sides)
+        assert fused.b_cubed == oracle.b_cubed(*sides)
+        assert fused.se_le == oracle.split_lump(*sides)
+        assert fused.pairwise == oracle.pairwise_f(*sides)
     elapsed = time.perf_counter() - start
     print(
         f"\nACCEPTANCE 4: PASS — fused pass equals the five brute-force evaluators, each run on its own, "
@@ -154,9 +155,10 @@ def test_criterion_6_scalability_1_2m():
         merge_rate=0.2,
         seed=42,
     )
-    pair = generate(config)  # generation excluded from the timed section
+    truth, predicted = generate(config)  # generation excluded from the timed section
+    pair = validate(truth, predicted)
     assert pair.n_instances == 1_200_000
-    assert len(pair.truth.sizes) == 15_000
+    assert len(truth.sizes) == 15_000
 
     start = time.perf_counter()
     report = single_pass.evaluate_all(pair)
@@ -176,8 +178,9 @@ def test_criterion_7_runtime_contrast():
         merge_rate=0.15,
         seed=7,
     )
-    pair = generate(config)
-    demand = oracle.pair_demand(pair)
+    sides = generate(config)
+    pair = validate(*sides)
+    demand = oracle._instance_pairs(*sides)
     assert demand > 100_000, "workload must exceed 1e5 enumerated pairs"
 
     fast_times = []
@@ -188,7 +191,7 @@ def test_criterion_7_runtime_contrast():
     fast = min(fast_times)
 
     start = time.perf_counter()
-    oracle.pairwise_f(pair)
+    oracle.pairwise_f(*sides)
     slow = time.perf_counter() - start
 
     assert slow >= 100 * fast, f"oracle {slow:.3f}s vs single-pass {fast:.5f}s is under 100x"

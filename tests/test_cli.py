@@ -1,15 +1,18 @@
 """CLI subcommands, exit codes, and output schema stability."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustereval import io_formats, oracle, single_pass
+from clustereval import cli, io_formats, oracle, single_pass
 from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
+from clustereval.errors import ClusterEvalError
 from clustereval.io_formats import MEASURE_ORDER
-from clustereval.model import Clustering, EvalPair
 
-from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT
+from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, file_pairs
 
 
 @pytest.fixture
@@ -128,7 +131,8 @@ GOLDEN_MACHINE_SE_LE = """{
 def without_timing(out: str) -> str:
     """A machine report with its last key, `timing`, cut off; the cut part must be just that key."""
     body, timing = out.split(',\n  "timing": ', 1)
-    assert re.fullmatch(r'\{\n    "seconds": -?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?\n  \}\n\}\n', timing), timing
+    number = r"-?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?"
+    assert re.fullmatch(r'\{\n    "seconds": ' + number + r',\n    "peak_rss_bytes": [1-9]\d*\n  \}\n\}\n', timing), timing
     return body + "\n}\n"
 
 
@@ -499,6 +503,127 @@ class TestEvaluate:
         assert docs[0] == docs[1]
 
 
+# (truth bytes, predicted bytes, exit status, stderr) as the whole-column load gives them; None is a missing path.
+PRECEDENCE_CASES = {
+    "both_files_malformed": (
+        b"a\tX\tY\n", b"b\tX\tY\n", 2,
+        "error: {truth}: expected 'instance<TAB>label', found 3 tab-separated fields (line 1)\n",
+    ),
+    "a_truth_parse_error_and_a_predicted_repeat": (
+        b"a\tX\n\tY\n", b"a\tX\na\tY\n", 2, "error: {truth}: empty instance id (line 2, column 1)\n",
+    ),
+    "a_predicted_parse_error_and_a_truth_repeat": (
+        b"a\tX\na\tY\n", b"a\tX\nb\tX\tY\n", 2,
+        "error: {pred}: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n",
+    ),
+    "a_malformed_truth_file_and_a_missing_predicted_path": (
+        b"a\tX\tY\n", None, 2,
+        "error: {truth}: expected 'instance<TAB>label', found 3 tab-separated fields (line 1)\n",
+    ),
+    "a_missing_truth_path_and_a_malformed_predicted_file": (
+        None, b"a\tX\tY\n", 2, "error: [Errno 2] No such file or directory: '{truth}'\n",
+    ),
+    "an_invalid_predicted_byte_and_a_truth_repeat": (
+        b"1 2\n3 1\n", b"1 2\n3 \xff\n", 2,
+        "error: {pred}: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 6: "
+        "invalid start byte\n",
+    ),
+    "differing_formats_and_a_repeat": (
+        b"1 2\n3 1\n", b"1\tX\n2\tX\n3\tY\n", 2,
+        "error: {truth} reads as clusters but {pred} as pairs; use --format\n",
+    ),
+    "an_empty_truth_file": (b"", b"1 2 3\n", 3, "error: truth clustering has no clusters\n"),
+    "an_empty_truth_file_and_a_predicted_repeat": (b"# none\n", b"1 2\n2\n", 3, "error: truth clustering has no clusters\n"),
+    "a_missing_truth_id_and_a_predicted_repeat": (
+        b"1 2\n", b"1 3\n3\n", 3, "error: {pred}: instance '3' appears in more than one cluster{lines}\n",
+    ),
+}
+
+
+class TestStreamedLoad:
+    """``evaluate`` joins the two files' batches into labels, and on any failure gives the error, exit status and
+    message that parsing both files whole and then validating them gives."""
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("case", list(PRECEDENCE_CASES))
+    def test_errors_keep_their_precedence(self, capsys, tmp_path, case, source):
+        truth_data, pred_data, status, message = PRECEDENCE_CASES[case]
+        paths, writers = {}, []
+        for side, data in (("truth", truth_data), ("pred", pred_data)):
+            paths[side] = path = tmp_path / f"{side}.{source}"
+            if data is None:
+                continue
+            if source == "file":
+                path.write_bytes(data)
+                continue
+            os.mkfifo(path)
+
+            def feed(path=path, data=data):
+                with contextlib.suppress(OSError):  # a load that stops before this pipe leaves it unread
+                    path.write_bytes(data)
+
+            writers.append((path, threading.Thread(target=feed, daemon=True)))
+            writers[-1][1].start()
+        result = run_cli(capsys, "evaluate", "--truth", str(paths["truth"]), "--pred", str(paths["pred"]))
+        for path, writer in writers:
+            with contextlib.suppress(OSError):  # let a writer that nothing read open its pipe and fail
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        lines = " (lines 1 and 2)" if source == "file" else ""  # only a regular file is read again for the lines
+        assert result == (status, "", message.format(**paths, lines=lines))
+
+    @settings(max_examples=150, deadline=None)
+    @given(files=file_pairs(), auto=st.booleans(), coverage=st.sampled_from(["strict", "lenient"]))
+    def test_the_streamed_load_equals_the_whole_column_load(self, tmp_path_factory, files, auto, coverage):
+        truth_data, pred_data, file_format = files
+        folder = tmp_path_factory.mktemp("load")
+        truth, pred = folder / "t", folder / "p"
+        truth.write_bytes(truth_data)
+        pred.write_bytes(pred_data)
+        args = argparse.Namespace(
+            truth=str(truth), pred=str(pred), format="auto" if auto else file_format, coverage=coverage
+        )
+
+        def outcome(load):
+            try:
+                return load(args)
+            except ClusterEvalError as exc:
+                return type(exc), str(exc)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(io_formats, "_BATCH", 8)  # files of many batches
+            assert outcome(cli._load_pair) == outcome(lambda args: cli._load_clusterings(args)[2:])
+
+    def test_ingest_keeps_no_id_column(self, monkeypatch, tmp_path):
+        # 100k ids of 14 hex digits a side, in batches of 64 KiB, as a large file would be read. Loading the
+        # two files as whole id columns peaks at 22.1 MB traced (CPython 3.11), the streamed join at 16.6 MB:
+        # besides both files' bytes, it holds one table of the predicted ids and one batch.
+        monkeypatch.setattr(io_formats, "_BATCH", 1 << 16)
+        ids = [f"{x * 2654435761 % 2**56:014x}" for x in range(100_000)]
+        paths = []
+        for side, order in (("t", ids), ("p", random.Random(1).sample(ids, len(ids)))):
+            paths.append(path := tmp_path / f"{side}.txt")
+            path.write_text("".join(" ".join(order[i : i + 77]) + "\n" for i in range(0, len(order), 77)))
+        args = argparse.Namespace(truth=str(paths[0]), pred=str(paths[1]), format="auto", coverage="strict")
+        tracemalloc.start()
+        try:
+            pair, _ = cli._load_pair(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.n_instances == 100_000
+        assert peak < 18.5 * 2**20, f"the load peaked at {peak} traced bytes"
+
+    def test_the_report_gives_the_peak_rss(self, capsys, golden_files):
+        truth, pred = golden_files
+        for engine in ("single_pass", "oracle"):
+            status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--engine", engine)
+            timing = json.loads(out)["timing"]
+            assert status == 0 and list(timing) == ["seconds", "peak_rss_bytes"]
+            assert type(timing["peak_rss_bytes"]) is int and timing["peak_rss_bytes"] > 2**20
+
+
 class TestCheck:
     def test_golden_files_agree(self, capsys, golden_files):
         truth, pred = golden_files
@@ -554,12 +679,21 @@ class TestCheck:
         assert status == 6
         assert "budget" in err
 
+    def test_cluster_pairs_count_toward_the_budget(self, capsys, tmp_path):
+        # 3,000 singletons a side have no instance pair, but 9,000,000 truth x predicted cluster pairs
+        path = tmp_path / "singletons.txt"
+        path.write_text("".join(f"{i}\n" for i in range(3000)))
+        argv = ("check", "--truth", str(path), "--pred", str(path), "--pair-budget", "1000000")
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (6, "")
+        assert err.startswith("error: pair enumeration needs 9000000 pairs (") and "budget is 1000000;" in err
+
     def test_flag_disagreement_exits_5_and_names_flags(self, capsys, monkeypatch, golden_files):
         truth, pred = golden_files
         real = oracle.evaluate_all
 
-        def with_extra_flag(pair, pair_budget=oracle.DEFAULT_PAIR_BUDGET):
-            report = real(pair, pair_budget=pair_budget)
+        def with_extra_flag(truth, predicted, pair_budget=oracle.DEFAULT_PAIR_BUDGET):
+            report = real(truth, predicted, pair_budget=pair_budget)
             return dataclasses.replace(report, flags=report.flags + ("spurious",))
 
         monkeypatch.setattr(oracle, "evaluate_all", with_extra_flag)
@@ -575,18 +709,14 @@ class TestCheck:
         pred.write_text("1 2 3 x\n")
         args = ("check", "--truth", str(truth), "--pred", str(pred), "--coverage", "lenient")
         assert run_cli(capsys, *args)[0] == 0
-        validated = EvalPair.__post_init__
+        validated = cli.validate
 
-        class OneTooMany(Clustering):
-            n_instances = property(lambda self: len(self.ids) + 1)
-
-        def miscounted(pair):
+        def miscounted(truth, predicted, mode):
             # after validation the predicted side counts one id too many, which only the single-pass count reads
-            validated(pair)
-            predicted = pair.predicted
-            object.__setattr__(pair, "predicted", OneTooMany(predicted.ids, predicted.sizes))
+            pair = validated(truth, predicted, mode)
+            return dataclasses.replace(pair, n_predicted=pair.n_predicted + 1)
 
-        monkeypatch.setattr(EvalPair, "__post_init__", miscounted)
+        monkeypatch.setattr(cli, "validate", miscounted)
         status, _, err = run_cli(capsys, *args)
         assert status == 5
         assert "flags: single_pass=['extra_in_predicted: 2 " in err
@@ -597,8 +727,8 @@ class TestCheck:
         truth, pred = golden_files
         real = oracle.evaluate_all
 
-        def one_ulp_off(pair, pair_budget=oracle.DEFAULT_PAIR_BUDGET):
-            report = real(pair, pair_budget=pair_budget)
+        def one_ulp_off(truth, predicted, pair_budget=oracle.DEFAULT_PAIR_BUDGET):
+            report = real(truth, predicted, pair_budget=pair_budget)
             moved = dataclasses.replace(report.pairwise, precision=math.nextafter(report.pairwise.precision, 2.0))
             return dataclasses.replace(report, pairwise=moved)
 
@@ -892,8 +1022,6 @@ def test_benchmark_traces_every_layer(golden_files):
     assert trace["unwrapped"] == []
     assert [span["name"] for span in trace["spans"]] == [
         "cli.main",
-        "io_formats.parse",
-        "io_formats.parse",
         "model.validate",
         "single_pass.evaluate",
         "io_formats.render",

@@ -8,17 +8,18 @@ from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, reject
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from clustereval import io_formats, oracle, single_pass
-from clustereval.errors import ClusterEvalError, DuplicateInstance, ParseError
+from clustereval.errors import ClusterEvalError, DuplicateInstance, ParseError, ValidationError
 from clustereval.io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
     FORMAT_MEMBERSHIP_PAIRS,
     MEASURE_ORDER,
     build_report_document,
+    parse_chunks,
     parse_clustering,
     parse_clustering_file,
     raise_repeat,
@@ -32,9 +33,11 @@ from helpers import (
     GOLDEN_PRED_TEXT,
     GOLDEN_TRUTH_TEXT,
     clusters_from_labels,
+    file_pairs,
     golden_pair,
+    golden_sides,
     pair_from_labels,
-    random_synth_pair_in_mode,
+    random_synth_sides_in_mode,
 )
 
 # Test ids name the two concrete formats after their constants.
@@ -248,10 +251,8 @@ class TestOnePassParser:
 
     @pytest.mark.parametrize("format", BOTH_FORMATS)
     def test_evaluating_a_parsed_pair_builds_no_cluster_tuples(self, format):
-        original = golden_pair()
         truth, predicted = (
-            parse_clustering(write_clustering(c, format=format), format=format)
-            for c in (original.truth, original.predicted)
+            parse_clustering(write_clustering(c, format=format), format=format) for c in golden_sides()
         )
         single_pass.evaluate_all(validate(truth, predicted))
         assert "clusters" not in truth.__dict__
@@ -287,7 +288,7 @@ class TestBatchedReading:
         # What the parse allocates and frees again is about one batch and the groups, not a str per line.
         monkeypatch.setattr(io_formats, "_BATCH", 1 << 16)
         config = SynthConfig(100_000, 3_000, size_skew=1.0, split_rate=0.2, merge_rate=0.2, seed=20240501)
-        data = write_clustering(generate(config).truth, format=FORMAT_MEMBERSHIP_PAIRS).encode()
+        data = write_clustering(generate(config)[0], format=FORMAT_MEMBERSHIP_PAIRS).encode()
         tracemalloc.start()
         try:
             clustering = parse_clustering(data)
@@ -310,6 +311,57 @@ class TestBatchedReading:
             tracemalloc.stop()
         assert (err.value.first_line, err.value.second_line) == (18, 100_001)
         assert peak < len(data)
+
+
+class TestStreamedJoin:
+    """``validate`` joins two files' chunks into the pair it builds from their parsed columns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        files=file_pairs(),
+        auto=st.booleans(),
+        mode=st.sampled_from(COVERAGE_MODES),
+        batch=st.sampled_from([1, 2, 8, 32, 1 << 20]),
+    )
+    def test_the_streamed_pair_is_the_pair_of_the_parsed_columns(self, files, auto, mode, batch):
+        truth, predicted, format = files
+        format = FORMAT_AUTO if auto else format
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(io_formats, "_BATCH", batch)  # 1 to 32 bytes: a file spans many batches
+
+            def columns():
+                return validate(parse_clustering(truth, format), parse_clustering(predicted, format), mode)
+
+            def streamed():
+                (truth_chunks, truth_format), (predicted_chunks, predicted_format) = (
+                    parse_chunks(data, format) for data in (truth, predicted)
+                )
+                assert (truth_format, predicted_format) == (
+                    io_formats._parse(truth, format)[1], io_formats._parse(predicted, format)[1]
+                )
+                return validate(truth_chunks, predicted_chunks, mode)
+
+            try:
+                expected = columns()
+            except (ParseError, ValidationError):
+                # the streamed join fails too, maybe on another error: a caller that holds the bytes parses
+                # them again, in the order that gives each error its precedence
+                with pytest.raises((ParseError, ValidationError)):
+                    streamed()
+            else:
+                assert streamed() == expected
+
+    @pytest.mark.parametrize("format", BOTH_FORMATS)
+    def test_cluster_lines_are_chunked_per_batch_and_pairs_whole(self, monkeypatch, format):
+        monkeypatch.setattr(io_formats, "_BATCH", 4)
+        data = write_clustering(Clustering.from_clusters([("a", "b"), ("c",), ("d", "e")]), format=format).encode()
+        chunks, read_as = parse_chunks(data, FORMAT_AUTO)
+        chunks = [(list(ids), sizes) for ids, sizes in chunks]
+        assert read_as == format
+        if format == FORMAT_CLUSTER_LINES:  # a batch runs through the first LF at or past its 4th byte
+            assert chunks == [(["a", "b", "c"], [2, 1]), (["d", "e"], [2])]
+        else:
+            assert chunks == [(["a", "b", "c", "d", "e"], [2, 1, 2])]
 
 
 class TestClusteringRoundTrip:
@@ -426,10 +478,13 @@ class TestReportDocument:
     @pytest.mark.parametrize("mode", COVERAGE_MODES)
     @pytest.mark.parametrize("engine", ["single_pass", "oracle"])
     def test_machine_report_reads_back_exactly(self, engine, mode):
-        evaluate_all = single_pass.evaluate_all if engine == "single_pass" else oracle.evaluate_all
         rng = random.Random(20261019)
         for _ in range(100):
-            report = evaluate_all(random_synth_pair_in_mode(rng, mode))
+            sides = random_synth_sides_in_mode(rng, mode)
+            if engine == "single_pass":
+                report = single_pass.evaluate_all(validate(*sides, mode))
+            else:
+                report = oracle.evaluate_all(*sides)
             doc = json.loads(write_report(build_report_document(report, engine=engine), style="machine"))
             assert doc["measures"] == {name: asdict(getattr(report, name)) for name in MEASURE_ORDER}
             assert doc["stats"] == asdict(report.stats)

@@ -30,7 +30,7 @@ from clustereval.model import (
 )
 from clustereval.oracle import _dense_clusters
 
-from helpers import GOLDEN_PRED, GOLDEN_TRUTH, clusters_from_labels, golden_pair, reference_id_error
+from helpers import GOLDEN_PRED, GOLDEN_TRUTH, clusters_from_labels, golden_pair, golden_sides, reference_id_error
 
 
 def extra_flags(pair: EvalPair) -> tuple[str, ...]:
@@ -145,7 +145,7 @@ class TestValidate:
         assert pair.n_instances == 2
         assert extra_flags(pair) == (FLAG_EXTRA_IN_PREDICTED.format(1),)
         # the oracle numbers the extra after the truth ids
-        assert _dense_clusters(pair) == ([frozenset({0, 1})], [frozenset({0, 1}), frozenset({2})])
+        assert _dense_clusters(truth, predicted) == ([frozenset({0, 1})], [frozenset({0, 1}), frozenset({2})])
 
     def test_missing_fatal_in_both_modes(self):
         truth = Clustering.from_clusters([("1", "2")])
@@ -226,45 +226,32 @@ class TestIdErrors:
         assert err.value.instance == "2"
 
 
-class TestEvalPairLabelsItself:
-    """An ``EvalPair`` computes its labels, so they always match its clusterings."""
+class TestEvalPairIsLabels:
+    """An ``EvalPair`` holds only labels and sizes: the fields ``validate`` computes from two clusterings."""
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     def test_constructor_equals_validate(self, mode):
         truth = Clustering.from_clusters(GOLDEN_TRUTH)
         predicted = Clustering.from_clusters(GOLDEN_PRED)
-        pair = EvalPair(truth, predicted, mode)
+        pair = EvalPair((3, 2, 3), (3, 5), [0, 0, 0, 1, 1, 1, 1, 1], 8, mode)
         assert pair == validate(truth, predicted, mode)
-        assert pair.assignments == [0, 0, 0, 1, 1, 1, 1, 1]
-
-    def test_labels_are_not_a_constructor_argument(self):
-        pair = golden_pair()
-        with pytest.raises(TypeError):
-            EvalPair(pair.truth, pair.predicted, "strict", assignments=list(pair.assignments))
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(pair, assignments=list(pair.assignments))
-
-    def test_replace_checks_coverage_again(self):
-        truth = Clustering.from_clusters([("1", "2")])
-        predicted = Clustering.from_clusters([("1", "2"), ("3",)])
-        lenient = EvalPair(truth, predicted, "lenient")
-        assert extra_flags(lenient) == (FLAG_EXTRA_IN_PREDICTED.format(1),)
-        with pytest.raises(ExtraInPredicted):
-            dataclasses.replace(lenient, coverage_mode="strict")
+        assert [f.name for f in dataclasses.fields(pair)] == [
+            "truth_sizes", "predicted_sizes", "assignments", "n_predicted", "coverage_mode"
+        ]
 
 
-def assert_numbered_by_the_rule(pair: EvalPair) -> tuple[list[frozenset], list[frozenset]]:
+def assert_numbered_by_the_rule(truth: Clustering, predicted: Clustering) -> tuple[list[frozenset], list[frozenset]]:
     """The oracle's clusters, checked against its documented numbering, which is built here from raw ids.
 
     Truth ids are numbered in cluster order from 0, then the predicted-only ids in predicted order.
     """
-    truth_ids = list(chain.from_iterable(pair.truth.clusters))
+    truth_ids = list(chain.from_iterable(truth.clusters))
     seen = set(truth_ids)
-    extras = [x for x in chain.from_iterable(pair.predicted.clusters) if x not in seen]
+    extras = [x for x in chain.from_iterable(predicted.clusters) if x not in seen]
     number = {x: d for d, x in enumerate(truth_ids + extras)}
-    truth_sets, predicted_sets = _dense_clusters(pair)
-    assert truth_sets == [frozenset(number[x] for x in c) for c in pair.truth.clusters]
-    assert predicted_sets == [frozenset(number[x] for x in c) for c in pair.predicted.clusters]
+    truth_sets, predicted_sets = _dense_clusters(truth, predicted)
+    assert truth_sets == [frozenset(number[x] for x in c) for c in truth.clusters]
+    assert predicted_sets == [frozenset(number[x] for x in c) for c in predicted.clusters]
     return truth_sets, predicted_sets
 
 
@@ -272,11 +259,11 @@ class TestInterning:
     """The oracle numbers the ids itself; the pair holds only raw ids and labels."""
 
     def test_dense_ids_contiguous_from_zero(self):
-        truth_sets, _ = assert_numbered_by_the_rule(golden_pair())
+        truth_sets, _ = assert_numbered_by_the_rule(*golden_sides())
         assert sorted(chain.from_iterable(truth_sets)) == list(range(8))
 
     def test_bijection(self):
-        truth_sets, predicted_sets = assert_numbered_by_the_rule(golden_pair())
+        truth_sets, predicted_sets = assert_numbered_by_the_rule(*golden_sides())
         assert len(set().union(*truth_sets)) == len(set().union(*predicted_sets)) == 8
         assert set().union(*truth_sets) == set().union(*predicted_sets)
 
@@ -289,7 +276,8 @@ class TestInterning:
         t_labels, p_labels = t_labels[:n], p_labels[:n]
         truth = Clustering.from_clusters(clusters_from_labels(t_labels))
         predicted = Clustering.from_clusters(clusters_from_labels(p_labels))
-        truth_sets, predicted_sets = assert_numbered_by_the_rule(validate(truth, predicted))
+        validate(truth, predicted)
+        truth_sets, predicted_sets = assert_numbered_by_the_rule(truth, predicted)
         assert [len(c) for c in truth_sets] == [len(c) for c in truth.clusters]
         assert [len(c) for c in predicted_sets] == [len(c) for c in predicted.clusters]
         assert len(set().union(*truth_sets)) == n
@@ -322,7 +310,7 @@ class TestInterning:
                 assert err.value.extra == sorted(extras, key=str)
                 continue
             pair = validate(truth, predicted, mode)
-            truth_sets, predicted_sets = assert_numbered_by_the_rule(pair)
+            truth_sets, predicted_sets = assert_numbered_by_the_rule(truth, predicted)
             assert all(c == frozenset(range(min(c), min(c) + len(c))) for c in truth_sets)
             assert set().union(*predicted_sets) - set().union(*truth_sets) == set(range(n, n + len(extras)))
             assert pair.assignments == [next(k for k, c in enumerate(predicted.clusters) if x in c) for x in truth.ids]

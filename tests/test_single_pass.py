@@ -15,14 +15,14 @@ from clustereval import oracle
 from clustereval.model import Clustering, validate
 from clustereval.single_pass import evaluate_all
 
-from helpers import eval_pairs, golden_pair, pair_from_labels, random_pair
+from helpers import eval_pairs, eval_sides, golden_pair, pair_from_labels, random_sides, sides_from_labels
 
 
 def sizes_and_slices(pair):
     """Predicted cluster sizes, and each truth cluster's slice of the label list."""
-    stops = list(accumulate(len(c) for c in pair.truth.clusters))
-    slices = [pair.assignments[stop - len(c) : stop] for c, stop in zip(pair.truth.clusters, stops)]
-    return [len(c) for c in pair.predicted.clusters], slices
+    stops = list(accumulate(pair.truth_sizes))
+    slices = [pair.assignments[stop - size : stop] for size, stop in zip(pair.truth_sizes, stops)]
+    return list(pair.predicted_sizes), slices
 
 
 class TestBuildIndex:
@@ -42,10 +42,10 @@ class TestBuildIndex:
         assert (stats.n_predicted_clusters, stats.pair_pr_sum) == (100, 0)
 
     def test_random_pair_sizes_and_pairs(self):
-        pair = random_pair(random.Random(5), max_n=120)
-        stats = evaluate_all(pair).stats
-        assert stats.n_predicted_clusters == len(pair.predicted.clusters)
-        assert stats.pair_pr_sum == sum(math.comb(len(c), 2) for c in pair.predicted.clusters)
+        truth, predicted = random_sides(random.Random(5), max_n=120)
+        stats = evaluate_all(validate(truth, predicted)).stats
+        assert stats.n_predicted_clusters == len(predicted.clusters)
+        assert stats.pair_pr_sum == sum(math.comb(len(c), 2) for c in predicted.clusters)
 
 
 def reference_split_lump(pair):
@@ -83,17 +83,17 @@ class TestTallyTruth:
     def test_symmetric_tie_breaks_to_smallest_index(self):
         # truth (a,b) splits evenly over two equal-size predicted clusters; either
         # choice gives the rates the oracle's lowest-index choice gives
-        pair = pair_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
-        result = evaluate_all(pair).se_le
+        sides = sides_from_labels([0, 0, 1, 1], [0, 1, 0, 1])
+        result = evaluate_all(validate(*sides)).se_le
         assert (result.se, result.le) == (0.5, 0.5)
-        assert result == oracle.split_lump(pair)
+        assert result == oracle.split_lump(*sides)
 
     def test_tie_prefers_smaller_predicted_cluster(self):
         # truth (0,1) overlaps both predicted clusters by 1; the size-2 one wins,
         # so LE = (1 + 1) / (2 + 3); were the size-3 one chosen it would be 3/6
-        pair = pair_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1])
-        assert [len(c) for c in pair.predicted.clusters] == [3, 2]
-        assert evaluate_all(pair).se_le.le == 2 / 5
+        truth, predicted = sides_from_labels([0, 0, 1, 1, 1], [0, 1, 0, 0, 1])
+        assert [len(c) for c in predicted.clusters] == [3, 2]
+        assert evaluate_all(validate(truth, predicted)).se_le.le == 2 / 5
 
     @given(eval_pairs())
     def test_se_le_match_reference_tally(self, pair):
@@ -234,14 +234,14 @@ class TestEvaluateAll:
     def test_fusion_identity_on_random_corpus(self):
         rng = random.Random(20240101)
         for _ in range(200):
-            pair = random_pair(rng, max_n=120)
-            report = evaluate_all(pair)
+            sides = random_sides(rng, max_n=120)
+            report = evaluate_all(validate(*sides))
             # the fused pass equals the five measures computed separately, by definition
-            assert report.cluster_f == oracle.cluster_f(pair)
-            assert report.k_metric == oracle.k_metric(pair)
-            assert report.b_cubed == oracle.b_cubed(pair)
-            assert report.se_le == oracle.split_lump(pair)
-            assert report.pairwise == oracle.pairwise_f(pair)
+            assert report.cluster_f == oracle.cluster_f(*sides)
+            assert report.k_metric == oracle.k_metric(*sides)
+            assert report.b_cubed == oracle.b_cubed(*sides)
+            assert report.se_le == oracle.split_lump(*sides)
+            assert report.pairwise == oracle.pairwise_f(*sides)
 
     def test_b_cubed_and_k_metric_share_one_computation(self):
         report = evaluate_all(golden_pair())
@@ -302,7 +302,7 @@ class TestConcurrency:
     def test_shared_pair_evaluates_identically_across_threads(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        pair = random_pair(random.Random(31), max_n=150)
+        pair = validate(*random_sides(random.Random(31), max_n=150))
         expected = evaluate_all(pair)
         with ThreadPoolExecutor(max_workers=8) as pool:
             reports = list(pool.map(lambda _: evaluate_all(pair), range(32)))
@@ -325,7 +325,7 @@ class TestRuntimeLinearity:
 
         def synth_time(n):
             config = SynthConfig(n, max(1, n // 80), size_skew=1.0, split_rate=split_rate, merge_rate=0.2, seed=13)
-            return best_time(generate(config))
+            return best_time(validate(*generate(config)))
 
         small = synth_time(200_000)
         large = synth_time(400_000)
@@ -344,14 +344,15 @@ class TestRuntimeLinearity:
 
 
 class TestSwapDuality:
-    @given(eval_pairs(max_n=40))
+    @given(eval_sides(max_n=40))
     @settings(deadline=None)
-    def test_swapping_inputs_swaps_recall_and_precision(self, pair):
+    def test_swapping_inputs_swaps_recall_and_precision(self, sides):
+        truth, predicted = sides
         swapped = validate(
-            Clustering.from_clusters(pair.predicted.clusters),
-            Clustering.from_clusters(pair.truth.clusters),
+            Clustering.from_clusters(predicted.clusters),
+            Clustering.from_clusters(truth.clusters),
         )
-        fwd, rev = evaluate_all(pair), evaluate_all(swapped)
+        fwd, rev = evaluate_all(validate(truth, predicted)), evaluate_all(swapped)
         # integer-ratio measures swap exactly
         assert fwd.cluster_f.recall == rev.cluster_f.precision
         assert fwd.cluster_f.precision == rev.cluster_f.recall
@@ -365,23 +366,21 @@ class TestSwapDuality:
 
 
 class TestMonotonicDegradation:
-    @given(eval_pairs(max_n=30), st.randoms(use_true_random=False))
+    @given(eval_sides(max_n=30), st.randoms(use_true_random=False))
     @settings(deadline=None)
-    def test_splitting_off_a_singleton_never_helps(self, pair, rng):
+    def test_splitting_off_a_singleton_never_helps(self, sides, rng):
         # start from a perfect prediction, then exile one instance
-        perfect = validate(
-            Clustering.from_clusters(pair.truth.clusters),
-            Clustering.from_clusters(pair.truth.clusters),
-        )
-        donors = [c for c in perfect.truth.clusters if len(c) >= 2]
+        truth = Clustering.from_clusters(sides[0].clusters)
+        perfect = validate(truth, Clustering.from_clusters(truth.clusters))
+        donors = [c for c in truth.clusters if len(c) >= 2]
         if not donors:
             return
         donor = rng.choice(donors)
         exile = rng.choice(donor)
-        new_predicted = [tuple(x for x in c if x != exile) if c == donor else c for c in perfect.truth.clusters]
+        new_predicted = [tuple(x for x in c if x != exile) if c == donor else c for c in truth.clusters]
         new_predicted.append((exile,))
         degraded = validate(
-            perfect.truth,
+            truth,
             Clustering.from_clusters(new_predicted),
         )
         before, after = evaluate_all(perfect), evaluate_all(degraded)
@@ -414,7 +413,7 @@ def homogeneity_moves(draw):
     for category, part in ((0, "first"), (1, "second")):
         for i in draw(members(truth_labels, category)):
             mixed[i], split[i] = "mixed", part
-    return pair_from_labels(truth_labels, mixed), pair_from_labels(truth_labels, split)
+    return sides_from_labels(truth_labels, mixed), sides_from_labels(truth_labels, split)
 
 
 @st.composite
@@ -428,7 +427,7 @@ def completeness_moves(draw):
     for position, i in enumerate(both):
         apart[i] = "first" if position < cut else "second"
         merged[i] = "merged"
-    return pair_from_labels(truth_labels, apart), pair_from_labels(truth_labels, merged)
+    return sides_from_labels(truth_labels, apart), sides_from_labels(truth_labels, merged)
 
 
 @st.composite
@@ -443,7 +442,7 @@ def rag_bag_moves(draw):
     for category in draw(st.lists(st.sampled_from(sorted(set(truth_labels) - {0})), min_size=2, unique=True)):
         base[draw(members(truth_labels, category))[0]] = "rag bag"
     truth_labels = [*truth_labels, "new"]
-    return pair_from_labels(truth_labels, [*base, "clean"]), pair_from_labels(truth_labels, [*base, "rag bag"])
+    return sides_from_labels(truth_labels, [*base, "clean"]), sides_from_labels(truth_labels, [*base, "rag bag"])
 
 
 @st.composite
@@ -457,10 +456,18 @@ def size_vs_quantity_moves(draw):
     truth_labels = [*truth_labels, *["big"] * (n + 1), *small]
     one_off = [*predicted_labels, *["big"] * n, "split off", *small]
     halves = [*predicted_labels, *["big"] * (n + 1), *(f"half {i}" for i in range(2 * n))]
-    return pair_from_labels(truth_labels, one_off), pair_from_labels(truth_labels, halves)
+    return sides_from_labels(truth_labels, one_off), sides_from_labels(truth_labels, halves)
 
 
-@pytest.mark.parametrize("engine", [evaluate_all, oracle.evaluate_all], ids=["single_pass", "oracle"])
+def single_pass_engine(sides):
+    return evaluate_all(validate(*sides))
+
+
+def oracle_engine(sides):
+    return oracle.evaluate_all(*sides)
+
+
+@pytest.mark.parametrize("engine", [single_pass_engine, oracle_engine], ids=["single_pass", "oracle"])
 class TestAmigoConstraints:
     """Amigó et al. (2009) formal constraints: each one a measure satisfies is a property here, and each one
     it violates a pinned counter-example. B-cubed and the K-metric strictly satisfy all four."""
@@ -508,16 +515,16 @@ class TestAmigoConstraints:
     def test_pairwise_violates_rag_bag(self, engine):
         # truth {a1..a4} plus singletons b..f; f joins the clean {a1..a4} or the rag bag {b, c, d, e}
         truth = ["a"] * 4 + list("bcdef")
-        to_clean = engine(pair_from_labels(truth, ["clean"] * 4 + ["rag bag"] * 4 + ["clean"]))
-        to_rag_bag = engine(pair_from_labels(truth, ["clean"] * 4 + ["rag bag"] * 5))
+        to_clean = engine(sides_from_labels(truth, ["clean"] * 4 + ["rag bag"] * 4 + ["clean"]))
+        to_rag_bag = engine(sides_from_labels(truth, ["clean"] * 4 + ["rag bag"] * 5))
         assert to_clean.pairwise.precision == 6 / 16
         assert to_clean.pairwise == to_rag_bag.pairwise
 
     def test_pairwise_violates_size_vs_quantity(self, engine):
         # n = 2: truth {a1, a2, a3}, {b1, b2}, {c1, c2}; a3 split off, or b and c split in half
         truth = list("aaabbcc")
-        one_off = engine(pair_from_labels(truth, list("aaXbbcc")))
-        halves = engine(pair_from_labels(truth, list("aaa") + ["b1", "b2", "c1", "c2"]))
+        one_off = engine(sides_from_labels(truth, list("aaXbbcc")))
+        halves = engine(sides_from_labels(truth, list("aaa") + ["b1", "b2", "c1", "c2"]))
         assert (one_off.pairwise.recall, one_off.pairwise.precision) == (3 / 5, 1.0)
         assert one_off.pairwise == halves.pairwise
 
@@ -537,8 +544,8 @@ class TestAmigoConstraints:
     def test_pairwise_homogeneity_needs_a_shared_pair(self, engine):
         # truth {a1, a2}, {b}; the mixed {a1, b} split into {a1}, {b}: precision 0 -> 1, but recall stays 0
         truth = list("aab")
-        mixed = engine(pair_from_labels(truth, ["mixed", "a", "mixed"]))
-        split = engine(pair_from_labels(truth, ["first", "a", "second"]))
+        mixed = engine(sides_from_labels(truth, ["mixed", "a", "mixed"]))
+        split = engine(sides_from_labels(truth, ["first", "a", "second"]))
         assert (mixed.pairwise.precision, split.pairwise.precision) == (0.0, 1.0)
         assert mixed.pairwise.combined == split.pairwise.combined == 0.0
 
@@ -563,24 +570,24 @@ class TestAmigoConstraints:
     def test_cluster_f_violates_cluster_homogeneity(self, engine):
         # truth {a1, a2}, {b1, b2}, {c}; the mixed {a1, b1} split into {a1}, {b1} adds a cluster and no match
         truth = list("aabbc")
-        mixed = engine(pair_from_labels(truth, ["mixed", "a", "mixed", "b", "c"]))
-        split = engine(pair_from_labels(truth, ["first", "a", "second", "b", "c"]))
+        mixed = engine(sides_from_labels(truth, ["mixed", "a", "mixed", "b", "c"]))
+        split = engine(sides_from_labels(truth, ["first", "a", "second", "b", "c"]))
         assert (mixed.cluster_f.precision, split.cluster_f.precision) == (1 / 4, 1 / 5)
         assert split.cluster_f.combined < mixed.cluster_f.combined
 
     def test_cluster_f_violates_cluster_completeness(self, engine):
         # truth {a1, a2, a3}; {a1}, {a2}, {a3} merged to {a1, a2}, {a3}: still no cluster matches
         truth = list("aaa")
-        apart = engine(pair_from_labels(truth, ["first", "second", "a3"]))
-        merged = engine(pair_from_labels(truth, ["merged", "merged", "a3"]))
+        apart = engine(sides_from_labels(truth, ["first", "second", "a3"]))
+        merged = engine(sides_from_labels(truth, ["merged", "merged", "a3"]))
         assert apart.cluster_f == merged.cluster_f
         assert merged.cluster_f.combined == 0.0
 
     def test_cluster_f_violates_rag_bag(self, engine):
         # truth {a1, a2, a3} plus singletons b, c, x; x joins the clean {a1, a2} or the rag bag {b, c}
         truth = list("aaabcx")
-        to_clean = engine(pair_from_labels(truth, ["clean", "clean", "a3", "rag bag", "rag bag", "clean"]))
-        to_rag_bag = engine(pair_from_labels(truth, ["clean", "clean", "a3", "rag bag", "rag bag", "rag bag"]))
+        to_clean = engine(sides_from_labels(truth, ["clean", "clean", "a3", "rag bag", "rag bag", "clean"]))
+        to_rag_bag = engine(sides_from_labels(truth, ["clean", "clean", "a3", "rag bag", "rag bag", "rag bag"]))
         assert to_clean.cluster_f == to_rag_bag.cluster_f
         assert to_clean.cluster_f.combined == 0.0
 
@@ -596,24 +603,24 @@ class TestAmigoConstraints:
     def test_se_le_violates_cluster_homogeneity(self, engine):
         # truth {a1, a2}, {b1, b2}; the mixed {a2, b2} split into {a2}, {b2}: every best match was a singleton
         truth = list("aabb")
-        mixed = engine(pair_from_labels(truth, ["a1", "mixed", "b1", "mixed"]))
-        split = engine(pair_from_labels(truth, ["a1", "first", "b1", "second"]))
+        mixed = engine(sides_from_labels(truth, ["a1", "mixed", "b1", "mixed"]))
+        split = engine(sides_from_labels(truth, ["a1", "first", "b1", "second"]))
         assert mixed.se_le == split.se_le
         assert (mixed.se_le.se, mixed.se_le.le) == (0.5, 0.0)
 
     def test_se_le_violates_cluster_completeness(self, engine):
         # truth {a1, a2, a3, a4}; {a1}, {a2} merged: {a3, a4} stays a best match of the same overlap
         truth = list("aaaa")
-        apart = engine(pair_from_labels(truth, ["first", "second", "rest", "rest"]))
-        merged = engine(pair_from_labels(truth, ["merged", "merged", "rest", "rest"]))
+        apart = engine(sides_from_labels(truth, ["first", "second", "rest", "rest"]))
+        merged = engine(sides_from_labels(truth, ["merged", "merged", "rest", "rest"]))
         assert apart.se_le == merged.se_le
         assert (apart.se_le.se, apart.se_le.le) == (0.5, 0.0)
 
     def test_se_le_violates_rag_bag(self, engine):
         # truth {a1, a2} plus singletons b, c, x; x in the rag bag {b, c} lumps b, c and x into a larger best match
         truth = list("aabcx")
-        to_clean = engine(pair_from_labels(truth, ["clean", "clean", "rag bag", "rag bag", "clean"]))
-        to_rag_bag = engine(pair_from_labels(truth, ["clean", "clean", "rag bag", "rag bag", "rag bag"]))
+        to_clean = engine(sides_from_labels(truth, ["clean", "clean", "rag bag", "rag bag", "clean"]))
+        to_rag_bag = engine(sides_from_labels(truth, ["clean", "clean", "rag bag", "rag bag", "rag bag"]))
         assert to_clean.se_le.se == to_rag_bag.se_le.se == 0.0
         assert (to_clean.se_le.le, to_rag_bag.se_le.le) == (5 / 10, 6 / 11)
         assert to_rag_bag.se_le.combined < to_clean.se_le.combined

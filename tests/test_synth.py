@@ -7,56 +7,56 @@ import pytest
 
 from clustereval import single_pass
 from clustereval.errors import InfeasibleConfig
+from clustereval.model import validate
 from clustereval.synth import SynthConfig, generate
 
 
 class TestDeterminism:
     def test_equal_configs_give_identical_pairs(self):
         config = SynthConfig(3000, 60, size_skew=1.4, split_rate=0.35, merge_rate=0.25, seed=77)
-        a, b = generate(config), generate(config)
-        assert a.truth == b.truth and a.predicted == b.predicted
+        assert generate(config) == generate(config)
 
     def test_different_seeds_differ(self):
         base = dict(n_instances=500, n_truth_clusters=20, size_skew=1.0, split_rate=0.5, merge_rate=0.5)
         a = generate(SynthConfig(seed=1, **base))
         b = generate(SynthConfig(seed=2, **base))
-        assert a.predicted != b.predicted
+        assert a[1] != b[1]
 
 
 class TestSoundness:
     def test_counts_match_config(self):
-        pair = generate(SynthConfig(10_000, 137, size_skew=2.0, split_rate=0.4, merge_rate=0.4, seed=5))
-        assert pair.n_instances == 10_000
-        assert len(pair.truth.clusters) == 137
-        assert sum(len(c) for c in pair.truth.clusters) == 10_000
-        assert all(len(c) >= 1 for c in pair.truth.clusters)
+        truth, predicted = generate(SynthConfig(10_000, 137, size_skew=2.0, split_rate=0.4, merge_rate=0.4, seed=5))
+        assert validate(truth, predicted).n_instances == 10_000
+        assert len(truth.clusters) == 137
+        assert sum(len(c) for c in truth.clusters) == 10_000
+        assert all(len(c) >= 1 for c in truth.clusters)
 
     def test_identity_perturbation_scores_perfect(self):
-        pair = generate(SynthConfig(800, 40, size_skew=1.0, split_rate=0.0, merge_rate=0.0, seed=3))
-        assert pair.truth.partition() == pair.predicted.partition()
-        report = single_pass.evaluate_all(pair)
+        truth, predicted = generate(SynthConfig(800, 40, size_skew=1.0, split_rate=0.0, merge_rate=0.0, seed=3))
+        assert truth.partition() == predicted.partition()
+        report = single_pass.evaluate_all(validate(truth, predicted))
         for triple in (report.cluster_f, report.k_metric, report.b_cubed, report.pairwise):
             assert (triple.recall, triple.precision, triple.combined) == (1.0, 1.0, 1.0)
         assert report.se_le.se == 0.0 and report.se_le.le == 0.0
 
     def test_generated_pairs_are_strict(self):
-        pair = generate(SynthConfig(321, 17, size_skew=0.7, split_rate=0.9, merge_rate=0.9, seed=11))
-        assert pair.coverage_mode == "strict"
-        assert set(pair.truth.ids) == set(pair.predicted.ids)
+        truth, predicted = generate(SynthConfig(321, 17, size_skew=0.7, split_rate=0.9, merge_rate=0.9, seed=11))
+        assert validate(truth, predicted, "strict").coverage_mode == "strict"
+        assert set(truth.ids) == set(predicted.ids)
 
     def test_worked_example_shape_is_reachable(self):
         # sizes (3,3,2) with one intact cluster and the other two merged:
         # the same shape as the eight-instance worked example
-        pair = generate(SynthConfig(8, 3, size_skew=0.0, split_rate=0.0, merge_rate=1.0, seed=0))
-        assert sorted(len(c) for c in pair.truth.clusters) == [2, 3, 3]
-        assert sorted(len(c) for c in pair.predicted.clusters) == [3, 5]
-        truth_sets = {frozenset(c) for c in pair.truth.clusters}
-        intact = [frozenset(c) for c in pair.predicted.clusters if frozenset(c) in truth_sets]
+        truth, predicted = generate(SynthConfig(8, 3, size_skew=0.0, split_rate=0.0, merge_rate=1.0, seed=0))
+        assert sorted(len(c) for c in truth.clusters) == [2, 3, 3]
+        assert sorted(len(c) for c in predicted.clusters) == [3, 5]
+        truth_sets = {frozenset(c) for c in truth.clusters}
+        intact = [frozenset(c) for c in predicted.clusters if frozenset(c) in truth_sets]
         assert len(intact) == 1 and len(intact[0]) == 3
 
     def test_uniform_sizes_are_balanced(self):
-        pair = generate(SynthConfig(100, 10, size_skew=0.0, seed=9))
-        assert all(len(c) == 10 for c in pair.truth.clusters)
+        truth, _ = generate(SynthConfig(100, 10, size_skew=0.0, seed=9))
+        assert all(len(c) == 10 for c in truth.clusters)
 
 
 class TestInfeasibleConfigs:
@@ -85,10 +85,10 @@ class TestPerturbationTrends:
     def _mean_score(split, merge, attr, seeds=range(40)):
         values = []
         for seed in seeds:
-            pair = generate(
+            sides = generate(
                 SynthConfig(300, 30, size_skew=0.5, split_rate=split, merge_rate=merge, seed=seed)
             )
-            report = single_pass.evaluate_all(pair)
+            report = single_pass.evaluate_all(validate(*sides))
             values.append(getattr(report.pairwise, attr))
         return statistics.fmean(values)
 
