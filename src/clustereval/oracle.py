@@ -11,9 +11,9 @@ never the labels :func:`~clustereval.model.validate` computes, so agreement
 between the two engines is a meaningful correctness check: each ratio is a
 ``Fraction`` rounded once, so the reports must be equal. Every function
 takes the two clusterings of a pair that ``validate`` accepts, truth first,
-and checks nothing of them itself. Use it
-on small inputs only: the pairs it visits, same-cluster instance pairs and
-truth × predicted cluster pairs, are capped by a budget.
+and checks nothing of them but the pair budget. Use it on small inputs
+only: the pairs it visits, same-cluster instance pairs and truth ×
+predicted cluster pairs, are capped by that budget.
 """
 
 from __future__ import annotations
