@@ -30,6 +30,7 @@ from .io_formats import (
     FORMATS,
     MEASURE_ORDER,
     build_report_document,
+    _parse,
     parse_chunks,
     parse_clustering_file,
     raise_repeat,
@@ -66,18 +67,29 @@ def _read_flags(args, pair: EvalPair, truth_format: str | None, pred_format: str
     return ()
 
 
-def _load_clusterings(args, parse=None) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
+def _parse_input(path, format: str, held=None) -> tuple[Clustering, str | None]:
+    """The clustering in the file at ``path`` and its format, from ``held`` when the file was read already.
+
+    ``held`` is the file's bytes, or the OSError its read raised, which is raised here.
+    """
+    if held is None:
+        return parse_clustering_file(path, format=format)
+    if isinstance(held, OSError):
+        raise held
+    return _parse(held, format)
+
+
+def _load_clusterings(args, held=(None, None)) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
     """Both input files as clusterings, their validated pair, and the flags on how they were read.
 
-    ``parse(path)`` gives a file's clustering and format; by default it reads the file at ``path``.
+    ``held`` gives each file's bytes or read error, truth first, when the file was read already.
     """
-    parse = parse or (lambda path: parse_clustering_file(path, format=args.format))
     # Each file is read once, in the given format or the one detected from its own first data line.
     path = args.truth  # the file being read, whose path begins a parse error
     try:
-        truth, truth_format = parse(path)
+        truth, truth_format = _parse_input(path, args.format, held[0])
         path = args.pred
-        predicted, pred_format = parse(path)
+        predicted, pred_format = _parse_input(path, args.format, held[1])
     except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
         raise ParseError(str(exc)) from None
     except ParseError as exc:
@@ -105,10 +117,12 @@ def _load_clusterings(args, parse=None) -> tuple[Clustering, Clustering, EvalPai
 def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files as labels, and the flags on how they were read, in one streamed join.
 
-    Each file is read once. Its bytes are parsed batch by batch inside :func:`validate`: the predicted
-    ids fill the label table and the truth ids are popped from it, so no id column is built. When
-    anything in the join fails, :func:`_load_clusterings` runs on the bytes read, in the order that
-    gives each error its precedence, and raises the error it finds there.
+    Each file is read once, truth first. Its bytes are parsed batch by batch inside :func:`validate`: the
+    predicted ids fill the label table and the truth ids are popped from it, so no id column is built. The
+    table is filled before any truth id is popped, so the predicted file is read before truth is parsed,
+    and a truth parse error is found only after that read. When anything in the join fails,
+    :func:`_load_clusterings` runs on the bytes read, in the order that gives each error its precedence,
+    and raises the error it finds there.
     """
     try:
         with open(args.truth, "rb") as handle:
@@ -129,16 +143,7 @@ def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
                 return pair, _read_flags(args, pair, truth_format, pred_format)
         except (ParseError, ValidationError):
             pass
-    held = iter((truth_data, pred_data))  # each side's bytes or read error, in the order parse asks for them
-
-    def parse(path):
-        data = next(held)
-        if isinstance(data, OSError):
-            raise data
-        chunks, file_format = parse_chunks(data, args.format)
-        return Clustering.from_chunks(chunks), file_format
-
-    return _load_clusterings(args, parse)[2:]
+    return _load_clusterings(args, (truth_data, pred_data))[2:]
 
 
 def _peak_rss_bytes() -> int | None:

@@ -212,6 +212,11 @@ def _id_error(truth: Clustering | Chunks, predicted: Clustering | Chunks) -> Val
     return MissingFromPredicted(set(truth.ids) - set(predicted.ids))
 
 
+def _chunks(side: Clustering | Chunks) -> Chunks:
+    """A side of a pair as chunks: a clustering is one chunk of its two columns."""
+    return ((side.ids, side.sizes),) if isinstance(side, Clustering) else side
+
+
 def _check_sides(truth_sizes, predicted_sizes) -> None:
     """:class:`EmptyClustering` for a side with no clusters, truth first."""
     for side, sizes in (("truth", truth_sizes), ("predicted", predicted_sizes)):
@@ -228,7 +233,9 @@ class EvalPair:
     ``truth_sizes[k]`` labels after the first ``sum(truth_sizes[:k])``.
     ``predicted_sizes`` are the predicted cluster lengths, predicted-only
     extras included, and ``n_predicted`` is their sum. :func:`validate`
-    builds a pair and checks it; the constructor stores the fields as given.
+    builds a pair and checks its ids; the constructor checks the coverage
+    mode again, so a strict pair, built or replaced, has no predicted-only
+    extras.
     """
 
     truth_sizes: tuple[int, ...]
@@ -236,6 +243,15 @@ class EvalPair:
     assignments: list[int]
     n_predicted: int
     coverage_mode: str
+
+    def __post_init__(self):
+        if self.coverage_mode not in COVERAGE_MODES:
+            raise ValueError(f"unknown coverage mode {self.coverage_mode!r}")
+        if self.coverage_mode == "strict" and self.n_predicted != len(self.assignments):
+            raise ValidationError(
+                f"a strict pair has as many predicted instances as truth instances, not "
+                f"{self.n_predicted} and {len(self.assignments)} (use lenient coverage to accept extras)"
+            )
 
     @property
     def n_instances(self) -> int:
@@ -262,9 +278,10 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
     and each engine flags them.
 
     With two clusterings, a side with no clusters is rejected first and an
-    id error names its culprit, as :func:`_id_error` finds it; with chunks,
-    ids that do not line up raise a :class:`ValidationError` that names none,
-    and a caller that still holds the input parses it to find the culprit.
+    id error names its culprit, as :func:`_id_error` finds it; with chunks
+    on either side, ids that do not line up raise a :class:`ValidationError`
+    that names none, and a caller that still holds the input parses it to
+    find the culprit.
     """
     if mode not in COVERAGE_MODES:
         raise ValueError(f"unknown coverage mode {mode!r}")
@@ -277,7 +294,7 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
     # which makes building and popping a 1.2M-id table about a fifth faster.
     label_of = {_ANY_KEY: None}
     predicted_sizes = []
-    for ids, sizes in ((predicted.ids, predicted.sizes),) if columns else predicted:
+    for ids, sizes in _chunks(predicted):
         label_of.update(zip(ids, chain.from_iterable(map(repeat, count(len(predicted_sizes)), sizes))))
         predicted_sizes += sizes
     del label_of[_ANY_KEY]
@@ -286,12 +303,13 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
         raise _id_error(truth, predicted)
     truth_sizes, assignments = [], []
     try:
-        for ids, sizes in ((truth.ids, truth.sizes),) if columns else truth:
+        for ids, sizes in _chunks(truth):
             assignments += map(label_of.pop, ids)
             truth_sizes += sizes
     except KeyError:  # a truth id is missing from predicted, or repeats in truth
         raise _id_error(truth, predicted) from None
-    _check_sides(truth_sizes, predicted_sizes)
+    if not columns:
+        _check_sides(truth_sizes, predicted_sizes)
     # Every truth id was popped once, so the ids left are the predicted-only extras.
     if label_of and mode == "strict":
         raise ExtraInPredicted(label_of)

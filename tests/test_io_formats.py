@@ -12,7 +12,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from clustereval import io_formats, oracle, single_pass
-from clustereval.errors import ClusterEvalError, DuplicateInstance, ParseError, ValidationError
+from clustereval.errors import ClusterEvalError, DuplicateInstance, ExtraInPredicted, ParseError, ValidationError
 from clustereval.io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
@@ -362,6 +362,27 @@ class TestStreamedJoin:
             assert chunks == [(["a", "b", "c"], [2, 1]), (["d", "e"], [2])]
         else:
             assert chunks == [(["a", "b", "c", "d", "e"], [2, 1, 2])]
+
+    @pytest.mark.parametrize("chunked", ["truth", "predicted"])
+    @pytest.mark.parametrize("mode", COVERAGE_MODES)
+    def test_one_side_may_be_a_clustering_and_the_other_chunks(self, monkeypatch, chunked, mode):
+        monkeypatch.setattr(io_formats, "_BATCH", 4)  # a chunked side spans two batches
+        truth = Clustering.from_clusters([("a", "b"), ("c",), ("d", "e")])
+        predicted = Clustering.from_clusters([("a", "c"), ("b", "d", "e", "x")])
+
+        def mixed(truth, predicted):
+            sides = {"truth": truth, "predicted": predicted}
+            sides[chunked] = parse_chunks(write_clustering(sides[chunked]).encode())[0]
+            return validate(sides["truth"], sides["predicted"], mode)
+
+        if mode == "strict":  # "x" is a predicted-only extra
+            with pytest.raises(ExtraInPredicted):
+                mixed(truth, predicted)
+        else:
+            assert mixed(truth, predicted) == validate(truth, predicted, mode)
+        repeat = Clustering.from_clusters([("a", "b"), ("c", "a"), ("d", "e")])
+        with pytest.raises(ValidationError, match="do not line up"):
+            mixed(repeat, predicted)
 
 
 class TestClusteringRoundTrip:

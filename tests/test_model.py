@@ -226,8 +226,8 @@ class TestIdErrors:
         assert err.value.instance == "2"
 
 
-class TestEvalPairIsLabels:
-    """An ``EvalPair`` holds only labels and sizes: the fields ``validate`` computes from two clusterings."""
+class TestEvalPairLabelsItself:
+    """An ``EvalPair`` is the labels themselves: the fields ``validate`` computes, checked against the coverage mode."""
 
     @pytest.mark.parametrize("mode", ["strict", "lenient"])
     def test_constructor_equals_validate(self, mode):
@@ -238,6 +238,19 @@ class TestEvalPairIsLabels:
         assert [f.name for f in dataclasses.fields(pair)] == [
             "truth_sizes", "predicted_sizes", "assignments", "n_predicted", "coverage_mode"
         ]
+
+    def test_replace_checks_coverage_again(self):
+        truth = Clustering.from_clusters([("1", "2")])
+        predicted = Clustering.from_clusters([("1", "2"), ("3",)])
+        lenient = validate(truth, predicted, "lenient")
+        assert extra_flags(lenient) == (FLAG_EXTRA_IN_PREDICTED.format(1),)
+        # the pair holds no ids, so the error counts the extras it cannot name
+        with pytest.raises(ValidationError, match="^a strict pair has as many predicted instances as truth instances"):
+            dataclasses.replace(lenient, coverage_mode="strict")
+        with pytest.raises(ValidationError, match="not 3 and 2"):
+            EvalPair(lenient.truth_sizes, lenient.predicted_sizes, lenient.assignments, 3, "strict")
+        with pytest.raises(ValueError, match="^unknown coverage mode 'loose'$"):
+            dataclasses.replace(lenient, coverage_mode="loose")
 
 
 def assert_numbered_by_the_rule(truth: Clustering, predicted: Clustering) -> tuple[list[frozenset], list[frozenset]]:
