@@ -22,7 +22,8 @@ import sys
 import time
 
 from . import __version__, oracle, single_pass
-from .errors import DuplicateInstance, InfeasibleConfig, PairBudgetExceeded, ParseError, ValidationError
+from .errors import DuplicateInstance, EmptyClustering, ExtraInPredicted, InfeasibleConfig, PairBudgetExceeded
+from .errors import ParseError, ValidationError
 from .io_formats import (
     FORMAT_AUTO,
     FORMAT_CLUSTER_LINES,
@@ -32,7 +33,7 @@ from .io_formats import (
     build_report_document,
     _parse,
     parse_chunks,
-    parse_clustering_file,
+    parse_clustering_file,  # unused here: perfbench/traced.py wraps it under this name
     raise_repeat,
     write_clustering,
     write_report,
@@ -67,30 +68,37 @@ def _read_flags(args, pair: EvalPair, truth_format: str | None, pred_format: str
     return ()
 
 
-def _parse_input(path, format: str, held=None) -> tuple[Clustering, str | None]:
-    """The clustering in the file at ``path`` and its format, from ``held`` when the file was read already.
+def _read_inputs(args) -> tuple[bytes, bytes | OSError]:
+    """Truth's bytes, then predicted's bytes or the OSError its read raised: the one place an input is opened.
 
-    ``held`` is the file's bytes, or the OSError its read raised, which is raised here.
+    Each file is read once, whole, truth first, so a truth read error is raised at once, as a ParseError.
     """
-    if held is None:
-        return parse_clustering_file(path, format=format)
-    if isinstance(held, OSError):
-        raise held
-    return _parse(held, format)
+    held = []
+    for path in (args.truth, args.pred):
+        try:
+            with open(path, "rb") as handle:
+                held.append(handle.read())
+        except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
+            if not held:
+                raise ParseError(str(exc)) from None
+            held.append(exc)
+    return tuple(held)
 
 
-def _load_clusterings(args, held=(None, None)) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
+def _load_clusterings(args, held) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
     """Both input files as clusterings, their validated pair, and the flags on how they were read.
 
-    ``held`` gives each file's bytes or read error, truth first, when the file was read already.
+    ``held`` is what :func:`_read_inputs` read. Each side is parsed whole from its bytes, in the given format
+    or the one detected from its own first data line, and a repeat's lines are found in the same bytes.
     """
-    # Each file is read once, in the given format or the one detected from its own first data line.
-    path = args.truth  # the file being read, whose path begins a parse error
+    path = args.truth  # the file being parsed, whose path begins a parse error
     try:
-        truth, truth_format = _parse_input(path, args.format, held[0])
+        truth, truth_format = _parse(held[0], args.format)
         path = args.pred
-        predicted, pred_format = _parse_input(path, args.format, held[1])
-    except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
+        if isinstance(held[1], OSError):
+            raise held[1]
+        predicted, pred_format = _parse(held[1], args.format)
+    except OSError as exc:  # predicted's read error, which comes after truth's parse error
         raise ParseError(str(exc)) from None
     except ParseError as exc:
         exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
@@ -100,50 +108,39 @@ def _load_clusterings(args, held=(None, None)) -> tuple[Clustering, Clustering, 
     try:
         pair = validate(truth, predicted, args.coverage)
     except DuplicateInstance as exc:
-        # validate names the repeat, the first in cluster order, truth first. Only its file is read again, to
-        # add its lines, and only a regular file: a second read of a pipe would block, or find nothing.
-        path, file_format = (args.truth, truth_format) if truth.ids.count(exc.instance) > 1 else (args.pred, pred_format)
-        if os.path.isfile(path):
-            with open(path, "rb") as handle:
-                try:
-                    raise_repeat(handle.read(), file_format, exc.instance)
-                except DuplicateInstance as with_lines:
-                    exc = with_lines
-        exc.args = (f"{path}: {exc}",)
+        # validate names the repeat, the first in cluster order, truth first; its file's bytes give its lines.
+        side = 0 if truth.ids.count(exc.instance) > 1 else 1
+        try:
+            raise_repeat(held[side], (truth_format, pred_format)[side], exc.instance)
+        except DuplicateInstance as with_lines:
+            exc = with_lines
+        exc.args = (f"{(args.truth, args.pred)[side]}: {exc}",)
         raise exc
     return truth, predicted, pair, _read_flags(args, pair, truth_format, pred_format)
 
 
-def _load_pair(args) -> tuple[EvalPair, tuple[str, ...]]:
+def _load_pair(args, held) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files as labels, and the flags on how they were read, in one streamed join.
 
-    Each file is read once, truth first. Its bytes are parsed batch by batch inside :func:`validate`: the
-    predicted ids fill the label table and the truth ids are popped from it, so no id column is built. The
-    table is filled before any truth id is popped, so the predicted file is read before truth is parsed,
-    and a truth parse error is found only after that read. When anything in the join fails,
-    :func:`_load_clusterings` runs on the bytes read, in the order that gives each error its precedence,
-    and raises the error it finds there.
+    ``held`` is what :func:`_read_inputs` read. Each file's bytes are parsed batch by batch inside
+    :func:`validate`: the predicted ids fill the label table and the truth ids are popped from it, so no id
+    column is built. When the formats differ or the join fails before its end, :func:`_load_clusterings` runs
+    on the same bytes, in the order that gives each error its precedence, and raises the error it finds there.
     """
-    try:
-        with open(args.truth, "rb") as handle:
-            truth_data = handle.read()
-    except OSError as exc:  # the truth file is read first, so its read error comes before anything else
-        raise ParseError(str(exc)) from None
-    try:
-        with open(args.pred, "rb") as handle:
-            pred_data = handle.read()
-    except OSError as exc:  # after truth's parse error, if it has one
-        pred_data = exc
-    else:
+    if not isinstance(held[1], OSError):
         try:
-            truth, truth_format = parse_chunks(truth_data, args.format)
-            predicted, pred_format = parse_chunks(pred_data, args.format)
+            truth, truth_format = parse_chunks(held[0], args.format)
+            predicted, pred_format = parse_chunks(held[1], args.format)
             if _formats_agree(truth_format, pred_format):
                 pair = validate(truth, predicted, args.coverage)
                 return pair, _read_flags(args, pair, truth_format, pred_format)
+        except (EmptyClustering, ExtraInPredicted):
+            # The join raises these only once both streams were consumed with no parse or id error, so the
+            # whole-clustering load would raise the same.
+            raise
         except (ParseError, ValidationError):
             pass
-    return _load_clusterings(args, (truth_data, pred_data))[2:]
+    return _load_clusterings(args, held)[2:]
 
 
 def _peak_rss_bytes() -> int | None:
@@ -157,12 +154,13 @@ def _peak_rss_bytes() -> int | None:
 
 
 def cmd_evaluate(args) -> int:
+    held = _read_inputs(args)
     if args.engine == "oracle":  # the oracle numbers the ids itself, so it reads both clusterings
-        truth, predicted, _, read_flags = _load_clusterings(args)
+        truth, predicted, _, read_flags = _load_clusterings(args, held)
         start = time.perf_counter()
         report = oracle.evaluate_all(truth, predicted, pair_budget=args.pair_budget)
     else:
-        pair, read_flags = _load_pair(args)
+        pair, read_flags = _load_pair(args, held)
         start = time.perf_counter()
         report = single_pass.evaluate_all(pair)
     elapsed = time.perf_counter() - start
@@ -235,7 +233,7 @@ def cmd_check(args) -> int:
         raise ParseError("check needs --truth and --pred, or --trials for randomized mode")
     # A file check takes evaluate's defaults.
     vars(args).update(coverage=args.coverage or "strict", format=args.format or FORMAT_AUTO)
-    truth, predicted, pair, read_flags = _load_clusterings(args)
+    truth, predicted, pair, read_flags = _load_clusterings(args, _read_inputs(args))
     status = _check_one(truth, predicted, pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
         sys.stdout.write("check: engines agree exactly\n")
@@ -276,7 +274,7 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    truth, predicted, pair, read_flags = _load_clusterings(args)  # reading and validating stay outside the timers
+    truth, predicted, pair, read_flags = _load_clusterings(args, _read_inputs(args))  # before any timer starts
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
     if "oracle" in engines:
         oracle.check_budget(truth, predicted, args.pair_budget)  # before any engine is timed
@@ -389,7 +387,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except OSError as exc:  # _load_pair turns a failed read into a ParseError, so this is a failed write
+    except OSError as exc:  # _read_inputs turns a failed read into a ParseError, so this is a failed write
         sys.stderr.write(f"error: {exc}\n")
         try:
             sys.stdout.flush()

@@ -1,6 +1,8 @@
 """CLI subcommands, exit codes, and output schema stability."""
 
 import argparse
+import builtins
+import collections
 import contextlib
 import dataclasses
 import io
@@ -140,6 +142,30 @@ def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+# Every command that reads a truth and a predicted file, by the name its tests take.
+FILE_COMMANDS = {
+    "evaluate": ("evaluate",),
+    "oracle": ("evaluate", "--engine", "oracle"),
+    "check": ("check",),
+    "bench": ("bench", "--repeats", "1"),
+}
+
+
+def count_opens(monkeypatch, refuse_again=False):
+    """A counter of the paths ``open`` is given from now on; with ``refuse_again``, a path's second open fails."""
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[file] += 1
+        if refuse_again and opened[file] > 1:
+            raise PermissionError(13, "Permission denied", file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
 
 
 class TestEvaluate:
@@ -384,23 +410,23 @@ class TestEvaluate:
             assert status == 3
             assert err.endswith(f"appears in more than one cluster (lines {lines[0]} and {lines[1]})\n")
 
-    def test_a_repeat_in_a_pipe_exits_3_without_lines(self, capsys, tmp_path):
-        # the pipe is not opened a second time, and the predicted repeat is not named in its place
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
+    def test_a_repeat_in_a_pipe_names_its_lines(self, capsys, tmp_path, command):
+        # the pipe's bytes, read once, give the lines, and the predicted repeat is not named in its place
         truth = tmp_path / "t.fifo"
         os.mkfifo(truth)
         pred = tmp_path / "p.txt"
         pred.write_text("1 2\n3 3\n")
         writer = threading.Thread(target=truth.write_text, args=("1 2\n# note\n3 1\n",), daemon=True)
         writer.start()
-        status, _, err = run_cli(
-            capsys, "evaluate", "--truth", str(truth), "--pred", str(pred), "--format", "clusters"
-        )
+        status, out, err = run_cli(capsys, *command, "--truth", str(truth), "--pred", str(pred), "--format", "clusters")
         writer.join(timeout=10)
-        assert status == 3
-        assert err == f"error: {truth}: instance '1' appears in more than one cluster\n"
+        assert not writer.is_alive()
+        assert (status, out) == (3, "")
+        assert err == f"error: {truth}: instance '1' appears in more than one cluster (lines 1 and 3)\n"
 
     def test_a_pairs_repeat_is_the_first_in_cluster_order_from_a_file_or_a_pipe(self, capsys, tmp_path):
-        # validate names the repeat, the first in the order rows are grouped by label; a second read adds its lines.
+        # validate names the repeat, the first in the order rows are grouped by label; the held bytes give its lines.
         text = "a\tX\nb\tY\nb\tY\na\tX\n"
         regular, fifo, pred = tmp_path / "t.tsv", tmp_path / "t.fifo", tmp_path / "p.tsv"
         regular.write_text(text)
@@ -413,10 +439,10 @@ class TestEvaluate:
         writer.start()
         status, _, err = run_cli(capsys, "evaluate", "--truth", str(fifo), "--pred", str(pred))
         writer.join(timeout=10)
-        assert (status, err) == (3, f"error: {fifo}: instance 'a' appears in more than one cluster\n")
+        assert (status, err) == (3, f"error: {fifo}: instance 'a' appears in more than one cluster (lines 1 and 4)\n")
 
     def test_a_predicted_repeat_behind_a_piped_truth_file_names_its_lines(self, capsys, tmp_path):
-        # only the file that holds the repeat is read again, and a pipe before it does not stop that
+        # the repeat is named in the file that holds it, and a pipe before it does not stop that
         truth, pred = tmp_path / "t.fifo", tmp_path / "p.tsv"
         os.mkfifo(truth)
         pred.write_text("a\tX\n# note\nb\tX\nb\tY\n")
@@ -570,8 +596,7 @@ class TestStreamedLoad:
                 os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(timeout=10)
             assert not writer.is_alive()
-        lines = " (lines 1 and 2)" if source == "file" else ""  # only a regular file is read again for the lines
-        assert result == (status, "", message.format(**paths, lines=lines))
+        assert result == (status, "", message.format(**paths, lines=" (lines 1 and 2)"))
 
     @settings(max_examples=150, deadline=None)
     @given(files=file_pairs(), auto=st.booleans(), coverage=st.sampled_from(["strict", "lenient"]))
@@ -587,13 +612,34 @@ class TestStreamedLoad:
 
         def outcome(load):
             try:
-                return load(args)
+                return load(args, cli._read_inputs(args))
             except ClusterEvalError as exc:
                 return type(exc), str(exc)
 
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(io_formats, "_BATCH", 8)  # files of many batches
-            assert outcome(cli._load_pair) == outcome(lambda args: cli._load_clusterings(args)[2:])
+            assert outcome(cli._load_pair) == outcome(lambda args, held: cli._load_clusterings(args, held)[2:])
+
+    @pytest.mark.parametrize(
+        "truth_text, message",
+        [
+            ("1 2\n", "predicted instance(s) absent from truth clustering: '3' (use lenient coverage to accept them)"),
+            ("# none\n", "truth clustering has no clusters"),
+        ],
+    )
+    def test_errors_the_join_finds_at_its_end_are_not_replayed(
+        self, monkeypatch, capsys, tmp_path, truth_text, message
+    ):
+        # once both streams are consumed cleanly, the whole-clustering load would raise the same error
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        truth.write_text(truth_text)
+        pred.write_text("1 2 3\n")
+
+        def replay(args, held):
+            raise AssertionError("the join's error was replayed")
+
+        monkeypatch.setattr(cli, "_load_clusterings", replay)
+        assert run_cli(capsys, "evaluate", "--truth", str(truth), "--pred", str(pred)) == (3, "", f"error: {message}\n")
 
     def test_ingest_keeps_no_id_column(self, monkeypatch, tmp_path):
         # 100k ids of 14 hex digits a side, in batches of 64 KiB, as a large file would be read. Loading the
@@ -608,7 +654,7 @@ class TestStreamedLoad:
         args = argparse.Namespace(truth=str(paths[0]), pred=str(paths[1]), format="auto", coverage="strict")
         tracemalloc.start()
         try:
-            pair, _ = cli._load_pair(args)
+            pair, _ = cli._load_pair(args, cli._read_inputs(args))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -622,6 +668,34 @@ class TestStreamedLoad:
             timing = json.loads(out)["timing"]
             assert status == 0 and list(timing) == ["seconds", "peak_rss_bytes"]
             assert type(timing["peak_rss_bytes"]) is int and timing["peak_rss_bytes"] > 2**20
+
+
+class TestReadOnce:
+    """Every file command opens each input once, and a repeat's lines come from the bytes that read gave."""
+
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
+    @pytest.mark.parametrize("pred_text, status", [("3 1\n2\n", 0), ("3 1\n2 2\n", 3)])
+    def test_each_path_is_opened_once(self, monkeypatch, capsys, tmp_path, command, pred_text, status):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        truth.write_text("1 2\n3\n")
+        pred.write_text(pred_text)
+        opened = count_opens(monkeypatch)
+        result = run_cli(capsys, *command, "--truth", str(truth), "--pred", str(pred))
+        monkeypatch.undo()
+        assert result[0] == status
+        assert (opened[str(truth)], opened[str(pred)]) == (1, 1)
+
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
+    def test_a_repeat_in_a_file_that_cannot_be_opened_again_names_its_lines(
+        self, monkeypatch, capsys, tmp_path, command
+    ):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        truth.write_text("1 2\n# note\n3 1\n")
+        pred.write_text("1 2 3\n")
+        count_opens(monkeypatch, refuse_again=True)
+        result = run_cli(capsys, *command, "--truth", str(truth), "--pred", str(pred))
+        monkeypatch.undo()
+        assert result == (3, "", f"error: {truth}: instance '1' appears in more than one cluster (lines 1 and 3)\n")
 
 
 class TestCheck:
