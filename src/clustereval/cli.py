@@ -68,10 +68,10 @@ def _read_flags(args, pair: EvalPair, truth_format: str | None, pred_format: str
     return ()
 
 
-def _read_inputs(args) -> tuple[bytes, bytes | OSError]:
-    """Truth's bytes, then predicted's bytes or the OSError its read raised: the one place an input is opened.
+def _read_inputs(args) -> tuple[bytes, bytes | ParseError]:
+    """Truth's bytes, then predicted's bytes or the ParseError its read became: the one place an input is opened.
 
-    Each file is read once, whole, truth first, so a truth read error is raised at once, as a ParseError.
+    Each file is read once, whole, truth first; a truth read error is raised at once, predicted's in its turn.
     """
     held = []
     for path in (args.truth, args.pred):
@@ -81,7 +81,7 @@ def _read_inputs(args) -> tuple[bytes, bytes | OSError]:
         except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
             if not held:
                 raise ParseError(str(exc)) from None
-            held.append(exc)
+            held.append(ParseError(str(exc)))
     return tuple(held)
 
 
@@ -91,18 +91,16 @@ def _load_clusterings(args, held) -> tuple[Clustering, Clustering, EvalPair, tup
     ``held`` is what :func:`_read_inputs` read. Each side is parsed whole from its bytes, in the given format
     or the one detected from its own first data line, and a repeat's lines are found in the same bytes.
     """
-    path = args.truth  # the file being parsed, whose path begins a parse error
-    try:
-        truth, truth_format = _parse(held[0], args.format)
-        path = args.pred
-        if isinstance(held[1], OSError):
-            raise held[1]
-        predicted, pred_format = _parse(held[1], args.format)
-    except OSError as exc:  # predicted's read error, which comes after truth's parse error
-        raise ParseError(str(exc)) from None
-    except ParseError as exc:
-        exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
-        raise
+    parsed = []
+    for path, data in zip((args.truth, args.pred), held):
+        if isinstance(data, ParseError):  # predicted's read error, which comes after truth's parse error
+            raise data
+        try:
+            parsed.append(_parse(data, args.format))
+        except ParseError as exc:
+            exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
+            raise
+    (truth, truth_format), (predicted, pred_format) = parsed
     if not _formats_agree(truth_format, pred_format):
         raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
     try:
@@ -127,7 +125,7 @@ def _load_pair(args, held) -> tuple[EvalPair, tuple[str, ...]]:
     column is built. When the formats differ or the join fails before its end, :func:`_load_clusterings` runs
     on the same bytes, in the order that gives each error its precedence, and raises the error it finds there.
     """
-    if not isinstance(held[1], OSError):
+    if isinstance(held[1], bytes):  # else predicted's read failed, which _load_clusterings raises in its turn
         try:
             truth, truth_format = parse_chunks(held[0], args.format)
             predicted, pred_format = parse_chunks(held[1], args.format)
@@ -324,8 +322,22 @@ def _add_input_options(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--format", choices=FORMATS, default=FORMAT_AUTO, help="input file format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose failed write of ``--help`` or ``--version`` to stdout raises, so main exits 4.
+
+    argparse drops such an error, which unbuffered stdout gives at the write; a usage error's message to
+    stderr is printed as argparse prints it. Subparsers are built from this class too.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clustereval",
         description="Score a predicted clustering against a truth clustering with five measures.",
     )

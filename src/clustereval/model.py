@@ -194,15 +194,19 @@ class Clustering:
 
 
 def _id_error(truth: Clustering | Chunks, predicted: Clustering | Chunks) -> ValidationError:
-    """The error for a pair whose ids do not line up, by precedence.
+    """The error for a pair that the join cannot label, ranked in this one place.
 
-    The first id in truth that an earlier one equals, then the same in
-    predicted, then the truth ids missing from predicted. Only this error
-    path builds sets. Chunks are spent by then, so a side given as chunks
-    gets an error that names no id.
+    With two clusterings: an empty side (truth first), the first truth id
+    an earlier one equals, the same in predicted, then the truth ids
+    missing from predicted. Only this error path builds sets. Chunks are
+    spent by then, so a side given as chunks gets an error naming no id.
     """
     if not (isinstance(truth, Clustering) and isinstance(predicted, Clustering)):
         return ValidationError("the instance ids of the two clusterings do not line up")
+    try:
+        _check_sides(truth.sizes, predicted.sizes)
+    except EmptyClustering as exc:
+        return exc
     for clustering in (truth, predicted):
         seen = set()
         for instance in clustering.ids:
@@ -277,17 +281,14 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
     instances, which stay in the predicted cluster sizes and pair totals,
     and each engine flags them.
 
-    With two clusterings, a side with no clusters is rejected first and an
-    id error names its culprit, as :func:`_id_error` finds it; with chunks
-    on either side, ids that do not line up raise a :class:`ValidationError`
-    that names none, and a caller that still holds the input parses it to
-    find the culprit.
+    A pair the join cannot label gets the one error :func:`_id_error`
+    ranks, and a pair it labels is checked for an empty side, then for
+    strict-mode extras. With chunks on either side, ids that do not line up
+    raise a :class:`ValidationError` that names none, and a caller that
+    still holds the input parses it to find the culprit.
     """
     if mode not in COVERAGE_MODES:
         raise ValueError(f"unknown coverage mode {mode!r}")
-    columns = isinstance(truth, Clustering) and isinstance(predicted, Clustering)
-    if columns:
-        _check_sides(truth.sizes, predicted.sizes)
 
     # A dict whose keys are all str stores no hashes, so each resize rereads them from the key
     # objects, scattered over the heap; one other key for the build keeps the hashes in the table,
@@ -299,17 +300,16 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
         predicted_sizes += sizes
     del label_of[_ANY_KEY]
     n_predicted = sum(predicted_sizes)
-    if len(label_of) < n_predicted:  # a predicted id repeats
-        raise _id_error(truth, predicted)
     truth_sizes, assignments = [], []
     try:
+        if len(label_of) < n_predicted:  # a predicted id repeats
+            raise KeyError
         for ids, sizes in _chunks(truth):
             assignments += map(label_of.pop, ids)
             truth_sizes += sizes
-    except KeyError:  # a truth id is missing from predicted, or repeats in truth
+    except KeyError:  # a predicted id repeats, or a truth id is missing from predicted or repeats in truth
         raise _id_error(truth, predicted) from None
-    if not columns:
-        _check_sides(truth_sizes, predicted_sizes)
+    _check_sides(truth_sizes, predicted_sizes)
     # Every truth id was popped once, so the ids left are the predicted-only extras.
     if label_of and mode == "strict":
         raise ExtraInPredicted(label_of)

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import strategies as st
 
-from clustereval.errors import DuplicateInstance, ExtraInPredicted, MissingFromPredicted
+from clustereval.errors import DuplicateInstance, EmptyClustering, ExtraInPredicted, MissingFromPredicted
 from clustereval.model import Clustering, EvalPair, validate
 from clustereval.synth import SynthConfig, generate
 
@@ -31,10 +31,14 @@ def golden_pair() -> EvalPair:
 def reference_id_error(truth: Clustering, predicted: Clustering, mode: str):
     """What ``validate`` rejects in the ids of a pair, by plain sets: ``(error type, payload)`` or None.
 
-    In order: the first truth id that an earlier one equals, the same in
-    predicted, truth ids missing from predicted, then predicted-only extras
-    in strict mode.
+    In order: a side with no clusters (truth first, the payload names it),
+    the first truth id that an earlier one equals, the same in predicted,
+    truth ids missing from predicted, then predicted-only extras in strict
+    mode.
     """
+    for side, clustering in (("truth", truth), ("predicted", predicted)):
+        if not clustering.sizes:
+            return EmptyClustering, side
     for ids in (truth.ids, predicted.ids):
         if repeats := [x for i, x in enumerate(ids) if x in ids[:i]]:
             return DuplicateInstance, repeats[0]

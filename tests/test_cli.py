@@ -546,6 +546,7 @@ PRECEDENCE_CASES = {
         b"a\tX\tY\n", None, 2,
         "error: {truth}: expected 'instance<TAB>label', found 3 tab-separated fields (line 1)\n",
     ),
+    "a_missing_predicted_path": (b"1 2\n", None, 2, "error: [Errno 2] No such file or directory: '{pred}'\n"),
     "a_missing_truth_path_and_a_malformed_predicted_file": (
         None, b"a\tX\tY\n", 2, "error: [Errno 2] No such file or directory: '{truth}'\n",
     ),
@@ -1040,6 +1041,13 @@ class TestFailedWrite:
             result = self.run(unbuffered, ["evaluate", "--truth", truth, "--pred", pred], full)
         self.assert_one_error_line(result, 4)
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["evaluate", "--help"]], ids=" ".join)
+    def test_help_and_version_on_a_full_device_exit_4(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            result = self.run(unbuffered, argv, full)
+        self.assert_one_error_line(result, 4)
+
     def test_stdout_into_a_pipe_without_reader_exits_4(self, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -1055,15 +1063,6 @@ class TestFailedWrite:
         result = self.run(unbuffered, ["evaluate", "--truth", absent, "--pred", pred], subprocess.PIPE)
         self.assert_one_error_line(result, 2)
         assert absent in result.stderr and result.stdout == ""
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
-@pytest.mark.parametrize("flag", ["--help", "--version"])
-def test_help_and_version_on_a_full_device_exit_4(flag):
-    # Buffered only: unbuffered, argparse itself discards the failed write and exits 0.
-    with open("/dev/full", "w") as full:
-        result = TestFailedWrite.run(False, [flag], full)
-    TestFailedWrite.assert_one_error_line(result, 4)
 
 
 def test_module_entry_point(golden_files):

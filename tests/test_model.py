@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
@@ -155,13 +156,22 @@ class TestValidate:
                 validate(truth, predicted, mode)
             assert "'2'" in str(err.value)
 
-    def test_empty_clustering_rejected(self):
-        empty = Clustering.from_clusters([])
-        some = Clustering.from_clusters([("1",)])
-        with pytest.raises(EmptyClustering):
-            validate(empty, some)
-        with pytest.raises(EmptyClustering):
-            validate(some, empty)
+    @pytest.mark.parametrize(
+        "truth, predicted, side",
+        [
+            ([], [("1",)], "truth"),
+            ([], [("1", "2"), ("2",)], "truth"),  # the empty side comes before the repeat
+            ([("1",)], [], "predicted"),
+            ([], [], "truth"),
+            ([], None, "truth"),  # predicted as chunks
+        ],
+        ids=["empty_truth", "empty_truth_and_a_predicted_repeat", "empty_predicted", "both_empty", "predicted_chunks"],
+    )
+    def test_empty_clustering_rejected(self, truth, predicted, side):
+        predicted = [(("1",), (1,))] if predicted is None else Clustering.from_clusters(predicted)
+        with pytest.raises(EmptyClustering, match=f"^{side} clustering has no clusters$") as err:
+            validate(Clustering.from_clusters(truth), predicted)
+        assert err.value.__cause__ is None and (err.value.__suppress_context__ or err.value.__context__ is None)
 
     def test_unknown_mode_rejected(self):
         one = Clustering.from_clusters([("1",)])
@@ -181,7 +191,12 @@ class TestValidate:
 class TestIdErrors:
     """``validate`` checks every id in one table and agrees with a plain-set reference."""
 
-    PAYLOAD = {DuplicateInstance: "instance", MissingFromPredicted: "missing", ExtraInPredicted: "extra"}
+    PAYLOAD = {
+        EmptyClustering: lambda exc: str(exc).split()[0],  # the side it names
+        DuplicateInstance: operator.attrgetter("instance"),
+        MissingFromPredicted: operator.attrgetter("missing"),
+        ExtraInPredicted: operator.attrgetter("extra"),
+    }
 
     @given(data=st.data(), mode=st.sampled_from(COVERAGE_MODES))
     def test_validate_matches_the_plain_set_reference(self, data, mode):
@@ -191,17 +206,16 @@ class TestIdErrors:
 
         def with_repeats(clusters):
             # each repeat lands in its own id's cluster or in another
-            for _ in range(data.draw(st.integers(0, 2))):
+            for _ in range(data.draw(st.integers(0, 2 if clusters else 0))):
                 instance = data.draw(st.sampled_from([x for c in clusters for x in c]))
                 cluster = data.draw(st.sampled_from(clusters))
                 cluster.insert(data.draw(st.integers(0, len(cluster))), instance)
             return clusters
 
-        ids = [str(i) for i in range(data.draw(st.integers(1, 10)))]
-        missing = data.draw(st.sets(st.sampled_from(ids), max_size=2))
+        ids = [str(i) for i in range(data.draw(st.integers(0, 10)))]
+        missing = data.draw(st.sets(st.sampled_from(ids), max_size=2)) if ids else set()
         extras = [f"x{i}" for i in range(data.draw(st.integers(0, 2)))]
         predicted_ids = data.draw(st.permutations([x for x in ids if x not in missing] + extras))
-        assume(predicted_ids)
         truth = Clustering.from_clusters(with_repeats(clusters(ids)))
         predicted = Clustering.from_clusters(with_repeats(clusters(predicted_ids)))
 
@@ -213,7 +227,7 @@ class TestIdErrors:
         else:
             with pytest.raises(ValidationError) as err:
                 validate(truth, predicted, mode)
-            assert (type(err.value), getattr(err.value, self.PAYLOAD[type(err.value)])) == expected
+            assert (type(err.value), self.PAYLOAD[type(err.value)](err.value)) == expected
 
     @pytest.mark.parametrize("mode", COVERAGE_MODES)
     def test_a_truth_repeat_balanced_by_an_extra(self, mode):
