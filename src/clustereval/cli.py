@@ -35,6 +35,7 @@ from .io_formats import (
     parse_chunks,
     parse_clustering_file,  # unused here: perfbench/traced.py wraps it under this name
     raise_repeat,
+    tab_after_first_data_line,
     write_clustering,
     write_report,
 )
@@ -52,6 +53,10 @@ FLAG_AUTO_PAIRS_SINGLETONS = (
     "auto_pairs_all_singletons: --format auto read both files as membership pairs with one id per cluster; "
     "if they are tab-separated cluster lines, use --format clusters"
 )
+FLAG_AUTO_CLUSTERS_WITH_TABS = (
+    "auto_clusters_with_tabs: --format auto read a file as cluster lines, but a data line after its first holds "
+    "a TAB; if it is membership pairs whose first id holds a line break, use --format pairs"
+)
 
 
 def _formats_agree(truth_format: str | None, pred_format: str | None) -> bool:
@@ -59,12 +64,17 @@ def _formats_agree(truth_format: str | None, pred_format: str | None) -> bool:
     return not (truth_format and pred_format and truth_format != pred_format)
 
 
-def _read_flags(args, pair: EvalPair, truth_format: str | None, pred_format: str | None) -> tuple[str, ...]:
-    """The flags on how the input files were read."""
+def _read_flags(args, pair: EvalPair, formats: tuple[str | None, str | None], held) -> tuple[str, ...]:
+    """The flags on how the input files were read: ``formats`` they were read in, ``held`` their bytes."""
+    if args.format != FORMAT_AUTO:
+        return ()
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
     singletons = pair.n_instances == len(pair.truth_sizes) and pair.n_predicted == len(pair.predicted_sizes)
-    if args.format == FORMAT_AUTO and FORMAT_MEMBERSHIP_PAIRS in (truth_format, pred_format) and singletons:
+    if FORMAT_MEMBERSHIP_PAIRS in formats and singletons:
         return (FLAG_AUTO_PAIRS_SINGLETONS,)
+    # Membership pairs whose first id holds a line break are detected as cluster lines, with TABs further on.
+    if any(f == FORMAT_CLUSTER_LINES and tab_after_first_data_line(data) for f, data in zip(formats, held)):
+        return (FLAG_AUTO_CLUSTERS_WITH_TABS,)
     return ()
 
 
@@ -114,24 +124,32 @@ def _load_clusterings(args, held) -> tuple[Clustering, Clustering, EvalPair, tup
             exc = with_lines
         exc.args = (f"{(args.truth, args.pred)[side]}: {exc}",)
         raise exc
-    return truth, predicted, pair, _read_flags(args, pair, truth_format, pred_format)
+    return truth, predicted, pair, _read_flags(args, pair, (truth_format, pred_format), held)
 
 
 def _load_pair(args, held) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files as labels, and the flags on how they were read, in one streamed join.
 
-    ``held`` is what :func:`_read_inputs` read. Each file's bytes are parsed batch by batch inside
-    :func:`validate`: the predicted ids fill the label table and the truth ids are popped from it, so no id
-    column is built. When the formats differ or the join fails before its end, :func:`_load_clusterings` runs
-    on the same bytes, in the order that gives each error its precedence, and raises the error it finds there.
+    ``held`` is what :func:`_read_inputs` read. Each file's bytes are parsed inside :func:`validate`: the
+    predicted ids fill the label table batch by batch, and truth's parse pops each id from it as it reads the
+    id, so no id column is built. When the formats differ or the join fails before its end,
+    :func:`_load_clusterings` runs on the same bytes, in the order that gives each error its precedence, and
+    raises the error it finds there.
     """
     if isinstance(held[1], bytes):  # else predicted's read failed, which _load_clusterings raises in its turn
+        truth_format = None
+
+        def truth(key):  # validate hands it the pop once the predicted ids fill the table
+            nonlocal truth_format
+            chunks, truth_format = parse_chunks(held[0], args.format, key)
+            if not _formats_agree(truth_format, pred_format):
+                raise ParseError("the two files read in different formats")  # the replay names both
+            return chunks
+
         try:
-            truth, truth_format = parse_chunks(held[0], args.format)
             predicted, pred_format = parse_chunks(held[1], args.format)
-            if _formats_agree(truth_format, pred_format):
-                pair = validate(truth, predicted, args.coverage)
-                return pair, _read_flags(args, pair, truth_format, pred_format)
+            pair = validate(truth, predicted, args.coverage)
+            return pair, _read_flags(args, pair, (truth_format, pred_format), held)
         except (EmptyClustering, ExtraInPredicted):
             # The join raises these only once both streams were consumed with no parse or id error, so the
             # whole-clustering load would raise the same.

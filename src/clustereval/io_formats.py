@@ -11,18 +11,21 @@ U+001C–U+001E, NEL, U+2028 or U+2029), blank and ``#`` comment lines ignored:
 Auto-detection picks ``pairs`` when the first data line contains a TAB,
 else ``clusters``. It runs inside the parse, on the lines the parse has
 already read, so each file is read once: :func:`parse_clustering_file`
-returns the format it read the file in.
+returns the format it read the file in. :func:`tab_after_first_data_line`
+tells when a file read as ``clusters`` has a TAB further on.
 
 The parser, :func:`parse_chunks`, gives a file's two columns (ids in
 cluster order, cluster sizes) as ``(ids, sizes)`` chunks in one pass over
-its lines: :func:`~clustereval.model.validate` joins two files' chunks into
-labels without keeping an id column, and a :class:`Clustering` is its
-chunks collected. Bytes are decoded and cut into lines in batches of about
-1 MiB, each running through an LF, so no list of all the lines is ever
-built; the lines, their numbers and every error message are those of the
-whole file's ``splitlines()``. An invalid byte anywhere in the file is
-reported before a malformed row, as it would be if the whole file were
-decoded first. It does not look for repeated ids:
+its lines, each id passed through a per-id function as it is read:
+:func:`~clustereval.model.validate` hands truth's parse the pop from its
+label table, so two files join into labels without keeping an id column,
+and a :class:`Clustering` is its chunks collected. Bytes are decoded and
+cut into lines in batches of about 1 MiB, each running through an LF, so
+no list of all the lines is ever built; the lines, their numbers and
+every error message are those of the whole file's ``splitlines()``. An
+invalid byte anywhere in the file is reported before a malformed row, as
+it would be if the whole file were decoded first. It does not look for
+repeated ids:
 :func:`~clustereval.model.validate` names one from the table it builds for
 the pair, and :func:`raise_repeat` rescans a file for that id's lines. A
 malformed row anywhere in either of two parsed files is therefore reported
@@ -112,21 +115,27 @@ def _batches_and_format(data: bytes, format: str) -> tuple[Iterator[list[str]], 
     return batches, format
 
 
-def parse_chunks(data: bytes, format: str = FORMAT_AUTO) -> tuple[Chunks, str | None]:
+def _identity(instance):
+    return instance
+
+
+def parse_chunks(data: bytes, format: str = FORMAT_AUTO, key=_identity) -> tuple[Chunks, str | None]:
     """The clustering in ``data`` as ``(ids, sizes)`` chunks, parsed as they are consumed, and its format.
 
     The format is ``format``, or the one detected from the first data line (None: no data lines); detection
-    decodes only the batches up to that line. Collected in order, the chunks' ids and sizes are the two
-    columns of :func:`parse_clustering`'s result. A cluster-lines file gives one chunk per batch of about
-    ``_BATCH`` bytes, so only that batch's ids are alive while it is consumed; a membership-pairs file is
-    grouped by label whole before its one chunk, whose ids are an iterator over the groups. A
-    :class:`ParseError` is raised when the chunk that would hold the malformed row or invalid byte is
-    consumed, or at once for an invalid byte in the batches detection reads.
+    decodes only the batches up to that line. Collected in order, the chunks' sizes are the size column of
+    :func:`parse_clustering`'s result, and their ids are ``key`` of each id in its id column, called once per
+    id in the order the file holds them; only ``key``'s results are kept. A cluster-lines file gives one chunk
+    per batch of about ``_BATCH`` bytes, so only that batch's ids are alive while it is consumed; a
+    membership-pairs file is grouped by label whole before its one chunk, and its rows' ids are alive one at
+    a time. A :class:`ParseError` is raised when the chunk that would hold the malformed row or invalid byte
+    is consumed, or at once for an invalid byte in the batches detection reads. A ``KeyError`` from ``key``
+    on a membership-pairs row is raised once the rest of the file is read, so a parse error there comes first.
     """
     batches, format = _batches_and_format(data, format)
     if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
-        return map(_cluster_lines, batches), format
-    return _membership_pairs(data, batches), format
+        return ((map(key, ids), sizes) for ids, sizes in map(_cluster_lines, batches)), format
+    return _membership_pairs(data, batches, key), format
 
 
 def _cluster_lines(lines: list[str]) -> tuple[list[str], list[int]]:
@@ -141,9 +150,11 @@ def _cluster_lines(lines: list[str]) -> tuple[list[str], list[int]]:
     return ids, sizes
 
 
-def _membership_pairs(data: bytes, batches: Iterator[list[str]]) -> Chunks:
-    """The one chunk of a membership-pairs file: its rows grouped by label, in the order labels first occur."""
-    groups: dict[str, list[str]] = {}
+def _membership_pairs(data: bytes, batches: Iterator[list[str]], key) -> Chunks:
+    """The one chunk of a membership-pairs file: ``key`` of its rows' ids grouped by label, in the order labels
+    first occur."""
+    groups: dict[str, list] = {}
+    failure = None  # the first KeyError of key, raised once no parse error is left to come first
     try:
         for number, line in enumerate(chain.from_iterable(batches), 1):
             if not (head := line.lstrip()) or head[0] == "#":  # _is_data_line, inlined: a call costs ~8% here
@@ -160,11 +171,26 @@ def _membership_pairs(data: bytes, batches: Iterator[list[str]]) -> Chunks:
                 raise ParseError("empty instance id", line=number, column=1)
             if not label:
                 raise ParseError("empty cluster label", line=number, column=len(fields[0]) + 2)
-            groups.setdefault(label, []).append(instance)
+            try:
+                groups.setdefault(label, []).append(key(instance))
+            except KeyError as exc:
+                failure, key = exc, _identity
     except ParseError:
         _text(data)  # an invalid byte in a batch not yet decoded is reported first
         raise
+    if failure is not None:
+        raise failure
     yield chain.from_iterable(groups.values()), list(map(len, groups.values()))
+
+
+def tab_after_first_data_line(data: bytes) -> bool:
+    """Whether a data line of ``data`` other than its first holds a TAB: a file that auto-detection reads as
+    cluster lines, but that may be membership pairs whose first id holds a line break."""
+    if b"\t" not in data:  # most files: one search of the bytes, nothing decoded
+        return False
+    data_lines = filter(_is_data_line, chain.from_iterable(_batches(data)))
+    next(data_lines, None)
+    return any("\t" in line for line in data_lines)
 
 
 def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO) -> Clustering:

@@ -9,9 +9,10 @@ the coverage mode. :func:`validate` builds it in one join, checking every
 id once in one table: predicted id to predicted cluster. Popping each truth
 id from it labels the truth instances, finds repeats and missing ids, and
 leaves the predicted-only extras. The join takes either side as a
-:class:`Clustering` or as the chunks a parser yields, so a file pair
-becomes labels without an id column. Each engine forms its own flags; the
-oracle reads the two clusterings instead.
+:class:`Clustering` or as the chunks a parser yields, and truth also as a
+parse that takes the pop and yields labels, so a file pair becomes labels
+without an id column. Each engine forms its own flags; the oracle reads
+the two clusterings instead.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, pairwise, repeat
 from numbers import Real
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .errors import (
     DuplicateInstance,
@@ -37,6 +38,8 @@ COVERAGE_MODES = ("strict", "lenient")
 _ANY_KEY = object()  # a key that is not a str, see validate
 # A clustering's two columns in pieces: collected in order, the pieces' ids and sizes are the columns.
 Chunks = Iterable[tuple[Iterable[Hashable], Iterable[int]]]
+# A parse that calls the function it is given once per id, in cluster order, and yields chunks of its results.
+KeyedChunks = Callable[[Callable[[Hashable], Hashable]], Chunks]
 
 FLAG_EXTRA_IN_PREDICTED = "extra_in_predicted: {} instance(s) appear only in the predicted clustering"
 FLAG_DEGENERATE_RECALL = "degenerate_pairwise_recall: no instance pairs in truth clusters; recall defined as 1.0"
@@ -193,13 +196,13 @@ class Clustering:
         return frozenset(frozenset(c) for c in self.clusters)
 
 
-def _id_error(truth: Clustering | Chunks, predicted: Clustering | Chunks) -> ValidationError:
+def _id_error(truth: Clustering | Chunks | KeyedChunks, predicted: Clustering | Chunks) -> ValidationError:
     """The error for a pair that the join cannot label, ranked in this one place.
 
     With two clusterings: an empty side (truth first), the first truth id
     an earlier one equals, the same in predicted, then the truth ids
     missing from predicted. Only this error path builds sets. Chunks are
-    spent by then, so a side given as chunks gets an error naming no id.
+    spent by then, so a side given otherwise gets an error naming no id.
     """
     if not (isinstance(truth, Clustering) and isinstance(predicted, Clustering)):
         return ValidationError("the instance ids of the two clusterings do not line up")
@@ -219,6 +222,13 @@ def _id_error(truth: Clustering | Chunks, predicted: Clustering | Chunks) -> Val
 def _chunks(side: Clustering | Chunks) -> Chunks:
     """A side of a pair as chunks: a clustering is one chunk of its two columns."""
     return ((side.ids, side.sizes),) if isinstance(side, Clustering) else side
+
+
+def _keyed(side: Clustering | Chunks | KeyedChunks, key) -> Chunks:
+    """The chunks of ``side`` with ``key`` of each id in place of the id: a parse applies it as it reads."""
+    if callable(side):
+        return side(key)
+    return ((map(key, ids), sizes) for ids, sizes in _chunks(side))
 
 
 def _check_sides(truth_sizes, predicted_sizes) -> None:
@@ -263,15 +273,21 @@ class EvalPair:
         return len(self.assignments)
 
 
-def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: str = "strict") -> EvalPair:
+def validate(
+    truth: Clustering | Chunks | KeyedChunks, predicted: Clustering | Chunks, mode: str = "strict"
+) -> EvalPair:
     """The :class:`EvalPair` of the two clusterings under coverage ``mode``, in one join.
 
     Each side is a :class:`Clustering`, or ``(ids, sizes)`` chunks whose
     ids and sizes, collected in order, are its two columns, as
-    :func:`~clustereval.io_formats.parse_chunks` gives them. The predicted
-    chunks fill one table, predicted id to predicted cluster index, and are
-    then dropped; each truth chunk's ids are popped from it, so a truth id
-    lives only as long as its chunk. A repeated predicted id makes the table
+    :func:`~clustereval.io_formats.parse_chunks` gives them. Truth may also
+    be a callable that takes a function of one id and returns the chunks
+    with that function's result in place of each id, as ``parse_chunks``
+    does given ``key``. The predicted chunks fill one table, predicted id
+    to predicted cluster index, and are then dropped; each truth id is
+    popped from it, so a truth id lives only as long as its chunk, and
+    only as long as its row when a callable truth side pops it as it is
+    read. A repeated predicted id makes the table
     shorter than the predicted instance count, and a truth id missing from
     predicted or repeated in truth finds no entry. What is left are the
     predicted-only extras. A repeat on either side is a
@@ -283,9 +299,9 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
 
     A pair the join cannot label gets the one error :func:`_id_error`
     ranks, and a pair it labels is checked for an empty side, then for
-    strict-mode extras. With chunks on either side, ids that do not line up
-    raise a :class:`ValidationError` that names none, and a caller that
-    still holds the input parses it to find the culprit.
+    strict-mode extras. With a side not given as a clustering, ids that do
+    not line up raise a :class:`ValidationError` that names none, and a
+    caller that still holds the input parses it to find the culprit.
     """
     if mode not in COVERAGE_MODES:
         raise ValueError(f"unknown coverage mode {mode!r}")
@@ -304,8 +320,8 @@ def validate(truth: Clustering | Chunks, predicted: Clustering | Chunks, mode: s
     try:
         if len(label_of) < n_predicted:  # a predicted id repeats
             raise KeyError
-        for ids, sizes in _chunks(truth):
-            assignments += map(label_of.pop, ids)
+        for labels, sizes in _keyed(truth, label_of.pop):
+            assignments += labels
             truth_sizes += sizes
     except KeyError:  # a predicted id repeats, or a truth id is missing from predicted or repeats in truth
         raise _id_error(truth, predicted) from None
