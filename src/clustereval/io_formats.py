@@ -16,7 +16,7 @@ tells when a file read as ``clusters`` has a TAB further on.
 
 The parser, :func:`parse_chunks`, gives a file's two columns (ids in
 cluster order, cluster sizes) as ``(ids, sizes)`` chunks in one pass over
-its lines, each id passed through a per-id function as it is read:
+its lines, each id passed, when asked, through a function as it is read:
 :func:`~clustereval.model.validate` hands truth's parse the pop from its
 label table, so two files join into labels without keeping an id column,
 and a :class:`Clustering` is its chunks collected. Bytes are decoded and
@@ -115,26 +115,24 @@ def _batches_and_format(data: bytes, format: str) -> tuple[Iterator[list[str]], 
     return batches, format
 
 
-def _identity(instance):
-    return instance
-
-
-def parse_chunks(data: bytes, format: str = FORMAT_AUTO, key=_identity) -> tuple[Chunks, str | None]:
+def parse_chunks(data: bytes, format: str = FORMAT_AUTO, key=None) -> tuple[Chunks, str | None]:
     """The clustering in ``data`` as ``(ids, sizes)`` chunks, parsed as they are consumed, and its format.
 
     The format is ``format``, or the one detected from the first data line (None: no data lines); detection
-    decodes only the batches up to that line. Collected in order, the chunks' sizes are the size column of
-    :func:`parse_clustering`'s result, and their ids are ``key`` of each id in its id column, called once per
-    id in the order the file holds them; only ``key``'s results are kept. A cluster-lines file gives one chunk
-    per batch of about ``_BATCH`` bytes, so only that batch's ids are alive while it is consumed; a
-    membership-pairs file is grouped by label whole before its one chunk, and its rows' ids are alive one at
-    a time. A :class:`ParseError` is raised when the chunk that would hold the malformed row or invalid byte
-    is consumed, or at once for an invalid byte in the batches detection reads. A ``KeyError`` from ``key``
-    on a membership-pairs row is raised once the rest of the file is read, so a parse error there comes first.
+    decodes only the batches up to that line. Collected in order, the chunks' ids and sizes are the two
+    columns of :func:`parse_clustering`'s result; given ``key``, each id is replaced by ``key(id)``, called
+    once per id as the file is read, and only that result is kept. A cluster-lines file gives one chunk per
+    batch of about ``_BATCH`` bytes, so only that batch's ids are alive while it is consumed. A
+    membership-pairs file is grouped by label whole before its one chunk; given ``key``, each row's id is
+    alive only while its row is read. A :class:`ParseError` is raised when the chunk that would hold the
+    malformed row or invalid byte is consumed, or at once for an invalid byte in the batches detection
+    reads. A ``KeyError`` from ``key`` on a membership-pairs row is raised once the rest of the file is read,
+    so a parse error there comes first.
     """
     batches, format = _batches_and_format(data, format)
     if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
-        return ((map(key, ids), sizes) for ids, sizes in map(_cluster_lines, batches)), format
+        chunks = map(_cluster_lines, batches)
+        return (chunks if key is None else ((map(key, ids), sizes) for ids, sizes in chunks)), format
     return _membership_pairs(data, batches, key), format
 
 
@@ -151,8 +149,8 @@ def _cluster_lines(lines: list[str]) -> tuple[list[str], list[int]]:
 
 
 def _membership_pairs(data: bytes, batches: Iterator[list[str]], key) -> Chunks:
-    """The one chunk of a membership-pairs file: ``key`` of its rows' ids grouped by label, in the order labels
-    first occur."""
+    """The one chunk of a membership-pairs file: its rows' ids, or ``key`` of each, grouped by label, in the
+    order labels first occur."""
     groups: dict[str, list] = {}
     failure = None  # the first KeyError of key, raised once no parse error is left to come first
     try:
@@ -172,9 +170,9 @@ def _membership_pairs(data: bytes, batches: Iterator[list[str]], key) -> Chunks:
             if not label:
                 raise ParseError("empty cluster label", line=number, column=len(fields[0]) + 2)
             try:
-                groups.setdefault(label, []).append(key(instance))
+                groups.setdefault(label, []).append(instance if key is None else key(instance))
             except KeyError as exc:
-                failure, key = exc, _identity
+                failure, key = exc, None
     except ParseError:
         _text(data)  # an invalid byte in a batch not yet decoded is reported first
         raise
