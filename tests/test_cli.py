@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -23,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustereval import cli, io_formats, oracle, single_pass
-from clustereval.cli import FLAG_AUTO_PAIRS_SINGLETONS, main
-from clustereval.errors import ClusterEvalError
+from clustereval.cli import FLAG_AUTO_CLUSTERS_WITH_TABS, FLAG_AUTO_PAIRS_SINGLETONS, main
+from clustereval.errors import ClusterEvalError, EmptyClustering
 from clustereval.io_formats import MEASURE_ORDER
+from clustereval.synth import SynthConfig, generate
 
 from helpers import GOLDEN_PRED_TEXT, GOLDEN_TRUTH_TEXT, file_pairs
 
@@ -381,6 +383,29 @@ class TestEvaluate:
         status, table, _ = run_cli(capsys, *base, "--output", "table")
         assert status == 0 and f"flag: {FLAG_AUTO_PAIRS_SINGLETONS}\n" in table
 
+    @pytest.mark.parametrize(
+        "truth_text, pred_text, flagged",
+        [
+            ("a\x85b\tX\nc\tY\n", "a\x85b\tX\nc\tY\n", True),  # membership pairs whose first id holds a NEL
+            ("a\nb c\td\n", "a b\nc d\n", True),  # a TAB after the first data line of one file
+            ("a\n# b\tc\nb c\n", "a\nb c\n", False),  # a comment line's TAB does not count
+            ("a b\nc\n", "a\nb c\n", False),
+        ],
+    )
+    def test_cluster_lines_with_a_later_tab_are_flagged(self, capsys, tmp_path, truth_text, pred_text, flagged):
+        truth = tmp_path / "t.txt"
+        pred = tmp_path / "p.txt"
+        truth.write_bytes(truth_text.encode())
+        pred.write_bytes(pred_text.encode())
+        base = ("--truth", str(truth), "--pred", str(pred))
+        for file_format in ("auto", "clusters"):
+            status, out, _ = run_cli(capsys, "evaluate", *base, "--format", file_format)
+            assert status == 0
+            assert (FLAG_AUTO_CLUSTERS_WITH_TABS in json.loads(out)["flags"]) == (flagged and file_format == "auto")
+        status, out, _ = run_cli(capsys, "check", *base)
+        assert status == 0 and (f"flag: {FLAG_AUTO_CLUSTERS_WITH_TABS}\n" in out) == flagged
+        assert "--format pairs" in FLAG_AUTO_CLUSTERS_WITH_TABS
+
     def test_duplicate_exits_3_naming_both_lines(self, capsys, tmp_path):
         truth = tmp_path / "t.txt"
         truth.write_text("1\tA\n2\tA\n3\tB\n")  # in the predicted file's format
@@ -529,6 +554,9 @@ class TestEvaluate:
         assert docs[0] == docs[1]
 
 
+# Membership-pairs rows enough to fill the first 1 MiB batch, so that what follows them is decoded later.
+FILLER_ROWS = b"".join(b"f%06d\tF\n" % i for i in range(120_000))
+
 # (truth bytes, predicted bytes, exit status, stderr) as the whole-column load gives them; None is a missing path.
 PRECEDENCE_CASES = {
     "both_files_malformed": (
@@ -564,6 +592,19 @@ PRECEDENCE_CASES = {
     "a_missing_truth_id_and_a_predicted_repeat": (
         b"1 2\n", b"1 3\n3\n", 3, "error: {pred}: instance '3' appears in more than one cluster{lines}\n",
     ),
+    # A membership-pairs truth id is popped from the table as its row is read, so these pops fail first.
+    "a_missing_truth_id_then_a_three_field_row": (
+        b"z\tX\nb\tY\tZ\n", b"a\tX\nb\tY\n", 2,
+        "error: {truth}: expected 'instance<TAB>label', found 3 tab-separated fields (line 2)\n",
+    ),
+    "a_truth_repeat_then_an_invalid_byte": (
+        b"a\tX\na\tY\n" + FILLER_ROWS + b"b\t\xff\n", b"a\tX\nb\tX\n", 2,
+        "error: {truth}: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position "
+        f"{8 + len(FILLER_ROWS) + 2}: invalid start byte\n",
+    ),
+    "a_missing_truth_id_then_an_empty_label": (
+        b"z\tX\nb\t \n", b"a\tX\nb\tX\n", 2, "error: {truth}: empty cluster label (line 2, column 3)\n",
+    ),
 }
 
 
@@ -593,9 +634,13 @@ class TestStreamedLoad:
             writers[-1][1].start()
         result = run_cli(capsys, "evaluate", "--truth", str(paths["truth"]), "--pred", str(paths["pred"]))
         for path, writer in writers:
-            with contextlib.suppress(OSError):  # let a writer that nothing read open its pipe and fail
-                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
-            writer.join(timeout=10)
+            deadline = time.monotonic() + 10
+            while writer.is_alive() and time.monotonic() < deadline:
+                # Let a writer that nothing read open its pipe and fail. A writer that had not reached its open
+                # (the load can end before the thread runs) waits for the next reader, so open one until it ends.
+                with contextlib.suppress(OSError):
+                    os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+                writer.join(timeout=0.05)
             assert not writer.is_alive()
         assert result == (status, "", message.format(**paths, lines=" (lines 1 and 2)"))
 
@@ -661,6 +706,38 @@ class TestStreamedLoad:
             tracemalloc.stop()
         assert pair.n_instances == 100_000
         assert peak < 18.5 * 2**20, f"the load peaked at {peak} traced bytes"
+
+    def test_a_pairs_truth_file_adds_nothing_per_id_to_the_table_peak(self, monkeypatch, tmp_path):
+        # A 100k-instance synth pair written as membership pairs, in batches of 64 KiB, as a large file would be
+        # read. Building the predicted table alone peaks at 14.0 MB traced (CPython 3.11), and so does the whole
+        # join, as truth's ids are popped row by row; grouping truth's ids before popping them peaked 3.3 MB
+        # (34 bytes per id) higher. The slack is one pointer per id.
+        monkeypatch.setattr(io_formats, "_BATCH", 1 << 16)
+        config = SynthConfig(
+            n_instances=100_000, n_truth_clusters=3000, size_skew=1.0, split_rate=0.2, merge_rate=0.2, seed=1
+        )
+        paths = []
+        for name, side in zip("tp", generate(config)):
+            paths.append(path := tmp_path / f"{name}.tsv")
+            path.write_text(io_formats.write_clustering(side, io_formats.FORMAT_MEMBERSHIP_PAIRS))
+        args = argparse.Namespace(truth=str(paths[0]), pred=str(paths[1]), format="auto", coverage="strict")
+        held = cli._read_inputs(args)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def table_alone():
+            with pytest.raises(EmptyClustering):  # an empty truth file ends the join once the table is built
+                cli._load_pair(args, (b"", held[1]))
+
+        table = peak(table_alone)
+        join = peak(lambda: cli._load_pair(args, held))
+        assert join <= table + 8 * config.n_instances, f"the join peaked at {join} traced bytes, the table at {table}"
 
     def test_the_report_gives_the_peak_rss(self, capsys, golden_files):
         truth, pred = golden_files

@@ -322,8 +322,9 @@ class TestStreamedJoin:
         auto=st.booleans(),
         mode=st.sampled_from(COVERAGE_MODES),
         batch=st.sampled_from([1, 2, 8, 32, 1 << 20]),
+        keyed=st.booleans(),
     )
-    def test_the_streamed_pair_is_the_pair_of_the_parsed_columns(self, files, auto, mode, batch):
+    def test_the_streamed_pair_is_the_pair_of_the_parsed_columns(self, files, auto, mode, batch, keyed):
         truth, predicted, format = files
         format = FORMAT_AUTO if auto else format
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -339,6 +340,8 @@ class TestStreamedJoin:
                 assert (truth_format, predicted_format) == (
                     io_formats._parse(truth, format)[1], io_formats._parse(predicted, format)[1]
                 )
+                if keyed:  # truth's parse pops each id as it reads it
+                    return validate(lambda key: parse_chunks(truth, format, key)[0], predicted_chunks, mode)
                 return validate(truth_chunks, predicted_chunks, mode)
 
             try:

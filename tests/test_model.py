@@ -11,12 +11,13 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from clustereval import single_pass
+from clustereval import io_formats, single_pass
 from clustereval.errors import (
     DuplicateInstance,
     EmptyClustering,
     ExtraInPredicted,
     MissingFromPredicted,
+    ParseError,
     ValidationError,
 )
 from clustereval.model import (
@@ -172,6 +173,23 @@ class TestValidate:
         with pytest.raises(EmptyClustering, match=f"^{side} clustering has no clusters$") as err:
             validate(Clustering.from_clusters(truth), predicted)
         assert err.value.__cause__ is None and (err.value.__suppress_context__ or err.value.__context__ is None)
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["popped_as_read", "chunks"])
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            (b"z\tX\nb\tY\tZ\n", r"found 3 tab-separated fields \(line 2\)"),  # a missing id, then 3 fields
+            (b"a\tX\na\tY\nb\t\xff\n", "input is not valid UTF-8"),  # a repeat, then a byte in the next batch
+            (b"z\tX\nb\t \n", r"empty cluster label \(line 2, column 3\)"),  # a missing id, then no label
+        ],
+    )
+    def test_a_truth_parse_error_comes_before_an_id_error(self, monkeypatch, truth, message, keyed):
+        monkeypatch.setattr(io_formats, "_BATCH", 4)  # a batch runs through the first LF at or past its 4th byte
+        parse = io_formats.parse_chunks
+        # keyed: truth's parse pops each row's id as it reads it, so the pop fails before the fault is read
+        side = (lambda key: parse(truth, key=key)[0]) if keyed else parse(truth)[0]
+        with pytest.raises(ParseError, match=message):
+            validate(side, parse(b"a\tX\nb\tX\n")[0])
 
     def test_unknown_mode_rejected(self):
         one = Clustering.from_clusters([("1",)])
