@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import os
 import random
 import statistics
@@ -78,10 +79,21 @@ def _read_flags(args, pair: EvalPair, formats: tuple[str | None, str | None], he
     return ()
 
 
-def _read_inputs(args) -> tuple[bytes, bytes | ParseError]:
-    """Truth's bytes, then predicted's bytes or the ParseError its read became: the one place an input is opened.
+def _parse_file(path, data: bytes, format: str) -> tuple[Clustering, str | None]:
+    """The clustering in one input file's ``data`` and the format it was read in; a parse error names ``path``."""
+    try:
+        return _parse(data, format)
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
+        raise
 
-    Each file is read once, whole, truth first; a truth read error is raised at once, predicted's in its turn.
+
+def _read_inputs(args) -> tuple[bytes, bytes]:
+    """Truth's bytes and predicted's: the one place an input is opened.
+
+    Each file is read once, whole, truth first, and a failed read is a ParseError. When predicted's read
+    fails, truth's bytes are parsed first, so a malformed truth file is reported before it, as when both
+    files are read.
     """
     held = []
     for path in (args.truth, args.pred):
@@ -89,84 +101,78 @@ def _read_inputs(args) -> tuple[bytes, bytes | ParseError]:
             with open(path, "rb") as handle:
                 held.append(handle.read())
         except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
-            if not held:
-                raise ParseError(str(exc)) from None
-            held.append(ParseError(str(exc)))
+            if held:
+                _parse_file(args.truth, held[0], args.format)
+            raise ParseError(str(exc)) from None
     return tuple(held)
 
 
 def _load_clusterings(args, held) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
     """Both input files as clusterings, their validated pair, and the flags on how they were read.
 
-    ``held`` is what :func:`_read_inputs` read. Each side is parsed whole from its bytes, in the given format
-    or the one detected from its own first data line, and a repeat's lines are found in the same bytes.
+    ``held`` is the two files' bytes, as :func:`_read_inputs` read them. Each side is parsed whole, truth
+    first, in the given format or the one detected from its own first data line. A repeat's lines are found
+    in the bytes of the file that :func:`validate` names.
     """
-    parsed = []
-    for path, data in zip((args.truth, args.pred), held):
-        if isinstance(data, ParseError):  # predicted's read error, which comes after truth's parse error
-            raise data
-        try:
-            parsed.append(_parse(data, args.format))
-        except ParseError as exc:
-            exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
-            raise
-    (truth, truth_format), (predicted, pred_format) = parsed
-    if not _formats_agree(truth_format, pred_format):
-        raise ParseError(f"{args.truth} reads as {truth_format} but {args.pred} as {pred_format}; use --format")
+    paths = (args.truth, args.pred)
+    (truth, predicted), formats = zip(*(_parse_file(path, data, args.format) for path, data in zip(paths, held)))
+    if not _formats_agree(*formats):
+        raise ParseError(f"{args.truth} reads as {formats[0]} but {args.pred} as {formats[1]}; use --format")
     try:
         pair = validate(truth, predicted, args.coverage)
     except DuplicateInstance as exc:
-        # validate names the repeat, the first in cluster order, truth first; its file's bytes give its lines.
-        side = 0 if truth.ids.count(exc.instance) > 1 else 1
+        # validate names the repeat, the first in cluster order, truth first, and its side; that file's bytes
+        # give its lines.
+        side = ("truth", "predicted").index(exc.side)
         try:
-            raise_repeat(held[side], (truth_format, pred_format)[side], exc.instance)
+            raise_repeat(held[side], formats[side], exc.instance)
         except DuplicateInstance as with_lines:
             exc = with_lines
-        exc.args = (f"{(args.truth, args.pred)[side]}: {exc}",)
+        exc.args = (f"{paths[side]}: {exc}",)
         raise exc
-    return truth, predicted, pair, _read_flags(args, pair, (truth_format, pred_format), held)
+    return truth, predicted, pair, _read_flags(args, pair, formats, held)
 
 
 def _load_pair(args, held) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files as labels, and the flags on how they were read, in one streamed join.
 
-    ``held`` is what :func:`_read_inputs` read. Each file's bytes are parsed inside :func:`validate`: the
-    predicted ids fill the label table batch by batch, and truth's parse pops each id from it as it reads the
-    id, so no id column is built. When the formats differ or the join fails before its end,
-    :func:`_load_clusterings` runs on the same bytes, in the order that gives each error its precedence, and
-    raises the error it finds there.
+    ``held`` is the two files' bytes, as :func:`_read_inputs` read them. Each file's bytes are parsed inside
+    :func:`validate`: the predicted ids fill the label table batch by batch, and truth's parse pops each id
+    from it as it reads the id, so no id column is built. When the formats differ or the join fails before
+    its end, :func:`_load_clusterings` runs on the same bytes, in the order that gives each error its
+    precedence, and raises the error it finds there.
     """
-    if isinstance(held[1], bytes):  # else predicted's read failed, which _load_clusterings raises in its turn
-        truth_format = None
+    truth_format = None
 
-        def truth(key):  # validate hands it the pop once the predicted ids fill the table
-            nonlocal truth_format
-            chunks, truth_format = parse_chunks(held[0], args.format, key)
-            if not _formats_agree(truth_format, pred_format):
-                raise ParseError("the two files read in different formats")  # the replay names both
-            return chunks
+    def truth(key):  # validate hands it the pop once the predicted ids fill the table
+        nonlocal truth_format
+        chunks, truth_format = parse_chunks(held[0], args.format, key)
+        if not _formats_agree(truth_format, pred_format):
+            raise ParseError("the two files read in different formats")  # the replay names both
+        return chunks
 
-        try:
-            predicted, pred_format = parse_chunks(held[1], args.format)
-            pair = validate(truth, predicted, args.coverage)
-            return pair, _read_flags(args, pair, (truth_format, pred_format), held)
-        except (EmptyClustering, ExtraInPredicted):
-            # The join raises these only once both streams were consumed with no parse or id error, so the
-            # whole-clustering load would raise the same.
-            raise
-        except (ParseError, ValidationError):
-            pass
+    try:
+        predicted, pred_format = parse_chunks(held[1], args.format)
+        pair = validate(truth, predicted, args.coverage)
+        return pair, _read_flags(args, pair, (truth_format, pred_format), held)
+    except (EmptyClustering, ExtraInPredicted):
+        # The join raises these only once both streams were consumed with no parse or id error, so the
+        # whole-clustering load would raise the same.
+        raise
+    except (ParseError, ValidationError):
+        pass
     return _load_clusterings(args, held)[2:]
 
 
-def _peak_rss_bytes() -> int | None:
-    """The process's peak resident set size so far, or None where ``resource`` is missing (Windows)."""
+def _timing(seconds: float) -> dict:
+    """A report's ``timing``: the engine's ``seconds`` and the process's ``peak_rss_bytes`` so far, which is
+    left out where ``resource`` is missing (Windows)."""
     try:
         import resource
     except ImportError:
-        return None
+        return {"seconds": seconds}
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak if sys.platform == "darwin" else peak * 1024  # bytes on macOS, KiB on Linux
+    return {"seconds": seconds, "peak_rss_bytes": peak if sys.platform == "darwin" else peak * 1024}  # KiB on Linux
 
 
 def cmd_evaluate(args) -> int:
@@ -182,7 +188,7 @@ def cmd_evaluate(args) -> int:
     elapsed = time.perf_counter() - start
     report = dataclasses.replace(report, flags=report.flags + read_flags)
     measures = MEASURE_ORDER if args.measure == "all" else (args.measure,)
-    doc = build_report_document(report, args.engine, elapsed, measures, _peak_rss_bytes())
+    doc = build_report_document(report, args.engine, _timing(elapsed), measures)
     sys.stdout.write(write_report(doc, args.output))
     return EXIT_OK
 
@@ -354,6 +360,14 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+class _ClosedStdout(io.TextIOBase):
+    """Stdout for a process started with it closed, where Python leaves ``sys.stdout`` None: each write raises
+    an OSError, as a failed write does, so main exits 4; a command that writes nothing there is unaffected."""
+
+    def write(self, text):
+        raise OSError("stdout is closed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="clustereval",
@@ -405,6 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # the process started with its stdout closed
+        sys.stdout = _ClosedStdout()
     try:
         try:
             args = build_parser().parse_args(argv)

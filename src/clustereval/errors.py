@@ -24,12 +24,17 @@ class ValidationError(ClusterEvalError):
 
 
 class DuplicateInstance(ValidationError):
-    """An instance id appears in more than one cluster of a single clustering."""
+    """An instance id appears in more than one cluster of a single clustering.
 
-    def __init__(self, instance, first_line: int | None = None, second_line: int | None = None):
+    ``side`` is ``"truth"`` or ``"predicted"``: the clustering that :func:`~clustereval.model.validate` found
+    the repeat in, or None where the error does not say.
+    """
+
+    def __init__(self, instance, first_line: int | None = None, second_line: int | None = None, side=None):
         self.instance = instance
         self.first_line = first_line
         self.second_line = second_line
+        self.side = side
         msg = f"instance {instance!r} appears in more than one cluster"
         if first_line is not None and second_line is not None:
             msg += f" (lines {first_line} and {second_line})"

@@ -10,8 +10,11 @@ U+001C–U+001E, NEL, U+2028 or U+2029), blank and ``#`` comment lines ignored:
 
 Auto-detection picks ``pairs`` when the first data line contains a TAB,
 else ``clusters``. It runs inside the parse, on the lines the parse has
-already read, so each file is read once: :func:`parse_clustering_file`
-returns the format it read the file in. :func:`tab_after_first_data_line`
+already read, so a file's bytes are read once: :func:`parse_chunks`
+returns the format it read them in. The CLI reads each file's bytes
+itself and parses them; no command calls :func:`parse_clustering_file`,
+which reads a path and parses it, and it is kept only because
+``perfbench/traced.py`` wraps it by name. :func:`tab_after_first_data_line`
 tells when a file read as ``clusters`` has a TAB further on.
 
 The parser, :func:`parse_chunks`, gives a file's two columns (ids in
@@ -257,17 +260,14 @@ def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES)
 
 
 def build_report_document(
-    report: FullReport,
-    engine: str = "single_pass",
-    timing_seconds: float | None = None,
-    measures: tuple[str, ...] = MEASURE_ORDER,
-    peak_rss_bytes: int | None = None,
+    report: FullReport, engine: str = "single_pass", timing=None, measures: tuple[str, ...] = MEASURE_ORDER
 ) -> dict:
     """The report's dataclasses as one document, keeping only ``measures``.
 
     Field names and order come from the dataclasses; ``stats`` and ``flags``
-    always describe the whole report. ``timing`` holds ``seconds`` and, when
-    given, ``peak_rss_bytes``; it is left out without ``timing_seconds``.
+    always describe the whole report. ``timing``, a mapping such as
+    ``{"seconds": 0.1, "peak_rss_bytes": 2**25}``, is copied in last, in its
+    own order; the document has no ``timing`` without it.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -277,10 +277,8 @@ def build_report_document(
         "stats": asdict(report.stats),
         "flags": list(report.flags),
     }
-    if timing_seconds is not None:
-        doc["timing"] = {"seconds": float(timing_seconds)}
-        if peak_rss_bytes is not None:
-            doc["timing"]["peak_rss_bytes"] = int(peak_rss_bytes)
+    if timing is not None:
+        doc["timing"] = dict(timing)
     return doc
 
 

@@ -32,16 +32,18 @@ def reference_id_error(truth: Clustering, predicted: Clustering, mode: str):
     """What ``validate`` rejects in the ids of a pair, by plain sets: ``(error type, payload)`` or None.
 
     In order: a side with no clusters (truth first, the payload names it),
-    the first truth id that an earlier one equals, the same in predicted,
-    truth ids missing from predicted, then predicted-only extras in strict
-    mode.
+    the first truth id that an earlier one equals, the same in predicted
+    (the payload is the side and the id), truth ids missing from predicted,
+    then predicted-only extras in strict mode.
     """
-    for side, clustering in (("truth", truth), ("predicted", predicted)):
+    sides = (("truth", truth), ("predicted", predicted))
+    for side, clustering in sides:
         if not clustering.sizes:
             return EmptyClustering, side
-    for ids in (truth.ids, predicted.ids):
+    for side, clustering in sides:
+        ids = clustering.ids
         if repeats := [x for i, x in enumerate(ids) if x in ids[:i]]:
-            return DuplicateInstance, repeats[0]
+            return DuplicateInstance, (side, repeats[0])
     truth_ids, predicted_ids = set(truth.ids), set(predicted.ids)
     if missing := truth_ids - predicted_ids:
         return MissingFromPredicted, sorted(missing, key=str)

@@ -609,12 +609,13 @@ PRECEDENCE_CASES = {
 
 
 class TestStreamedLoad:
-    """``evaluate`` joins the two files' batches into labels, and on any failure gives the error, exit status and
-    message that parsing both files whole and then validating them gives."""
+    """On any failure every file command gives the error, exit status and message that parsing both files whole
+    and then validating them gives, ``evaluate`` too, which joins the two files' batches into labels."""
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
     @pytest.mark.parametrize("case", list(PRECEDENCE_CASES))
-    def test_errors_keep_their_precedence(self, capsys, tmp_path, case, source):
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
+    def test_errors_keep_their_precedence(self, capsys, tmp_path, command, case, source):
         truth_data, pred_data, status, message = PRECEDENCE_CASES[case]
         paths, writers = {}, []
         for side, data in (("truth", truth_data), ("pred", pred_data)):
@@ -632,7 +633,7 @@ class TestStreamedLoad:
 
             writers.append((path, threading.Thread(target=feed, daemon=True)))
             writers[-1][1].start()
-        result = run_cli(capsys, "evaluate", "--truth", str(paths["truth"]), "--pred", str(paths["pred"]))
+        result = run_cli(capsys, *command, "--truth", str(paths["truth"]), "--pred", str(paths["pred"]))
         for path, writer in writers:
             deadline = time.monotonic() + 10
             while writer.is_alive() and time.monotonic() < deadline:
@@ -1098,12 +1099,15 @@ class TestFailedWrite:
 
     @staticmethod
     def run(unbuffered, argv, stdout):
+        """The finished ``clustereval`` process of ``argv``; with ``stdout`` None, it starts with fd 1 closed."""
         repo = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         cmd = [sys.executable, "-m", "clustereval", *argv]
+        if stdout is None:  # the shell closes fd 1, then runs the command in its place
+            cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
         return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
     @staticmethod
@@ -1124,6 +1128,21 @@ class TestFailedWrite:
         with open("/dev/full", "w") as full:
             result = self.run(unbuffered, argv, full)
         self.assert_one_error_line(result, 4)
+
+    @pytest.mark.parametrize("command", [*FILE_COMMANDS, "--version"])
+    def test_a_closed_stdout_exits_4(self, golden_files, unbuffered, command):
+        truth, pred = golden_files
+        argv = [*FILE_COMMANDS[command], "--truth", truth, "--pred", pred] if command in FILE_COMMANDS else [command]
+        result = self.run(unbuffered, argv, None)
+        self.assert_one_error_line(result, 4)
+
+    def test_gen_with_a_closed_stdout_exits_0(self, tmp_path, unbuffered):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        result = self.run(
+            unbuffered, ["gen", "--n", "8", "--clusters", "3", "--out-truth", str(truth), "--out-pred", str(pred)], None
+        )
+        assert (result.returncode, result.stderr) == (0, "gen: wrote 8 instances, 3 truth / 3 predicted clusters\n")
+        assert len(truth.read_text().split()) == len(pred.read_text().split()) == 8
 
     def test_stdout_into_a_pipe_without_reader_exits_4(self, unbuffered):
         read_end, write_end = os.pipe()

@@ -494,7 +494,8 @@ class TestDuplicateError:
 class TestReportDocument:
     def test_round_trip_is_byte_identical(self):
         report = single_pass.evaluate_all(golden_pair())
-        rendered = write_report(build_report_document(report, timing_seconds=0.00123), style="machine")
+        doc = build_report_document(report, timing={"seconds": 0.00123, "peak_rss_bytes": 2**25})
+        rendered = write_report(doc, style="machine")
         reparsed = json.loads(rendered)
         assert write_report(reparsed) == rendered
         assert rendered.encode("utf-8") == write_report(reparsed).encode("utf-8")

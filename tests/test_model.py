@@ -200,10 +200,10 @@ class TestValidate:
         # the same table guards both clusterings
         repeated = Clustering.from_clusters([("1", "2"), ("2",)])
         other = Clustering.from_clusters([("1", "2")])
-        for pair in ((repeated, other), (other, repeated)):
+        for pair, side in (((repeated, other), "truth"), ((other, repeated), "predicted")):
             with pytest.raises(DuplicateInstance) as err:
                 validate(*pair)
-            assert err.value.instance == "2"
+            assert (err.value.side, err.value.instance) == (side, "2")
 
 
 class TestIdErrors:
@@ -211,7 +211,7 @@ class TestIdErrors:
 
     PAYLOAD = {
         EmptyClustering: lambda exc: str(exc).split()[0],  # the side it names
-        DuplicateInstance: operator.attrgetter("instance"),
+        DuplicateInstance: operator.attrgetter("side", "instance"),
         MissingFromPredicted: operator.attrgetter("missing"),
         ExtraInPredicted: operator.attrgetter("extra"),
     }
@@ -252,10 +252,10 @@ class TestIdErrors:
         # both sides hold three ids, so counts alone cannot see the repeat
         truth = Clustering.from_clusters([("1", "2"), ("2",)])
         predicted = Clustering.from_clusters([("1", "2", "x")])
-        assert reference_id_error(truth, predicted, mode) == (DuplicateInstance, "2")
+        assert reference_id_error(truth, predicted, mode) == (DuplicateInstance, ("truth", "2"))
         with pytest.raises(DuplicateInstance) as err:
             validate(truth, predicted, mode)
-        assert err.value.instance == "2"
+        assert (err.value.side, err.value.instance) == ("truth", "2")
 
 
 class TestEvalPairLabelsItself:
