@@ -14,10 +14,12 @@ files), 5 engine divergence (check), 6 pair budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import os
 import random
+import stat
 import statistics
 import sys
 import time
@@ -66,7 +68,8 @@ def _formats_agree(truth_format: str | None, pred_format: str | None) -> bool:
 
 
 def _read_flags(args, pair: EvalPair, formats: tuple[str | None, str | None], held) -> tuple[str, ...]:
-    """The flags on how the input files were read: ``formats`` they were read in, ``held`` their bytes."""
+    """The flags on how the input files were read: ``formats`` they were read in, ``held`` as
+    :func:`_read_inputs` gives them."""
     if args.format != FORMAT_AUTO:
         return ()
     # Tab-separated cluster lines are detected as membership pairs too, and then every cluster is one id.
@@ -74,60 +77,74 @@ def _read_flags(args, pair: EvalPair, formats: tuple[str | None, str | None], he
     if FORMAT_MEMBERSHIP_PAIRS in formats and singletons:
         return (FLAG_AUTO_PAIRS_SINGLETONS,)
     # Membership pairs whose first id holds a line break are detected as cluster lines, with TABs further on.
-    if any(f == FORMAT_CLUSTER_LINES and tab_after_first_data_line(data) for f, data in zip(formats, held)):
+    paths = (args.truth, args.pred)
+    if any(
+        f == FORMAT_CLUSTER_LINES and _named(path, tab_after_first_data_line, source)
+        for path, f, source in zip(paths, formats, held)
+    ):
         return (FLAG_AUTO_CLUSTERS_WITH_TABS,)
     return ()
 
 
-def _parse_file(path, data: bytes, format: str) -> tuple[Clustering, str | None]:
-    """The clustering in one input file's ``data`` and the format it was read in; a parse error names ``path``."""
+def _named(path, read, *args):
+    """``read(*args)``, where a ParseError names ``path`` first; its type and its line and column stay."""
     try:
-        return _parse(data, format)
+        return read(*args)
     except ParseError as exc:
-        exc.args = (f"{path}: {exc}",)  # the type and the line and column stay
+        exc.args = (f"{path}: {exc}",)
         raise
 
 
-def _read_inputs(args) -> tuple[bytes, bytes]:
-    """Truth's bytes and predicted's: the one place an input is opened.
+@contextlib.contextmanager
+def _read_inputs(args):
+    """Truth and predicted as the parse reads them: the one place an input is opened.
 
-    Each file is read once, whole, truth first, and a failed read is a ParseError. When predicted's read
-    fails, truth's bytes are parsed first, so a malformed truth file is reported before it, as when both
-    files are read.
+    Each path is opened once, truth first, and a failed open or read is a ParseError. A regular file is
+    given as its open handle, which the parse reads a batch at a time, and which is closed when the ``with``
+    block ends, however it ends; an error path reads it again through that handle. Any other input (a pipe,
+    a FIFO, a device) cannot be read again, so it is read whole, closed, and given as its bytes. When
+    predicted's open or read fails, truth is parsed first, so a malformed truth file is reported before it,
+    as when both files are read.
     """
-    held = []
-    for path in (args.truth, args.pred):
-        try:
-            with open(path, "rb") as handle:
-                held.append(handle.read())
-        except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
-            if held:
-                _parse_file(args.truth, held[0], args.format)
-            raise ParseError(str(exc)) from None
-    return tuple(held)
+    with contextlib.ExitStack() as stack:
+        held = []
+        for path in (args.truth, args.pred):
+            try:
+                handle = stack.enter_context(open(path, "rb"))
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    held.append(handle)
+                else:
+                    with handle:
+                        held.append(handle.read())
+            except OSError as exc:  # a failed read is bad input; main takes any other OSError for a failed write
+                if held:
+                    _named(args.truth, _parse, held[0], args.format)
+                raise ParseError(str(exc)) from None
+        yield tuple(held)
 
 
 def _load_clusterings(args, held) -> tuple[Clustering, Clustering, EvalPair, tuple[str, ...]]:
     """Both input files as clusterings, their validated pair, and the flags on how they were read.
 
-    ``held`` is the two files' bytes, as :func:`_read_inputs` read them. Each side is parsed whole, truth
-    first, in the given format or the one detected from its own first data line. A repeat's lines are found
-    in the bytes of the file that :func:`validate` names.
+    ``held`` is the two inputs as :func:`_read_inputs` gives them. Each side is parsed whole, truth first,
+    in the given format or the one detected from its own first data line. A repeat's lines are found by
+    reading again the file that :func:`validate` names.
     """
     paths = (args.truth, args.pred)
-    (truth, predicted), formats = zip(*(_parse_file(path, data, args.format) for path, data in zip(paths, held)))
+    parsed = (_named(path, _parse, source, args.format) for path, source in zip(paths, held))
+    (truth, predicted), formats = zip(*parsed)
     if not _formats_agree(*formats):
         raise ParseError(f"{args.truth} reads as {formats[0]} but {args.pred} as {formats[1]}; use --format")
     try:
         pair = validate(truth, predicted, args.coverage)
     except DuplicateInstance as exc:
-        # validate names the repeat, the first in cluster order, truth first, and its side; that file's bytes
-        # give its lines.
+        # validate names the repeat, the first in cluster order, truth first, and its side; a rescan of that
+        # file gives its lines.
         side = ("truth", "predicted").index(exc.side)
         try:
             raise_repeat(held[side], formats[side], exc.instance)
-        except DuplicateInstance as with_lines:
-            exc = with_lines
+        except (DuplicateInstance, ParseError) as found:  # the repeat with its lines, or a failed read
+            exc = found
         exc.args = (f"{paths[side]}: {exc}",)
         raise exc
     return truth, predicted, pair, _read_flags(args, pair, formats, held)
@@ -136,11 +153,11 @@ def _load_clusterings(args, held) -> tuple[Clustering, Clustering, EvalPair, tup
 def _load_pair(args, held) -> tuple[EvalPair, tuple[str, ...]]:
     """The validated pair of input files as labels, and the flags on how they were read, in one streamed join.
 
-    ``held`` is the two files' bytes, as :func:`_read_inputs` read them. Each file's bytes are parsed inside
-    :func:`validate`: the predicted ids fill the label table batch by batch, and truth's parse pops each id
-    from it as it reads the id, so no id column is built. When the formats differ or the join fails before
-    its end, :func:`_load_clusterings` runs on the same bytes, in the order that gives each error its
-    precedence, and raises the error it finds there.
+    ``held`` is the two inputs as :func:`_read_inputs` gives them. Each file is read and parsed inside
+    :func:`validate`, batch by batch: the predicted ids fill the label table, and truth's parse pops each id
+    from it as it reads the id, so no id column is built and no regular file is held whole. When the formats
+    differ or the join fails before its end, :func:`_load_clusterings` reads both inputs again, in the order
+    that gives each error its precedence, and raises the error it finds there.
     """
     truth_format = None
 
@@ -164,31 +181,44 @@ def _load_pair(args, held) -> tuple[EvalPair, tuple[str, ...]]:
     return _load_clusterings(args, held)[2:]
 
 
-def _timing(seconds: float) -> dict:
-    """A report's ``timing``: the engine's ``seconds`` and the process's ``peak_rss_bytes`` so far, which is
-    left out where ``resource`` is missing (Windows)."""
+def _since(start: tuple[float, float]) -> dict:
+    """A stage's ``wall_s`` and ``cpu_s`` since ``start``, a ``(perf_counter(), process_time())`` pair."""
+    return {"wall_s": time.perf_counter() - start[0], "cpu_s": time.process_time() - start[1]}
+
+
+def _timing(stages: dict) -> dict:
+    """A report's ``timing``: the engine stage's wall time as ``seconds``, the process's ``peak_rss_bytes`` so
+    far, which is left out where ``resource`` is missing (Windows), and the ``stages``."""
+    timing = {"seconds": stages["engine"]["wall_s"]}
     try:
         import resource
     except ImportError:
-        return {"seconds": seconds}
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {"seconds": seconds, "peak_rss_bytes": peak if sys.platform == "darwin" else peak * 1024}  # KiB on Linux
+        pass
+    else:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        timing["peak_rss_bytes"] = peak if sys.platform == "darwin" else peak * 1024  # KiB on Linux
+    timing["stages"] = stages
+    return timing
 
 
 def cmd_evaluate(args) -> int:
-    held = _read_inputs(args)
-    if args.engine == "oracle":  # the oracle numbers the ids itself, so it reads both clusterings
-        truth, predicted, _, read_flags = _load_clusterings(args, held)
-        start = time.perf_counter()
+    # load: open, read, parse and validate, which interleave for a regular file; engine: the measures
+    start = time.perf_counter(), time.process_time()
+    with _read_inputs(args) as held:
+        if args.engine == "oracle":  # the oracle numbers the ids itself, so it reads both clusterings
+            truth, predicted, _, read_flags = _load_clusterings(args, held)
+        else:
+            pair, read_flags = _load_pair(args, held)
+    stages = {"load": _since(start)}
+    start = time.perf_counter(), time.process_time()
+    if args.engine == "oracle":
         report = oracle.evaluate_all(truth, predicted, pair_budget=args.pair_budget)
     else:
-        pair, read_flags = _load_pair(args, held)
-        start = time.perf_counter()
         report = single_pass.evaluate_all(pair)
-    elapsed = time.perf_counter() - start
+    stages["engine"] = _since(start)
     report = dataclasses.replace(report, flags=report.flags + read_flags)
     measures = MEASURE_ORDER if args.measure == "all" else (args.measure,)
-    doc = build_report_document(report, args.engine, _timing(elapsed), measures)
+    doc = build_report_document(report, args.engine, _timing(stages), measures)
     sys.stdout.write(write_report(doc, args.output))
     return EXIT_OK
 
@@ -255,7 +285,8 @@ def cmd_check(args) -> int:
         raise ParseError("check needs --truth and --pred, or --trials for randomized mode")
     # A file check takes evaluate's defaults.
     vars(args).update(coverage=args.coverage or "strict", format=args.format or FORMAT_AUTO)
-    truth, predicted, pair, read_flags = _load_clusterings(args, _read_inputs(args))
+    with _read_inputs(args) as held:
+        truth, predicted, pair, read_flags = _load_clusterings(args, held)
     status = _check_one(truth, predicted, pair, args.pair_budget, f"{args.truth} vs {args.pred}")
     if status == EXIT_OK:
         sys.stdout.write("check: engines agree exactly\n")
@@ -296,7 +327,8 @@ def _time_call(fn, repeats: int) -> tuple[float, float, float]:
 
 
 def cmd_bench(args) -> int:
-    truth, predicted, pair, read_flags = _load_clusterings(args, _read_inputs(args))  # before any timer starts
+    with _read_inputs(args) as held:  # before any timer starts
+        truth, predicted, pair, read_flags = _load_clusterings(args, held)
     engines = ("single_pass", "oracle") if args.engine == "both" else (args.engine,)
     if "oracle" in engines:
         oracle.check_budget(truth, predicted, args.pair_budget)  # before any engine is timed
@@ -368,6 +400,14 @@ class _ClosedStdout(io.TextIOBase):
         raise OSError("stdout is closed")
 
 
+class _ClosedStderr(io.TextIOBase):
+    """Stderr for a process started with it closed, where Python leaves ``sys.stderr`` None: each write is
+    dropped, so every command still exits with its documented code."""
+
+    def write(self, text):
+        return len(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="clustereval",
@@ -421,6 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if sys.stdout is None:  # the process started with its stdout closed
         sys.stdout = _ClosedStdout()
+    if sys.stderr is None:  # the process started with its stderr closed
+        sys.stderr = _ClosedStderr()
     try:
         try:
             args = build_parser().parse_args(argv)
@@ -433,7 +475,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except OSError as exc:  # _read_inputs turns a failed read into a ParseError, so this is a failed write
+    except OSError as exc:  # a failed open or read is a ParseError, so this is a failed write
         sys.stderr.write(f"error: {exc}\n")
         try:
             sys.stdout.flush()

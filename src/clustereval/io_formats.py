@@ -11,24 +11,28 @@ U+001C–U+001E, NEL, U+2028 or U+2029), blank and ``#`` comment lines ignored:
 Auto-detection picks ``pairs`` when the first data line contains a TAB,
 else ``clusters``. It runs inside the parse, on the lines the parse has
 already read, so a file's bytes are read once: :func:`parse_chunks`
-returns the format it read them in. The CLI reads each file's bytes
-itself and parses them; no command calls :func:`parse_clustering_file`,
-which reads a path and parses it, and it is kept only because
-``perfbench/traced.py`` wraps it by name. :func:`tab_after_first_data_line`
-tells when a file read as ``clusters`` has a TAB further on.
+returns the format it read them in. A parse takes a file's bytes, or the
+open binary file itself, which it reads from its start in pieces as it
+parses them, so the whole file is never held; the CLI passes a regular
+file so, and holds any other input (a pipe, a device) as bytes. No command
+calls :func:`parse_clustering_file`, which opens a path and parses it, and
+it is kept only because ``perfbench/traced.py`` wraps it by name.
+:func:`tab_after_first_data_line` tells when a file read as ``clusters``
+has a TAB further on; for an open file, a parse's pass has already looked.
 
 The parser, :func:`parse_chunks`, gives a file's two columns (ids in
 cluster order, cluster sizes) as ``(ids, sizes)`` chunks in one pass over
 its lines, each id passed, when asked, through a function as it is read:
 :func:`~clustereval.model.validate` hands truth's parse the pop from its
 label table, so two files join into labels without keeping an id column,
-and a :class:`Clustering` is its chunks collected. Bytes are decoded and
-cut into lines in batches of about 1 MiB, each running through an LF, so
-no list of all the lines is ever built; the lines, their numbers and
-every error message are those of the whole file's ``splitlines()``. An
-invalid byte anywhere in the file is reported before a malformed row, as
-it would be if the whole file were decoded first. It does not look for
-repeated ids:
+and a :class:`Clustering` is its chunks collected. Bytes are read (from a
+file), decoded and cut into lines in batches of about 1 MiB, each running
+through an LF, so no list of all the lines is ever built; the lines, their
+numbers and every error message are those of the whole file's
+``splitlines()``. An invalid byte anywhere in the file is reported before a
+malformed row, as it would be if the whole file were decoded first: only
+these error paths read a file whole, again, from its start. A failed read
+is a :class:`ParseError`. The parse does not look for repeated ids:
 :func:`~clustereval.model.validate` names one from the table it builds for
 the pair, and :func:`raise_repeat` rescans a file for that id's lines. A
 malformed row anywhere in either of two parsed files is therefore reported
@@ -46,9 +50,11 @@ non-finite value raises ``ValueError``.
 from __future__ import annotations
 
 import json
+import weakref
 from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import chain
+from typing import BinaryIO
 
 from . import __version__
 from .errors import DuplicateInstance, ParseError
@@ -57,6 +63,10 @@ from .model import Chunks, Clustering, FullReport
 SCHEMA_VERSION = 1
 
 _BATCH = 1 << 20  # bytes decoded at a time: each batch runs on to the next LF
+
+# The open files whose last whole pass of batches read no TAB byte, so tab_after_first_data_line reads none of
+# them again; weakly held, an entry goes with its file.
+_TAB_FREE: weakref.WeakSet = weakref.WeakSet()
 
 FORMAT_AUTO = "auto"
 FORMAT_CLUSTER_LINES = "clusters"
@@ -85,27 +95,55 @@ def _text(data: bytes) -> str:
         raise ParseError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _batches(data: bytes) -> Iterator[list[str]]:
-    """The lines of ``_text(data).splitlines()``, one list per batch of about ``_BATCH`` bytes."""
-    # A batch runs through an LF, which is never inside a multi-byte sequence nor the first half of a CRLF, so
-    # the batches' lines are exactly those of the whole file, and only the first batch can start with a BOM.
-    start, encoding = 0, "utf-8-sig"
-    while start < len(data):
-        end = data.find(b"\n", start + _BATCH) + 1 or len(data)  # past the closing LF; find's -1 + 1 is 0
+def _pieces(source: bytes | BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``source``, a file's bytes or the open binary file read from its start, in pieces of about
+    ``_BATCH`` bytes, each running through an LF or to the end; a failed read is a ParseError."""
+    if isinstance(source, bytes):
+        start = 0
+        while start < len(source):
+            end = source.find(b"\n", start + _BATCH) + 1 or len(source)  # past the closing LF; find's -1 + 1 is 0
+            yield source[start:end]
+            start = end
+        return
+    _TAB_FREE.discard(source)
+    tab = False
+    try:
+        source.seek(0)  # every pass reads the whole file: the parse, and a rescan on an error path
+        # _BATCH bytes, then on through the next LF: the piece that find cuts from the file's bytes
+        while piece := source.read(_BATCH) + source.readline():
+            tab = tab or b"\t" in piece
+            yield piece
+    except OSError as exc:  # a failed read is bad input, as a failed open is
+        raise ParseError(str(exc)) from None
+    if not tab:
+        _TAB_FREE.add(source)
+
+
+def _whole(source: bytes | BinaryIO) -> bytes:
+    """All the bytes of ``source``: a file is read again, whole, which only error paths do."""
+    return source if isinstance(source, bytes) else b"".join(_pieces(source))
+
+
+def _batches(source: bytes | BinaryIO) -> Iterator[list[str]]:
+    """The lines of ``_text(_whole(source)).splitlines()``, one list per piece of ``source``."""
+    # A piece runs through an LF, which is never inside a multi-byte sequence nor the first half of a CRLF, so
+    # the pieces' lines are exactly those of the whole file, and only the first piece can start with a BOM.
+    encoding = "utf-8-sig"
+    for piece in _pieces(source):
         try:
-            yield data[start:end].decode(encoding).splitlines()
-        except UnicodeDecodeError:
-            _text(data)  # raises a ParseError that gives the byte position in the whole file
-            raise
-        start, encoding = end, "utf-8"
+            yield piece.decode(encoding).splitlines()
+        except UnicodeDecodeError as exc:
+            _text(_whole(source))  # raises a ParseError that gives the byte position in the whole file
+            raise ParseError(f"input is not valid UTF-8: {exc}") from None  # the file changed since the piece
+        encoding = "utf-8"
 
 
-def _batches_and_format(data: bytes, format: str) -> tuple[Iterator[list[str]], str | None]:
-    """The batches of ``data``, decoded as they are consumed, and the format to read them in: ``format``,
-    or the one detected from the first data line, None when auto-detection finds no data line."""
+def _batches_and_format(source: bytes | BinaryIO, format: str) -> tuple[Iterator[list[str]], str | None]:
+    """The batches of ``source``, read and decoded as they are consumed, and the format to read them in:
+    ``format``, or the one detected from the first data line, None when auto-detection finds no data line."""
     if format not in FORMATS:
         raise ValueError(f"unknown clustering format {format!r}")
-    batches = _batches(data)
+    batches = _batches(source)
     if format == FORMAT_AUTO:
         head = []  # the batches detection reads, given back in front of the rest
         format = None
@@ -118,25 +156,26 @@ def _batches_and_format(data: bytes, format: str) -> tuple[Iterator[list[str]], 
     return batches, format
 
 
-def parse_chunks(data: bytes, format: str = FORMAT_AUTO, key=None) -> tuple[Chunks, str | None]:
-    """The clustering in ``data`` as ``(ids, sizes)`` chunks, parsed as they are consumed, and its format.
+def parse_chunks(source: bytes | BinaryIO, format: str = FORMAT_AUTO, key=None) -> tuple[Chunks, str | None]:
+    """The clustering in ``source`` as ``(ids, sizes)`` chunks, parsed as they are consumed, and its format.
 
-    The format is ``format``, or the one detected from the first data line (None: no data lines); detection
-    decodes only the batches up to that line. Collected in order, the chunks' ids and sizes are the two
-    columns of :func:`parse_clustering`'s result; given ``key``, each id is replaced by ``key(id)``, called
-    once per id as the file is read, and only that result is kept. A cluster-lines file gives one chunk per
-    batch of about ``_BATCH`` bytes, so only that batch's ids are alive while it is consumed. A
-    membership-pairs file is grouped by label whole before its one chunk; given ``key``, each row's id is
-    alive only while its row is read. A :class:`ParseError` is raised when the chunk that would hold the
-    malformed row or invalid byte is consumed, or at once for an invalid byte in the batches detection
-    reads. A ``KeyError`` from ``key`` on a membership-pairs row is raised once the rest of the file is read,
-    so a parse error there comes first.
+    ``source`` is a file's bytes, or the open binary file, which is read from its start as the chunks are
+    consumed, a batch at a time. The format is ``format``, or the one detected from the first data line
+    (None: no data lines); detection reads and decodes only the batches up to that line. Collected in order,
+    the chunks' ids and sizes are the two columns of :func:`parse_clustering`'s result; given ``key``, each
+    id is replaced by ``key(id)``, called once per id as the file is read, and only that result is kept. A
+    cluster-lines file gives one chunk per batch of about ``_BATCH`` bytes, so only that batch's ids are
+    alive while it is consumed. A membership-pairs file is grouped by label whole before its one chunk;
+    given ``key``, each row's id is alive only while its row is read. A :class:`ParseError` is raised when
+    the chunk that would hold the malformed row, invalid byte or failed read is consumed, or at once for one
+    in the batches detection reads. A ``KeyError`` from ``key`` on a membership-pairs row is raised once the
+    rest of the file is read, so a parse error there comes first.
     """
-    batches, format = _batches_and_format(data, format)
+    batches, format = _batches_and_format(source, format)
     if format != FORMAT_MEMBERSHIP_PAIRS:  # a text without data lines reads as empty either way
         chunks = map(_cluster_lines, batches)
         return (chunks if key is None else ((map(key, ids), sizes) for ids, sizes in chunks)), format
-    return _membership_pairs(data, batches, key), format
+    return _membership_pairs(source, batches, key), format
 
 
 def _cluster_lines(lines: list[str]) -> tuple[list[str], list[int]]:
@@ -151,7 +190,7 @@ def _cluster_lines(lines: list[str]) -> tuple[list[str], list[int]]:
     return ids, sizes
 
 
-def _membership_pairs(data: bytes, batches: Iterator[list[str]], key) -> Chunks:
+def _membership_pairs(source: bytes | BinaryIO, batches: Iterator[list[str]], key) -> Chunks:
     """The one chunk of a membership-pairs file: its rows' ids, or ``key`` of each, grouped by label, in the
     order labels first occur."""
     groups: dict[str, list] = {}
@@ -177,19 +216,20 @@ def _membership_pairs(data: bytes, batches: Iterator[list[str]], key) -> Chunks:
             except KeyError as exc:
                 failure, key = exc, None
     except ParseError:
-        _text(data)  # an invalid byte in a batch not yet decoded is reported first
+        _text(_whole(source))  # an invalid byte in a batch not yet decoded is reported first
         raise
     if failure is not None:
         raise failure
     yield chain.from_iterable(groups.values()), list(map(len, groups.values()))
 
 
-def tab_after_first_data_line(data: bytes) -> bool:
-    """Whether a data line of ``data`` other than its first holds a TAB: a file that auto-detection reads as
+def tab_after_first_data_line(source: bytes | BinaryIO) -> bool:
+    """Whether a data line of ``source`` other than its first holds a TAB: a file that auto-detection reads as
     cluster lines, but that may be membership pairs whose first id holds a line break."""
-    if b"\t" not in data:  # most files: one search of the bytes, nothing decoded
+    # Most files hold no TAB byte: bytes take one search, and an open file's whole parse has looked already.
+    if b"\t" not in source if isinstance(source, bytes) else source in _TAB_FREE:
         return False
-    data_lines = filter(_is_data_line, chain.from_iterable(_batches(data)))
+    data_lines = filter(_is_data_line, chain.from_iterable(_batches(source)))
     next(data_lines, None)
     return any("\t" in line for line in data_lines)
 
@@ -204,19 +244,20 @@ def parse_clustering(source: str | bytes, format: str = FORMAT_AUTO) -> Clusteri
     return _parse(source, format)[0]
 
 
-def _parse(data: bytes, format: str) -> tuple[Clustering, str | None]:
-    """:func:`parse_clustering`, and the format it read ``data`` in (None: no data lines): its chunks collected."""
-    chunks, format = parse_chunks(data, format)
+def _parse(source: bytes | BinaryIO, format: str) -> tuple[Clustering, str | None]:
+    """:func:`parse_clustering`, and the format it read ``source`` in (None: no data lines): its chunks collected."""
+    chunks, format = parse_chunks(source, format)
     return Clustering.from_chunks(chunks), format
 
 
-def raise_repeat(data: bytes, format: str, instance) -> None:
+def raise_repeat(source: bytes | BinaryIO, format: str, instance) -> None:
     """Raise :class:`DuplicateInstance` at the second occurrence of ``instance``, naming both lines.
 
-    Returns when ``instance`` occurs at most once. ``data`` is a file that :func:`parse_clustering`
-    reads without error in ``format``, one of the two concrete formats.
+    Returns when ``instance`` occurs at most once. ``source`` is a file's bytes, or the open binary file, read
+    again from its start a batch at a time, that :func:`parse_chunks` reads without error in ``format``, one of
+    the two concrete formats.
     """
-    batches, format = _batches_and_format(data, format)
+    batches, format = _batches_and_format(source, format)
     lines = []  # the number of each line ``instance`` occurs on, once per occurrence
     for number, line in enumerate(chain.from_iterable(batches), 1):
         if _is_data_line(line):
@@ -229,7 +270,7 @@ def raise_repeat(data: bytes, format: str, instance) -> None:
 def parse_clustering_file(path, format: str = FORMAT_AUTO) -> tuple[Clustering, str | None]:
     """The clustering in the file at ``path``, read once, and the format it was read in (None: no data lines)."""
     with open(path, "rb") as handle:
-        return _parse(handle.read(), format)
+        return _parse(handle, format)
 
 
 def write_clustering(clustering: Clustering, format: str = FORMAT_CLUSTER_LINES) -> str:

@@ -5,6 +5,7 @@ import builtins
 import collections
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -136,7 +137,10 @@ def without_timing(out: str) -> str:
     """A machine report with its last key, `timing`, cut off; the cut part must be just that key."""
     body, timing = out.split(',\n  "timing": ', 1)
     number = r"-?(0|[1-9]\d*)(\.\d+)?([eE][-+]?\d+)?"
-    assert re.fullmatch(r'\{\n    "seconds": ' + number + r',\n    "peak_rss_bytes": [1-9]\d*\n  \}\n\}\n', timing), timing
+    stage = r'\{\n        "wall_s": ' + number + r',\n        "cpu_s": ' + number + r"\n      \}"
+    stages = r'\{\n      "load": ' + stage + r',\n      "engine": ' + stage + r"\n    \}"
+    head = r'\{\n    "seconds": ' + number + r',\n    "peak_rss_bytes": [1-9]\d*'
+    assert re.fullmatch(head + r',\n    "stages": ' + stages + r"\n  \}\n\}\n", timing), timing
     return body + "\n}\n"
 
 
@@ -167,6 +171,36 @@ def count_opens(monkeypatch, refuse_again=False):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+class RecordingFile(io.FileIO):
+    """A file whose reads are recorded; with ``fail_at``, each read from that offset on fails, as a bad disk's."""
+
+    def __init__(self, path, fail_at=None):
+        super().__init__(path, "r")
+        self.reads, self.fail_at = [], fail_at
+
+    def readinto(self, buffer):
+        if self.fail_at is not None and self.tell() >= self.fail_at:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        self.reads.append(super().readinto(buffer))
+        return self.reads[-1]
+
+
+def record_opens(monkeypatch, fail_at=()):
+    """The :class:`RecordingFile` under each ``open(path, "rb")`` from now on, listed by path; ``fail_at`` maps a
+    path to the offset its reads fail from."""
+    opened = collections.defaultdict(list)
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if mode != "rb":
+            return real_open(file, mode, *args, **kwargs)
+        opened[file].append(raw := RecordingFile(file, dict(fail_at).get(file)))
+        return io.BufferedReader(raw)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
     return opened
 
 
@@ -659,7 +693,8 @@ class TestStreamedLoad:
 
         def outcome(load):
             try:
-                return load(args, cli._read_inputs(args))
+                with cli._read_inputs(args) as held:
+                    return load(args, held)
             except ClusterEvalError as exc:
                 return type(exc), str(exc)
 
@@ -690,8 +725,8 @@ class TestStreamedLoad:
 
     def test_ingest_keeps_no_id_column(self, monkeypatch, tmp_path):
         # 100k ids of 14 hex digits a side, in batches of 64 KiB, as a large file would be read. Loading the
-        # two files as whole id columns peaks at 22.1 MB traced (CPython 3.11), the streamed join at 16.6 MB:
-        # besides both files' bytes, it holds one table of the predicted ids and one batch.
+        # two files as whole id columns peaks at 22.1 MB traced (CPython 3.11), the streamed join at 16.6 MB
+        # with both files' bytes held: it holds one table of the predicted ids and one batch besides.
         monkeypatch.setattr(io_formats, "_BATCH", 1 << 16)
         ids = [f"{x * 2654435761 % 2**56:014x}" for x in range(100_000)]
         paths = []
@@ -701,7 +736,8 @@ class TestStreamedLoad:
         args = argparse.Namespace(truth=str(paths[0]), pred=str(paths[1]), format="auto", coverage="strict")
         tracemalloc.start()
         try:
-            pair, _ = cli._load_pair(args, cli._read_inputs(args))
+            with cli._read_inputs(args) as held:
+                pair, _ = cli._load_pair(args, held)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -722,7 +758,6 @@ class TestStreamedLoad:
             paths.append(path := tmp_path / f"{name}.tsv")
             path.write_text(io_formats.write_clustering(side, io_formats.FORMAT_MEMBERSHIP_PAIRS))
         args = argparse.Namespace(truth=str(paths[0]), pred=str(paths[1]), format="auto", coverage="strict")
-        held = cli._read_inputs(args)
 
         def peak(load):
             tracemalloc.start()
@@ -736,8 +771,9 @@ class TestStreamedLoad:
             with pytest.raises(EmptyClustering):  # an empty truth file ends the join once the table is built
                 cli._load_pair(args, (b"", held[1]))
 
-        table = peak(table_alone)
-        join = peak(lambda: cli._load_pair(args, held))
+        with cli._read_inputs(args) as held:  # each pass reads a file from its start
+            table = peak(table_alone)
+            join = peak(lambda: cli._load_pair(args, held))
         assert join <= table + 8 * config.n_instances, f"the join peaked at {join} traced bytes, the table at {table}"
 
     def test_the_report_gives_the_peak_rss(self, capsys, golden_files):
@@ -745,8 +781,13 @@ class TestStreamedLoad:
         for engine in ("single_pass", "oracle"):
             status, out, _ = run_cli(capsys, "evaluate", "--truth", truth, "--pred", pred, "--engine", engine)
             timing = json.loads(out)["timing"]
-            assert status == 0 and list(timing) == ["seconds", "peak_rss_bytes"]
+            assert status == 0 and list(timing) == ["seconds", "peak_rss_bytes", "stages"]
             assert type(timing["peak_rss_bytes"]) is int and timing["peak_rss_bytes"] > 2**20
+            # the load (open, read, parse, validate) and the engine, each in wall and CPU seconds
+            stages = timing["stages"]
+            assert list(stages) == ["load", "engine"]
+            assert all(list(stage) == ["wall_s", "cpu_s"] and min(stage.values()) >= 0 for stage in stages.values())
+            assert timing["seconds"] == stages["engine"]["wall_s"]
 
 
 class TestReadOnce:
@@ -763,6 +804,42 @@ class TestReadOnce:
         monkeypatch.undo()
         assert result[0] == status
         assert (opened[str(truth)], opened[str(pred)]) == (1, 1)
+
+    @pytest.mark.parametrize("format", ["clusters", "pairs"])
+    def test_evaluate_reads_a_regular_file_once_a_batch_at_a_time(self, monkeypatch, capsys, tmp_path, format):
+        # 20k instances a side in batches of 8 KiB, the reader's own buffer size, so a file spans many batches
+        monkeypatch.setattr(io_formats, "_BATCH", 1 << 13)
+        config = SynthConfig(n_instances=20_000, n_truth_clusters=3000, split_rate=0.2, merge_rate=0.2, seed=1)
+        paths = []
+        for name, side in zip("tp", generate(config)):
+            paths.append(path := tmp_path / f"{name}.txt")
+            path.write_text(io_formats.write_clustering(side, format))
+        opened = record_opens(monkeypatch)
+        status, _, err = run_cli(capsys, "evaluate", "--truth", str(paths[0]), "--pred", str(paths[1]))
+        monkeypatch.undo()
+        assert (status, err) == (0, "")
+        for path in paths:
+            [file] = opened[str(path)]
+            assert file.closed and len(file.reads) > 8
+            assert max(file.reads) <= 1 << 13 and sum(file.reads) == path.stat().st_size
+
+    @pytest.mark.parametrize("side", ["truth", "pred"])
+    @pytest.mark.parametrize("format", ["clusters", "pairs"])
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
+    def test_a_failed_read_after_the_first_batch_exits_2_naming_its_file(
+        self, monkeypatch, capsys, tmp_path, command, format, side
+    ):
+        monkeypatch.setattr(io_formats, "_BATCH", 1 << 13)
+        config = SynthConfig(n_instances=20_000, n_truth_clusters=3000, split_rate=0.2, merge_rate=0.2, seed=1)
+        paths = {}
+        for name, clustering in zip(("truth", "pred"), generate(config)):
+            paths[name] = path = tmp_path / f"{name}.txt"
+            path.write_text(io_formats.write_clustering(clustering, format))
+        opened = record_opens(monkeypatch, fail_at={str(paths[side]): 1 << 14})
+        result = run_cli(capsys, *command, "--truth", str(paths["truth"]), "--pred", str(paths["pred"]))
+        monkeypatch.undo()
+        assert result == (2, "", f"error: {paths[side]}: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n")
+        assert all(file.closed for files in opened.values() for file in files)
 
     @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
     def test_a_repeat_in_a_file_that_cannot_be_opened_again_names_its_lines(
@@ -1159,6 +1236,39 @@ class TestFailedWrite:
         result = self.run(unbuffered, ["evaluate", "--truth", absent, "--pred", pred], subprocess.PIPE)
         self.assert_one_error_line(result, 2)
         assert absent in result.stderr and result.stdout == ""
+
+
+class TestClosedStderr:
+    """A process started with stderr closed, where Python leaves ``sys.stderr`` None, drops what it would print
+    there and exits with the documented code."""
+
+    @staticmethod
+    def run(argv):
+        """The finished ``clustereval`` process of ``argv``, started with fd 2 closed."""
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+        cmd = ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "clustereval", *argv]
+        return subprocess.run(cmd, stdout=subprocess.PIPE, text=True, env=env)
+
+    @pytest.mark.parametrize(
+        "truth_text, pred_text, status",
+        [(None, "1 2\n", 2), ("1 2\n", "1\t2\t3\n", 2), ("1 2\n1\n", "1 2\n", 3), ("1 2\n", "1 2\n", 0)],
+        ids=["missing_path", "malformed_row", "repeat", "success"],
+    )
+    def test_evaluate_exits_with_its_documented_code(self, capsys, tmp_path, truth_text, pred_text, status):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        for path, text in ((truth, truth_text), (pred, pred_text)):
+            if text is not None:
+                path.write_text(text)
+        argv = ["evaluate", "--truth", str(truth), "--pred", str(pred), "--output", "table"]
+        result = self.run(argv)
+        assert (result.returncode, result.stdout) == (status, run_cli(capsys, *argv)[1])
+
+    def test_gen_exits_0_having_written_its_files(self, tmp_path):
+        truth, pred = tmp_path / "t.txt", tmp_path / "p.txt"
+        result = self.run(["gen", "--n", "8", "--clusters", "3", "--out-truth", str(truth), "--out-pred", str(pred)])
+        assert (result.returncode, result.stdout) == (0, "")
+        assert len(truth.read_text().split()) == len(pred.read_text().split()) == 8
 
 
 def test_module_entry_point(golden_files):

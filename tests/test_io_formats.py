@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tempfile
 import tracemalloc
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -23,6 +24,7 @@ from clustereval.io_formats import (
     parse_clustering,
     parse_clustering_file,
     raise_repeat,
+    tab_after_first_data_line,
     write_clustering,
     write_report,
 )
@@ -311,6 +313,66 @@ class TestBatchedReading:
             tracemalloc.stop()
         assert (err.value.first_line, err.value.second_line) == (18, 100_001)
         assert peak < len(data)
+
+
+class TestFileSource:
+    """An open binary file parses as its bytes do, read from its start a batch at a time."""
+
+    # Ids (one long enough for a line to span batches), both field separators, CRLF, which can straddle the
+    # end of a batch's first read, a lone CR, VT, FF and U+2028 line breaks, comments, a BOM anywhere, and
+    # invalid UTF-8: a stray byte and a cut sequence.
+    PIECES = [b"a", b"c1", b"instance-0123456789", b"\t", b" ", b"\r\n", b"\n", b"\r", b"#", b"\x0b", b"\x0c",
+              "\u2028".encode(), "\ufeff".encode(), b"\xff", b"\xc3"]
+
+    @staticmethod
+    def outcome(source, format):
+        """The chunks ``source`` parses to, collected, its format and whether it is flagged; or its ParseError."""
+        try:
+            chunks, found = parse_chunks(source, format)
+            chunks = [(list(ids), list(sizes)) for ids, sizes in chunks]
+        except ParseError as exc:
+            return ParseError, str(exc), exc.line, exc.column
+        return chunks, found, found == FORMAT_CLUSTER_LINES and tab_after_first_data_line(source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.lists(st.sampled_from(PIECES), max_size=60).map(b"".join),
+        format=st.sampled_from([FORMAT_AUTO, FORMAT_CLUSTER_LINES, FORMAT_MEMBERSHIP_PAIRS]),
+    )
+    @example(data=b"\xef\xbb\xbf" + b"a " * 30 + b"\r\n#\xe2\x80\xa8b c\x0bc\x0cb\n", format=FORMAT_AUTO)  # CR at byte 63
+    @example(data=b"a b\n" * 20 + b"c\td\n", format=FORMAT_AUTO)  # a TAB in a later batch is flagged
+    @example(data=b"a\tX\n" * 20 + b"b\t\xffX\n", format=FORMAT_AUTO)  # an invalid byte in a later batch
+    @example(data=b"a\tX\n" * 20 + b"b\tX\tY\n" + b"c\tX\n" * 20 + b"\xc3", format=FORMAT_MEMBERSHIP_PAIRS)
+    def test_a_file_parses_as_its_bytes(self, data, format):
+        with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryFile() as file:
+            monkeypatch.setattr(io_formats, "_BATCH", 1 << 6)
+            file.write(data)
+            expected = self.outcome(data, format)
+            assert self.outcome(file, format) == expected
+            if expected[0] is not ParseError and expected[1] == FORMAT_CLUSTER_LINES:
+                io_formats._TAB_FREE.discard(file)  # what a parse noted is gone: the check reads the file again
+                assert tab_after_first_data_line(file) == expected[2]
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"a", b"abcdefghij", b"abcdefg\nh\n", b"abcdefgh\ni\n", b"a\rb\rc\rd\re\rf\rg\r", b"\n" * 20,
+         b"ab\r\ncd\r\nef\r\n"],
+        ids=["empty", "one_byte", "no_final_lf", "lf_at_batch_minus_1", "lf_at_batch", "cr_only", "lf_only", "crlf"],
+    )
+    def test_a_file_is_read_in_the_pieces_its_bytes_are_cut_in(self, monkeypatch, data):
+        monkeypatch.setattr(io_formats, "_BATCH", 8)
+        with tempfile.TemporaryFile() as file:
+            file.write(data)
+            assert list(io_formats._pieces(file)) == list(io_formats._pieces(data))
+
+    def test_each_pass_reads_the_file_from_its_start(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"1 2\n# note\n3 1\n")
+        with open(path, "rb") as file:
+            assert parse_clustering_file(path)[0] == io_formats._parse(file, FORMAT_AUTO)[0]
+            with pytest.raises(DuplicateInstance) as err:
+                raise_repeat(file, FORMAT_CLUSTER_LINES, "1")
+            assert (err.value.first_line, err.value.second_line) == (1, 3)
 
 
 class TestStreamedJoin:
