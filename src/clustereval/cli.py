@@ -77,10 +77,9 @@ def _read_flags(args, pair: EvalPair, formats: tuple[str | None, str | None], he
     if FORMAT_MEMBERSHIP_PAIRS in formats and singletons:
         return (FLAG_AUTO_PAIRS_SINGLETONS,)
     # Membership pairs whose first id holds a line break are detected as cluster lines, with TABs further on.
-    paths = (args.truth, args.pred)
     if any(
         f == FORMAT_CLUSTER_LINES and _named(path, tab_after_first_data_line, source)
-        for path, f, source in zip(paths, formats, held)
+        for path, f, source in zip((args.truth, args.pred), formats, held)
     ):
         return (FLAG_AUTO_CLUSTERS_WITH_TABS,)
     return ()

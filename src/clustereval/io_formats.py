@@ -14,9 +14,9 @@ already read, so a file's bytes are read once: :func:`parse_chunks`
 returns the format it read them in. A parse takes a file's bytes, or the
 open binary file itself, which it reads from its start in pieces as it
 parses them, so the whole file is never held; the CLI passes a regular
-file so, and holds any other input (a pipe, a device) as bytes. No command
-calls :func:`parse_clustering_file`, which opens a path and parses it, and
-it is kept only because ``perfbench/traced.py`` wraps it by name.
+file that way, and any other input (a pipe, a device) as its bytes. No
+command calls :func:`parse_clustering_file`, which opens a path and parses
+it, and it is kept only because ``perfbench/traced.py`` wraps it by name.
 :func:`tab_after_first_data_line` tells when a file read as ``clusters``
 has a TAB further on; for an open file, a parse's pass has already looked.
 
@@ -227,7 +227,7 @@ def tab_after_first_data_line(source: bytes | BinaryIO) -> bool:
     """Whether a data line of ``source`` other than its first holds a TAB: a file that auto-detection reads as
     cluster lines, but that may be membership pairs whose first id holds a line break."""
     # Most files hold no TAB byte: bytes take one search, and an open file's whole parse has looked already.
-    if b"\t" not in source if isinstance(source, bytes) else source in _TAB_FREE:
+    if isinstance(source, bytes) and b"\t" not in source or source in _TAB_FREE:
         return False
     data_lines = filter(_is_data_line, chain.from_iterable(_batches(source)))
     next(data_lines, None)
