@@ -12,9 +12,10 @@ Auto-detection picks ``pairs`` when the first data line contains a TAB,
 else ``clusters``. It runs inside the parse, on the lines the parse has
 already read, so a file's bytes are read once: :func:`parse_chunks`
 returns the format it read them in. A parse takes a file's bytes, or the
-open binary file itself, which it reads from its start in pieces as it
-parses them, so the whole file is never held; the CLI passes a regular
-file that way, and any other input (a pipe, a device) as its bytes. No
+open binary file itself, which it reads in pieces as it parses them, from
+where the file stood when it was first read, so the whole file is never
+held; the CLI passes a regular file that way, and any other input (a pipe,
+a device) as its bytes. No
 command calls :func:`parse_clustering_file`, which opens a path and parses
 it, and it is kept only because ``perfbench/traced.py`` wraps it by name.
 :func:`tab_after_first_data_line` tells when a file read as ``clusters``
@@ -31,12 +32,12 @@ through an LF, so no list of all the lines is ever built; the lines, their
 numbers and every error message are those of the whole file's
 ``splitlines()``. An invalid byte anywhere in the file is reported before a
 malformed row, as it would be if the whole file were decoded first: only
-these error paths read a file whole, again, from its start. A failed read
-is a :class:`ParseError`. The parse does not look for repeated ids:
-:func:`~clustereval.model.validate` names one from the table it builds for
-the pair, and :func:`raise_repeat` rescans a file for that id's lines. A
-malformed row anywhere in either of two parsed files is therefore reported
-before any repeat.
+these error paths read a file whole again, from where its first pass
+began. A failed read is a :class:`ParseError`. The parse does not look for
+repeated ids: :func:`~clustereval.model.validate` names one from the table
+it builds for the pair, and :func:`raise_repeat` rescans a file for that
+id's lines. A malformed row anywhere in either of two parsed files is
+therefore reported before any repeat.
 
 :func:`build_report_document` builds a report's one document, and
 :func:`write_report` renders that document in either style. Machine reports
@@ -49,6 +50,7 @@ non-finite value raises ``ValueError``.
 
 from __future__ import annotations
 
+import io
 import json
 import weakref
 from collections.abc import Iterator
@@ -67,6 +69,8 @@ _BATCH = 1 << 20  # bytes decoded at a time: each batch runs on to the next LF
 # The open files whose last whole pass of batches read no TAB byte, so tab_after_first_data_line reads none of
 # them again; weakly held, an entry goes with its file.
 _TAB_FREE: weakref.WeakSet = weakref.WeakSet()
+# The offset each open file's first pass began at, where every later pass begins again; weakly held.
+_STARTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 FORMAT_AUTO = "auto"
 FORMAT_CLUSTER_LINES = "clusters"
@@ -96,20 +100,17 @@ def _text(data: bytes) -> str:
 
 
 def _pieces(source: bytes | BinaryIO) -> Iterator[bytes]:
-    """The bytes of ``source``, a file's bytes or the open binary file read from its start, in pieces of about
-    ``_BATCH`` bytes, each running through an LF or to the end; a failed read is a ParseError."""
+    """The bytes of ``source``, a file's bytes or the open binary file read from where its first pass began, in
+    pieces of about ``_BATCH`` bytes, each running through an LF or to the end; a failed read is a ParseError."""
     if isinstance(source, bytes):
-        start = 0
-        while start < len(source):
-            end = source.find(b"\n", start + _BATCH) + 1 or len(source)  # past the closing LF; find's -1 + 1 is 0
-            yield source[start:end]
-            start = end
-        return
+        source = io.BytesIO(source)  # shares the bytes: a piece is the slice find(b"\n", start + _BATCH) would cut
     _TAB_FREE.discard(source)
     tab = False
     try:
-        source.seek(0)  # every pass reads the whole file: the parse, and a rescan on an error path
-        # _BATCH bytes, then on through the next LF: the piece that find cuts from the file's bytes
+        # Every pass reads the whole file, the parse and a rescan on an error path, from where the first began:
+        # a descriptor handed on part-read starts there, as its bytes read whole would.
+        source.seek(_STARTS.setdefault(source, source.tell()))
+        # _BATCH bytes, then on through the next LF
         while piece := source.read(_BATCH) + source.readline():
             tab = tab or b"\t" in piece
             yield piece
@@ -159,8 +160,8 @@ def _batches_and_format(source: bytes | BinaryIO, format: str) -> tuple[Iterator
 def parse_chunks(source: bytes | BinaryIO, format: str = FORMAT_AUTO, key=None) -> tuple[Chunks, str | None]:
     """The clustering in ``source`` as ``(ids, sizes)`` chunks, parsed as they are consumed, and its format.
 
-    ``source`` is a file's bytes, or the open binary file, which is read from its start as the chunks are
-    consumed, a batch at a time. The format is ``format``, or the one detected from the first data line
+    ``source`` is a file's bytes, or the open binary file, which is read as the chunks are consumed, a batch
+    at a time, from where it stood when it was first read. The format is ``format``, or the one detected from the first data line
     (None: no data lines); detection reads and decodes only the batches up to that line. Collected in order,
     the chunks' ids and sizes are the two columns of :func:`parse_clustering`'s result; given ``key``, each
     id is replaced by ``key(id)``, called once per id as the file is read, and only that result is kept. A
@@ -254,8 +255,8 @@ def raise_repeat(source: bytes | BinaryIO, format: str, instance) -> None:
     """Raise :class:`DuplicateInstance` at the second occurrence of ``instance``, naming both lines.
 
     Returns when ``instance`` occurs at most once. ``source`` is a file's bytes, or the open binary file, read
-    again from its start a batch at a time, that :func:`parse_chunks` reads without error in ``format``, one of
-    the two concrete formats.
+    again a batch at a time from where its first pass began, that :func:`parse_chunks` reads without error in
+    ``format``, one of the two concrete formats.
     """
     batches, format = _batches_and_format(source, format)
     lines = []  # the number of each line ``instance`` occurs on, once per occurrence

@@ -854,6 +854,34 @@ class TestReadOnce:
         monkeypatch.undo()
         assert result == (3, "", f"error: {truth}: instance '1' appears in more than one cluster (lines 1 and 3)\n")
 
+    @pytest.mark.parametrize("rest", ["1 2\n3\n", "1 2\n# note\n3 1\n", "1 2\n\xff\n"], ids=["valid", "repeat", "bad_byte"])
+    @pytest.mark.parametrize("command", list(FILE_COMMANDS.values()), ids=list(FILE_COMMANDS))
+    def test_a_file_opened_part_read_is_read_from_where_it_stood(self, monkeypatch, capsys, tmp_path, command, rest):
+        # Where opening /dev/stdin shares the caller's descriptor, `{ read -r hdr; clustereval ...; } < file`
+        # hands on a file past its header: every pass reads it from there, as its remaining bytes would read.
+        truth, whole, pred = tmp_path / "t.txt", tmp_path / "w.txt", tmp_path / "p.txt"
+        truth.write_bytes(b"header 1 1 \xc3\n" + rest.encode("latin-1"))
+        whole.write_bytes(rest.encode("latin-1"))
+        pred.write_text("1 2 3\n")
+        expected = run_cli(capsys, *command, "--truth", str(whole), "--pred", str(pred))
+        real_open = builtins.open
+
+        def shared_open(file, *args, **kwargs):
+            handle = real_open(file, *args, **kwargs)
+            if file == str(truth):
+                handle.readline()
+            return handle
+
+        monkeypatch.setattr(builtins, "open", shared_open)
+        result = run_cli(capsys, *command, "--truth", str(truth), "--pred", str(pred))
+        monkeypatch.undo()
+        if command[0] == "evaluate" and not expected[0]:
+            result, expected = [(status, without_timing(out), err) for status, out, err in (result, expected)]
+        if command[0] == "bench":  # its rows are timings: the pair read shows in N
+            result, expected = [(status, out.split()[6:7], err) for status, out, err in (result, expected)]
+        assert result[:2] == expected[:2]
+        assert result[2] == expected[2].replace(str(whole), str(truth))
+
 
 class TestCheck:
     def test_golden_files_agree(self, capsys, golden_files):

@@ -316,7 +316,7 @@ class TestBatchedReading:
 
 
 class TestFileSource:
-    """An open binary file parses as its bytes do, read from its start a batch at a time."""
+    """An open binary file parses as its bytes do, read a batch at a time from where it stood when first read."""
 
     # Ids (one long enough for a line to span batches), both field separators, CRLF, which can straddle the
     # end of a batch's first read, a lone CR, VT, FF and U+2028 line breaks, comments, a BOM anywhere, and
@@ -347,6 +347,7 @@ class TestFileSource:
         with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryFile() as file:
             monkeypatch.setattr(io_formats, "_BATCH", 1 << 6)
             file.write(data)
+            file.seek(0)
             expected = self.outcome(data, format)
             assert self.outcome(file, format) == expected
             if expected[0] is not ParseError and expected[1] == FORMAT_CLUSTER_LINES:
@@ -361,9 +362,15 @@ class TestFileSource:
     )
     def test_a_file_is_read_in_the_pieces_its_bytes_are_cut_in(self, monkeypatch, data):
         monkeypatch.setattr(io_formats, "_BATCH", 8)
+        cut, start = [], 0  # each piece runs through the first LF at or past its _BATCH-th byte, or to the end
+        while start < len(data):
+            end = data.find(b"\n", start + 8) + 1 or len(data)
+            cut.append(data[start:end])
+            start = end
         with tempfile.TemporaryFile() as file:
             file.write(data)
-            assert list(io_formats._pieces(file)) == list(io_formats._pieces(data))
+            file.seek(0)
+            assert list(io_formats._pieces(file)) == list(io_formats._pieces(data)) == cut
 
     def test_each_pass_reads_the_file_from_its_start(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -373,6 +380,27 @@ class TestFileSource:
             with pytest.raises(DuplicateInstance) as err:
                 raise_repeat(file, FORMAT_CLUSTER_LINES, "1")
             assert (err.value.first_line, err.value.second_line) == (1, 3)
+
+    def test_a_file_handed_on_part_read_is_read_from_where_it_stood(self, monkeypatch, tmp_path):
+        # A descriptor whose offset a caller moved, as a shell's `read` moves a shared stdin's, is read as its
+        # remaining bytes are, on every pass: the parse, the replay that places an invalid byte and a rescan.
+        monkeypatch.setattr(io_formats, "_BATCH", 4)
+        path = tmp_path / "t.txt"
+        for rest in (b"1 2\n3 1\n4\n", b"1\t", b"1 2\n3\n\xff\n", b"1\n2\t\n"):
+            path.write_bytes(b"header 1 1\t\xc3\n" + rest)
+            with open(path, "rb") as file:
+                file.readline()
+                assert (expected := self.outcome(file, FORMAT_AUTO)) == self.outcome(rest, FORMAT_AUTO)
+                if expected[0] is not ParseError:
+                    io_formats._TAB_FREE.discard(file)  # what a parse noted is gone: the check reads the file again
+                    assert tab_after_first_data_line(file) == tab_after_first_data_line(rest)
+        path.write_bytes(b"header 1 1\n1 2\n3 1\n4\n")
+        with open(path, "rb") as file:
+            file.readline()
+            assert io_formats._parse(file, FORMAT_AUTO)[0] == parse_clustering(b"1 2\n3 1\n4\n")
+            with pytest.raises(DuplicateInstance) as err:
+                raise_repeat(file, FORMAT_CLUSTER_LINES, "1")
+            assert (err.value.first_line, err.value.second_line) == (1, 2)
 
 
 class TestStreamedJoin:
